@@ -1,9 +1,9 @@
 """Combinatorial rigidity analysis of pinned bar-and-joint graphs."""
 
 from .canon import canonical_code, canonical_form, canonical_relabel
-from .errors import (CertificateError, CertificateSearchExhausted,
-                     ConditioningWarning, GraphError, NotIsostaticError,
-                     PinrigError, PinrigWarning, SizeLimitError)
+from .errors import (CertificateError, ConditioningWarning, GraphError,
+                     NotIsostaticError, PinrigError, PinrigWarning,
+                     SizeLimitError)
 from .graphs import (Multigraph, PinnedGraph, complete_graph, compose,
                      contract_pins, split_contracted_vertex)
 
@@ -24,7 +24,6 @@ __all__ = [
     "SizeLimitError",
     "NotIsostaticError",
     "CertificateError",
-    "CertificateSearchExhausted",
     "PinrigWarning",
     "ConditioningWarning",
 ]

@@ -19,12 +19,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .counting import ORACLE_MAX_VERTICES, circuit_oracle
+from .counting import ORACLE_MAX_VERTICES
 from .errors import GraphError, NotIsostaticError
-from .graphs import Multigraph, PinnedGraph, compose, ekey, vkey
+from .graphs import Multigraph, PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, all_inner_move
-from .pebble import (circuit_indices, contraction_circuits, is_circuit,
-                     pebble_rank, pinned_dof, pinned_isostatic)
+from .pebble import (circuit_indices, is_circuit, pebble_rank, pinned_dof,
+                     pinned_isostatic)
 
 
 def _require_isostatic(g: PinnedGraph, op: str):
@@ -79,19 +79,15 @@ def minimality_violation(g: PinnedGraph):
 
 
 def check_circuit_condition(g: PinnedGraph) -> bool:
-    """The pin contraction is a rigidity circuit.
+    """The pin contraction is a rigidity circuit (one pebble game).
 
-    Uses the exhaustive circuit oracle when the contraction is small enough,
-    the pebble-game test otherwise.  Isolated pins fail the check: they
-    vanish under contraction, so no circuit splitting can recover them.
+    Isolated pins fail the check: they vanish under contraction, so no
+    circuit splitting can recover them.
     """
     _require_isostatic(g, "circuit condition")
     if g.isolated_pins():
         return False
-    star, m, _ = contraction_circuits(g)
-    if m.n <= ORACLE_MAX_VERTICES:
-        return circuit_oracle(m)
-    return is_circuit(m)
+    return is_circuit(contract_pins(g))
 
 
 def check_vertex_deletion(g: PinnedGraph, seed: int = 0,

@@ -17,8 +17,8 @@ from fractions import Fraction
 from . import assur as assur_mod
 from . import counting, fileio, generate, numeric, pebble
 from .canon import canonical_code
-from .errors import (CertificateSearchExhausted, GraphError,
-                     NotIsostaticError, PinrigError, SizeLimitError)
+from .errors import (GraphError, NotIsostaticError, PinrigError,
+                     SizeLimitError)
 from .graphs import PinnedGraph, vkey
 
 PASS, FAIL, ERROR = 0, 1, 2
@@ -192,17 +192,6 @@ def scheme_report(scheme):
 
 # -- motion ----------------------------------------------------------------------
 
-def _positions_from_file(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise GraphError("config file must map vertex ids to [x, y]")
-    return {k: (v[0], v[1]) for k, v in doc.items()}
-
-
 def _match_positions(g, raw):
     """Config files address vertices by string form; align with actual ids."""
     out = {}
@@ -231,34 +220,25 @@ def cmd_motion(args):
 
     doc = {"inner": sorted(g.inner, key=vkey), "edges": g.m}
     if args.config:
-        config = _match_positions(g, _positions_from_file(args.config))
-        basis = numeric.motion_space(g, config)
-        moving = sorted((v for v in g.inner
-                         if any(_nonzero(vec[v]) for vec in basis.vectors)), key=vkey)
-        doc.update({"source": "config", "field": basis.field, "dim": basis.dim,
-                    "basis": [{str(v): [_pretty(x), _pretty(y)]
-                               for v, (x, y) in vec.items()} for vec in basis.vectors]})
+        config, source = _match_positions(g, fileio.load_positions(args.config)), "config"
     elif inline_pos and all(v in inline_pos for v in g.vertices):
-        config = inline_pos
-        basis = numeric.motion_space(g, config)
-        moving = sorted((v for v in g.inner
-                         if any(_nonzero(vec[v]) for vec in basis.vectors)), key=vkey)
-        doc.update({"source": "inline positions", "field": basis.field,
-                    "dim": basis.dim,
-                    "basis": [{str(v): [_pretty(x), _pretty(y)]
-                               for v, (x, y) in vec.items()} for vec in basis.vectors]})
+        config, source = inline_pos, "inline positions"
     else:
-        rng = random.Random(args.seed)
-        config = numeric.random_configuration(g, rng)
+        config = None
+    if config is None:
+        config = numeric.random_configuration(g, random.Random(args.seed))
         basis = numeric.motion_space(g, config, field="mod")
-        moving = sorted((v for v in g.inner
-                         if any(x or y for x, y in (vec[v] for vec in basis.vectors))),
-                        key=vkey)
         doc.update({"source": "random generic configuration", "seed": args.seed,
                     "dim": basis.dim})
-    fixed = sorted(set(g.inner) - set(moving), key=vkey)
+    else:
+        basis = numeric.motion_space(g, config)
+        doc.update({"source": source, "field": basis.field, "dim": basis.dim,
+                    "basis": [{str(v): [_pretty(x), _pretty(y)]
+                               for v, (x, y) in vec.items()} for vec in basis.vectors]})
+    moving = sorted((v for v in g.inner
+                     if any(_nonzero(vec[v]) for vec in basis.vectors)), key=vkey)
     doc["moving"] = moving
-    doc["fixed"] = fixed
+    doc["fixed"] = sorted(set(g.inner) - set(moving), key=vkey)
     doc["rigid"] = basis.dim == 0
     _emit(doc)
     return PASS
@@ -316,10 +296,7 @@ def cmd_generate(args):
 def cmd_certify(args):
     g, _ = fileio.load_graph(args.graph)
     try:
-        cert = generate.certify(g, time_limit=args.time_limit)
-    except CertificateSearchExhausted as exc:
-        _emit({"certified": False, "reason": str(exc)})
-        return FAIL
+        cert = generate.certify(g)
     except GraphError as exc:
         _emit({"certified": False, "reason": str(exc)})
         return FAIL
@@ -385,7 +362,6 @@ def build_parser():
     p = sub.add_parser("certify", help="construction certificate for an Assur graph")
     p.add_argument("graph")
     p.add_argument("--out", help="write the certificate JSON here")
-    p.add_argument("--time-limit", type=float, default=generate.CERTIFY_TIME_LIMIT)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="replay and check a certificate file")

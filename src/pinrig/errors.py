@@ -25,13 +25,6 @@ class CertificateError(PinrigError):
     """Certificate is malformed or failed to replay."""
 
 
-class CertificateSearchExhausted(PinrigError):
-    """Reduction search gave up (time box hit or dead end).
-
-    Failure to find a certificate is not a disproof of the property.
-    """
-
-
 class PinrigWarning(UserWarning):
     """Recoverable input issues, e.g. dropped edges between pinned vertices."""
 

@@ -35,21 +35,45 @@ def _as_pairs(edges):
     return [[u, v] for u, v in edges]
 
 
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _point(value, what):
+    """An [x, y] pair of numbers, as a tuple."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    for c in value)):
+        raise GraphError(f"{what} must be [x, y], got {value!r}")
+    return value[0], value[1]
+
+
+def _json_id(x, what="vertex"):
+    # JSON true would collide with 1 (and false with 0) in sets and dicts
+    if isinstance(x, (list, dict, bool)):
+        raise GraphError(f"{what} id must be a string or number, got {x!r}")
+    return x
+
+
 # -- graphs -------------------------------------------------------------------
 
 def graph_from_dict(doc: dict) -> tuple:
     """Parse a graph document; returns (PinnedGraph, positions or None)."""
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise GraphError("graph document needs 'vertices' and 'edges'")
+    if not (isinstance(doc["vertices"], list) and isinstance(doc["edges"], list)):
+        raise GraphError("graph 'vertices' and 'edges' must be lists")
     inner, pins = [], []
     positions = {}
     seen = set()
     for entry in doc["vertices"]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise GraphError(f"bad vertex entry {entry!r}")
-        vid = entry["id"]
-        if isinstance(vid, list) or isinstance(vid, dict):
-            raise GraphError(f"vertex id must be a scalar, got {vid!r}")
+        vid = _json_id(entry["id"])
         if vid in seen:
             raise GraphError(f"duplicate vertex id {vid!r}")
         seen.add(vid)
@@ -61,16 +85,13 @@ def graph_from_dict(doc: dict) -> tuple:
         else:
             raise GraphError(f"vertex kind must be 'inner' or 'pinned', got {kind!r}")
         if "pos" in entry:
-            pos = entry["pos"]
-            if not (isinstance(pos, list) and len(pos) == 2):
-                raise GraphError(f"pos must be [x, y], got {pos!r}")
-            positions[vid] = (pos[0], pos[1])
+            positions[vid] = _point(entry["pos"], "pos")
     pin_set = set(pins)
     edges = []
     for pair in doc["edges"]:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphError(f"bad edge entry {pair!r}")
-        u, v = pair
+        u, v = map(_json_id, pair)
         if u in pin_set and v in pin_set:
             warnings.warn(f"dropping edge {u!r}-{v!r} between pinned vertices",
                           PinrigWarning, stacklevel=2)
@@ -96,12 +117,15 @@ def graph_to_dict(g: PinnedGraph, positions=None) -> dict:
 
 
 def load_graph(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"invalid JSON in {path}: {exc}") from None
-    return graph_from_dict(doc)
+    return graph_from_dict(_load_json(path))
+
+
+def load_positions(path) -> dict:
+    """A configuration file mapping vertex ids (as strings) to [x, y]."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise GraphError("config file must map vertex ids to [x, y]")
+    return {k: _point(v, f"position of {k!r}") for k, v in doc.items()}
 
 
 # -- linkages -----------------------------------------------------------------
@@ -109,25 +133,28 @@ def load_graph(path):
 def linkage_from_dict(doc: dict) -> LinkageSchema:
     if not isinstance(doc, dict) or "links" not in doc or "joints" not in doc:
         raise GraphError("linkage document needs 'links' and 'joints'")
+    if not (isinstance(doc["links"], list) and isinstance(doc["joints"], list)):
+        raise GraphError("linkage 'links' and 'joints' must be lists")
     links, drivers = [], []
     for entry in doc["links"]:
         if isinstance(entry, dict):
             if "id" not in entry:
                 raise GraphError(f"bad link entry {entry!r}")
-            links.append(entry["id"])
+            links.append(_json_id(entry["id"], "link"))
             if entry.get("driver"):
                 drivers.append(entry["id"])
         else:
-            links.append(entry)
+            links.append(_json_id(entry, "link"))
     if "ground" not in doc:
         raise GraphError("linkage document needs a 'ground' link id")
     joints = []
     for entry in doc["joints"]:
-        if not isinstance(entry, dict) or "incident" not in entry:
+        if not (isinstance(entry, dict) and isinstance(entry.get("incident"), list)):
             raise GraphError(f"bad joint entry {entry!r}")
-        joints.append(frozenset(entry["incident"]))
+        joints.append(frozenset(_json_id(x, "link") for x in entry["incident"]))
     return LinkageSchema(links=frozenset(links), joints=tuple(joints),
-                         ground=doc["ground"], drivers=frozenset(drivers))
+                         ground=_json_id(doc["ground"], "link"),
+                         drivers=frozenset(drivers))
 
 
 def linkage_to_dict(s: LinkageSchema) -> dict:
@@ -142,12 +169,7 @@ def linkage_to_dict(s: LinkageSchema) -> dict:
 
 
 def load_linkage(path) -> LinkageSchema:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"invalid JSON in {path}: {exc}") from None
-    return linkage_from_dict(doc)
+    return linkage_from_dict(_load_json(path))
 
 
 # -- schemes --------------------------------------------------------------------
@@ -214,21 +236,31 @@ def _step_to_dict(st: ConstructionStep) -> dict:
     return out
 
 
+_STEP_PARAMS = {"vertex-addition": ("u", "w", "v"),
+                "edge-split": ("u", "w", "x", "v"),
+                "two-sum": ("a", "b", "other"),
+                "vertex-split": ("v", "shared", "moved", "v2"),
+                "pin-split": ("vertex", "assignment"),
+                "pin-rearrange": ("assignment",)}
+
+
+def _step_param(key, value):
+    if key == "other":
+        return certificate_from_dict(value)
+    if key == "assignment":
+        return tuple((_json_id(a), _json_id(b)) for a, b in value)
+    if key == "moved":
+        return tuple(_json_id(x) for x in value)
+    return _json_id(value)
+
+
 def _step_from_dict(doc: dict) -> ConstructionStep:
-    if "kind" not in doc:
+    if not isinstance(doc, dict) or "kind" not in doc:
         raise GraphError("certificate step needs a 'kind'")
-    params = {}
-    for k, v in doc.items():
-        if k == "kind":
-            continue
-        if k == "other":
-            params[k] = certificate_from_dict(v)
-        elif k == "assignment":
-            params[k] = tuple((a, b) for a, b in v)
-        elif k == "moved":
-            params[k] = tuple(v)
-        else:
-            params[k] = v
+    missing = [k for k in _STEP_PARAMS.get(doc["kind"], ()) if k not in doc]
+    if missing:
+        raise GraphError(f"{doc['kind']!r} step lacks {', '.join(missing)}")
+    params = {k: _step_param(k, v) for k, v in doc.items() if k != "kind"}
     return ConstructionStep(doc["kind"], tuple(sorted(params.items())))
 
 
@@ -244,17 +276,12 @@ def certificate_from_dict(doc: dict) -> Certificate:
     try:
         base = doc["base"]
         return Certificate(base_kind=base["kind"],
-                           base_vertices=tuple(base["vertices"]),
+                           base_vertices=tuple(_json_id(v) for v in base["vertices"]),
                            steps=tuple(_step_from_dict(s) for s in doc["steps"]),
                            claimed=doc["claimed"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"bad certificate document: {exc}") from None
 
 
 def load_certificate(path) -> Certificate:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"invalid JSON in {path}: {exc}") from None
-    return certificate_from_dict(doc)
+    return certificate_from_dict(_load_json(path))

@@ -9,15 +9,15 @@ exactly those closures, deduplicating by canonical code, and the brute-force
 oracles in :mod:`pinrig.counting` cross-check them in the test suite.
 
 A certificate records a construction path from a base (dyad or K4) to a
-target graph.  `certify` searches backwards with reverse edge-splits and
-reverse 2-sums; `verify_certificate` replays forward in linear time and
-compares canonical codes, enforcing a step grammar so that a passing
-certificate with a dyad/K4 base really does witness the Assur property.
+target graph.  `certify` reduces backwards with reverse edge-splits and
+reverse 2-sums, never backtracking; `verify_certificate` replays forward in
+linear time and compares canonical codes, enforcing a step grammar so that a
+passing certificate with a dyad/K4 base really does witness the Assur
+property.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -25,14 +25,12 @@ from itertools import combinations
 
 
 from .canon import canonical_code, canonical_relabel
-from .errors import (CertificateError, CertificateSearchExhausted, GraphError,
-                     PinrigWarning)
+from .errors import CertificateError, GraphError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
                      contraction_star, fresh_id, norm_edge,
                      split_contracted_vertex, vkey)
 from .pebble import is_circuit
 
-CERTIFY_TIME_LIMIT = 10.0
 ENUM_MAX_VERTICES = 10
 
 
@@ -418,27 +416,8 @@ def _components_without(m: Multigraph, a, b):
     return comps
 
 
-def _code_or_none(m: Multigraph):
-    if m.n <= 12:
-        return canonical_code(m)
-    return None
-
-
-def _reduce_circuit(m: Multigraph, deadline: float, dead: set):
-    """Search a reduction of circuit `m` down to K4.
-
-    Returns (base vertex tuple, forward step list) or None.  Reverse
-    edge-splits are tried first, then reverse 2-sums at separation pairs.
-    Failed canonical codes are memoized.
-    """
-    if m.n == 4 and m.m == 6 and m.is_simple():
-        return tuple(sorted(m.vertices, key=vkey)), []
-    if time.monotonic() > deadline:
-        raise CertificateSearchExhausted("certificate search hit its time limit")
-    code = _code_or_none(m)
-    if code is not None and code in dead:
-        return None
-
+def _reverse_edge_split(m: Multigraph):
+    """First reverse edge-split of `m` that leaves a circuit: (smaller, step)."""
     for v in sorted(m.vertices, key=vkey):
         if m.degree(v) != 3:
             continue
@@ -448,69 +427,64 @@ def _reduce_circuit(m: Multigraph, deadline: float, dead: set):
         for a, b in combinations(nbrs, 2):
             if m.has_edge(a, b):
                 continue
-            third = next(x for x in nbrs if x not in (a, b))
             smaller = m.without_vertex(v).with_edge(a, b)
-            if not is_circuit(smaller):
-                continue
-            sub = _reduce_circuit(smaller, deadline, dead)
-            if sub is not None:
-                base, steps = sub
-                steps.append(step("edge-split", u=a, w=b, x=third, v=v))
-                return base, steps
+            if is_circuit(smaller):
+                third = next(x for x in nbrs if x not in (a, b))
+                return smaller, step("edge-split", u=a, w=b, x=third, v=v)
+    return None
 
+
+def _reverse_two_sum(m: Multigraph):
+    """First reverse 2-sum of `m` at a separating pair: (side one, step).
+
+    Side one is the first component of m - {a, b} with its edges, side two
+    everything else; each side plus the edge ab must be a circuit.  Side two
+    is reduced on its own into the step's operand certificate.
+    """
     for a, b in combinations(sorted(m.vertices, key=vkey), 2):
         comps = _components_without(m, a, b)
         if len(comps) < 2:
             continue
-        groups = []
-        for comp in comps:
-            groups.append([i for i, e in enumerate(m.edges)
-                           if e[0] in comp or e[1] in comp])
-        ab_idx = [i for i, e in enumerate(m.edges) if set(e) == {a, b}]
-        k = len(comps)
-        for mask in range(1, (1 << k) - 1):
-            if not mask & 1:
-                continue  # fix component 0 on side one; halves the symmetry
-            side1 = [i for ci in range(k) if mask >> ci & 1 for i in groups[ci]]
-            side2 = [i for ci in range(k) if not mask >> ci & 1 for i in groups[ci]]
-            for ab_side in range(len(ab_idx) + 1):
-                e_side1 = side1 + ab_idx[:ab_side]
-                e_side2 = side2 + ab_idx[ab_side:]
-                c1 = Multigraph({a, b} | {x for i in e_side1 for x in m.edges[i]},
-                                [m.edges[i] for i in sorted(e_side1)] + [(a, b)])
-                c2 = Multigraph({a, b} | {x for i in e_side2 for x in m.edges[i]},
-                                [m.edges[i] for i in sorted(e_side2)] + [(a, b)])
-                if c1.n < 4 or c2.n < 4:
-                    continue
-                if not (is_circuit(c1) and is_circuit(c2)):
-                    continue
-                sub1 = _reduce_circuit(c1, deadline, dead)
-                if sub1 is None:
-                    continue
-                sub2 = _reduce_circuit(c2, deadline, dead)
-                if sub2 is None:
-                    continue
-                base2, steps2 = sub2
-                other = Certificate(base_kind="k4", base_vertices=base2,
-                                    steps=tuple(steps2),
-                                    claimed=canonical_code(c2, max_vertices=max(12, c2.n)))
-                base1, steps1 = sub1
-                steps1.append(step("two-sum", a=a, b=b, other=other))
-                return base1, steps1
-
-    if code is not None:
-        dead.add(code)
+        sides = ([], [])
+        for e in m.edges:
+            sides[not (e[0] in comps[0] or e[1] in comps[0])].append(e)
+        c1, c2 = (Multigraph({a, b} | {x for e in side for x in e}, side + [(a, b)])
+                  for side in sides)
+        if is_circuit(c1) and is_circuit(c2):
+            base2, steps2 = _reduce_circuit(c2)
+            other = Certificate(base_kind="k4", base_vertices=base2,
+                                steps=tuple(steps2),
+                                claimed=canonical_code(c2, max_vertices=max(12, c2.n)))
+            return c1, step("two-sum", a=a, b=b, other=other)
     return None
 
 
-def certify(g: PinnedGraph, time_limit: float = CERTIFY_TIME_LIMIT) -> Certificate:
-    """Search a construction certificate for an Assur graph.
+def _reduce_circuit(m: Multigraph):
+    """Reduce circuit `m` to K4: (base vertex tuple, forward step list).
 
-    Dyads certify trivially; otherwise the pin contraction is reduced to K4
-    (reverse edge-splits first, then reverse 2-sums, depth-first with memoized
-    failures) and a final pin-split step rebuilds the pinned graph.  Raises
-    CertificateSearchExhausted when the time box runs out; that is a search
-    failure, not a disproof.
+    Every circuit arises from K4 by edge-splits and 2-sums (Berg & Jordan,
+    J. Combin. Theory Ser. B 88, 2003), so any move that leaves a smaller
+    circuit can be carried on down to K4: the first one found is taken and
+    never undone.  Reverse edge-splits come first, then reverse 2-sums.
+    """
+    steps = []
+    while not (m.n == 4 and m.m == 6 and m.is_simple()):
+        move = _reverse_edge_split(m) or _reverse_two_sum(m)
+        if move is None:
+            raise GraphError("internal error: circuit has no reverse edge-split "
+                             "and no reverse 2-sum")
+        m, st = move
+        steps.append(st)
+    return tuple(sorted(m.vertices, key=vkey)), steps[::-1]
+
+
+def certify(g: PinnedGraph) -> Certificate:
+    """Construction certificate for an Assur graph.
+
+    Dyads certify trivially; otherwise the pin contraction is reduced
+    directly to K4 by reverse edge-splits and reverse 2-sums, and a final
+    pin-split step rebuilds the pinned graph.  Raises GraphError when `g`
+    is not Assur; there is no search that could give up.
     """
     from .assur import is_assur  # local import to avoid a cycle
 
@@ -524,12 +498,7 @@ def certify(g: PinnedGraph, time_limit: float = CERTIFY_TIME_LIMIT) -> Certifica
         return Certificate("dyad", (inner, p1, p2), (), claimed)
     star = contraction_star(g)
     m = contract_pins(g, star)
-    deadline = time.monotonic() + time_limit
-    found = _reduce_circuit(m, deadline, set())
-    if found is None:
-        raise CertificateSearchExhausted(
-            "no reduction to K4 found (search exhausted)")
-    base, steps = found
+    base, steps = _reduce_circuit(m)
     assignment = tuple(sorted(((u, v) if v in g.pins else (v, u)
                                for u, v in g.edges if u in g.pins or v in g.pins),
                               key=lambda t: (vkey(t[0]), vkey(t[1]))))

@@ -201,18 +201,17 @@ def is_isostatic(m: Multigraph) -> bool:
 
 
 def is_circuit(m: Multigraph) -> bool:
-    """Pebble-game circuit test over the support of the edges.
+    """One-game circuit test over the support of the edges.
 
-    A circuit has |E| = 2|V| - 2 and stays independent after removing any
-    single edge copy.
+    With |E| = 2|V| - 2 and exactly one rejected edge the edge set has
+    nullity 1, so it holds a single circuit: the rejected edge's fundamental
+    circuit.  The edge set is a circuit exactly when that is all of it.
     """
-    support = m.support()
-    if m.m == 0 or m.m != 2 * len(support) - 2:
+    if m.m == 0 or m.m != 2 * len(m.support()) - 2:
         return False
-    if pebble_rank(m).rank != m.m - 1:
-        return False
-    return all(not pebble_rank(m.without_edge_index(i)).rejected
-               for i in range(m.m))
+    report = pebble_rank(m)
+    return (len(report.rejected) == 1
+            and len(circuit_indices(report, report.rejected[0])) == m.m)
 
 
 def generic_dof(m: Multigraph) -> int:

@@ -132,6 +132,28 @@ def random_multigraph(rng, n, m, allow_parallel=False):
     return Multigraph(range(n), edges)
 
 
+def random_circuit(rng, nv, two_sums):
+    """A rigidity circuit on nv vertices: K4, then `two_sums` 2-sums with K4
+    (two new vertices each) and edge-splits (one new vertex each), in random
+    order.  Both operations take circuits to circuits."""
+    verts = list(range(4))
+    edges = list(combinations(verts, 2))
+    ops = [True] * two_sums + [False] * (nv - 4 - 2 * two_sums)
+    rng.shuffle(ops)
+    for glue in ops:
+        u, w = edges.pop(rng.randrange(len(edges)))
+        if glue:
+            c, d = len(verts), len(verts) + 1
+            edges += [(u, c), (u, d), (w, c), (w, d), (c, d)]
+            verts += [c, d]
+        else:
+            x = rng.choice([v for v in verts if v not in (u, w)])
+            v = len(verts)
+            edges += [(v, u), (v, w), (v, x)]
+            verts.append(v)
+    return Multigraph(verts, edges)
+
+
 def bar_schema_from_graph(m: Multigraph):
     """Encode a min-degree-2 multigraph as an all-binary-bar linkage schema."""
     from pinrig.counting import LinkageSchema

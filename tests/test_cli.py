@@ -1,6 +1,11 @@
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from conftest import SAMPLES
@@ -19,6 +24,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 class TestDof:
@@ -259,6 +270,125 @@ class TestCertifyVerify:
         code, out, _ = run(capsys, "certify", str(SAMPLES / "stacked_dyads.json"))
         assert code == 1
         assert json.loads(out)["certified"] is False
+
+    @pytest.mark.parametrize("kind, params, missing", [
+        ("vertex-addition", {"u": 0, "w": 1}, "v"),
+        ("edge-split", {"u": 0, "w": 1}, "x"),
+        ("two-sum", {"a": 0, "b": 1}, "other"),
+        ("vertex-split", {"v": 0, "shared": 1, "moved": [2]}, "v2"),
+        ("pin-split", {"vertex": 0}, "assignment"),
+        ("pin-rearrange", {}, "assignment"),
+    ])
+    def test_step_missing_a_parameter_is_input_error(self, tmp_path, capsys,
+                                                     kind, params, missing):
+        doc = {"base": {"kind": "k4", "vertices": [0, 1, 2, 3]},
+               "steps": [dict(params, kind=kind)], "claimed": ""}
+        code, _, err = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 2
+        assert err.startswith("error:") and missing in err
+        assert "Traceback" not in err
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("field", ["vertices", "edges"])
+    def test_fields_must_be_lists(self, tmp_path, capsys, field):
+        doc = dict({"vertices": [], "edges": []}, **{field: 5})
+        code, _, err = run(capsys, "check", _write_json(tmp_path, "g.json", doc))
+        assert code == 2 and "must be lists" in err
+        assert "Traceback" not in err
+
+    def test_boolean_vertex_id_rejected(self, tmp_path, capsys):
+        doc = {"vertices": [{"id": True}, {"id": 1}], "edges": []}
+        code, _, err = run(capsys, "check", _write_json(tmp_path, "g.json", doc))
+        assert code == 2 and "vertex id" in err and "duplicate" not in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc", [
+        {"links": 5, "ground": "g", "joints": []},
+        {"links": ["g", "a"], "ground": "g", "joints": [{"incident": [["g"], "a"]}]},
+        {"links": ["g", "a"], "ground": ["g"], "joints": []},
+    ])
+    def test_malformed_linkage_is_input_error(self, tmp_path, capsys, doc):
+        code, _, err = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
+        assert code == 2 and err.startswith("error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [5, [1.0], [1.0, 2.0, 3.0], ["a", 1.0],
+                                       [True, 0], {"x": 1}])
+    def test_config_values_must_be_points(self, tmp_path, capsys, value):
+        config = {"v": value, "p1": [0.0, 0.0], "p2": [2.0, 0.0]}
+        code, _, err = run(capsys, "motion", str(SAMPLES / "dyad.json"),
+                           "--config", _write_json(tmp_path, "cfg.json", config))
+        assert code == 2 and "[x, y]" in err
+        assert "Traceback" not in err
+
+
+# Arbitrary JSON documents, plus graph-shaped ones whose ids come from a small
+# pool so that many of them reach the analysis instead of the input checks.
+_JSON_LEAVES = (st.booleans() | st.integers(-2, 4) | st.text(max_size=3)
+                | st.sampled_from(["inner", "pinned", "a", "b"]))
+_JSON_KEYS = st.sampled_from(["vertices", "edges", "id", "kind", "pos"]) | st.text(max_size=3)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_KEYS, kids, max_size=4),
+    max_leaves=16)
+_IDS = st.sampled_from(["a", "b", "c", "d", 0, 1, 2])
+_GRAPH_DOCS = st.fixed_dictionaries({
+    "vertices": st.lists(st.tuples(_IDS, st.sampled_from(["inner", "pinned"])),
+                         unique_by=lambda t: t[0], max_size=7).map(
+        lambda vs: [{"id": v, "kind": k} for v, k in vs]) | _JSON_DOCS,
+    "edges": st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=12) | _JSON_DOCS,
+})
+
+
+def _mutated(doc, data):
+    """`doc` with one nested value deleted or replaced by arbitrary JSON."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif data.draw(st.booleans()):
+            del node[key]
+            return doc
+        else:
+            node[key] = data.draw(_JSON_DOCS)
+            return doc
+
+
+def _two_sum_certificate_doc():
+    from pinrig.generate import two_sum
+    from pinrig.graphs import complete_graph, split_contracted_vertex
+    k4 = complete_graph(4)
+    glued = two_sum(k4, k4.relabeled({i: i + 4 for i in range(4)}), (0, 1), (4, 5))
+    nbrs = sorted(glued.neighbors(2).elements())
+    g = split_contracted_vertex(glued, 2, [(x, f"P{i % 2}") for i, x in enumerate(nbrs)])
+    return certificate_to_dict(certify(g))
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON_DOCS | _GRAPH_DOCS, mode=st.sampled_from(["assur", "laman", "pinned"]))
+    def test_check_exits_0_1_or_2_on_any_json(self, tmp_path_factory, doc, mode):
+        path = tmp_path_factory.mktemp("fuzz") / "g.json"
+        path.write_text(json.dumps(doc))
+        with (redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()),
+              warnings.catch_warnings()):
+            warnings.simplefilter("ignore", PinrigWarning)
+            code = main(["check", str(path), "--mode", mode])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_verify_exits_0_1_or_2_on_mutated_certificates(self, tmp_path_factory, data):
+        doc = _mutated(_two_sum_certificate_doc(), data)
+        path = tmp_path_factory.mktemp("fuzz") / "cert.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["verify", str(path)])
+        assert code in (0, 1, 2)
 
 
 class TestFileFormats:

@@ -6,7 +6,8 @@ import pytest
 import support
 from pinrig.assur import is_assur
 from pinrig.canon import canonical_code
-from pinrig.counting import circuit_oracle, laman_independent_oracle
+from pinrig.counting import (ORACLE_MAX_VERTICES, circuit_oracle,
+                             laman_independent_oracle)
 from pinrig.errors import GraphError, PinrigWarning
 from pinrig.generate import (Certificate, assur_catalog, certify,
                              circuit_catalog, edge_split, enumerate_circuits,
@@ -320,6 +321,25 @@ class TestCertificates:
             assert verify_certificate(cert)
             kinds.update(s.kind for s in cert.steps)
         assert "two-sum" in kinds and "edge-split" in kinds
+
+    def test_large_mixed_circuits_certify_through_two_sums(self):
+        rng = random.Random(53)
+        largest_two_sum = 0
+        for _ in range(24):
+            nv = rng.randint(13, 30)
+            c = support.random_circuit(rng, nv, rng.randint(2, (nv - 4) // 2))
+            star, pins = rng.randrange(nv), rng.choice((2, 3))
+            nbrs = sorted(c.neighbors(star).elements())
+            g = split_contracted_vertex(c, star, [(x, f"P{i % pins}")
+                                                  for i, x in enumerate(nbrs)])
+            cert = certify(g)
+            assert verify_certificate(cert)
+            for i, st in enumerate(cert.steps):
+                if st.kind == "two-sum":
+                    before = replay_certificate(replace(cert, steps=cert.steps[:i]))
+                    other = replay_certificate(st.get("other"))
+                    largest_two_sum = max(largest_two_sum, before.n + other.n - 2)
+        assert largest_two_sum > ORACLE_MAX_VERTICES
 
 
 class TestClosure:

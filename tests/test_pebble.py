@@ -147,6 +147,17 @@ class TestIsostatic:
         assert not is_circuit(support.triangle_chain())
         assert not is_circuit(complete_graph(4).with_edge(3, 4))
 
+    def test_is_circuit_matches_the_oracle(self):
+        rng = random.Random(2008)
+        circuits = 0
+        for i in range(4000):
+            n = rng.randint(2, 9)
+            g = support.random_multigraph(rng, n, 2 * n - 2, allow_parallel=i % 2 == 0)
+            expected = circuit_oracle(g)
+            assert is_circuit(g) == expected, g
+            circuits += expected
+        assert circuits >= 200
+
 
 class TestPinned:
     def test_dyad_and_triad(self, dyad, triad):

@@ -8,6 +8,13 @@ are implemented separately and `is_assur` runs any subset of them, flagging
 disagreement (which, the equivalence being a theorem, signals a bug or an
 unlucky random sample rather than a property of the graph).
 
+The decomposition and the minimality check come from one orientation: the
+(2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
+the strongly connected components of the inner vertices are the Assur
+components (Shai, Sljoka & Whiteley, "Directed graphs, decompositions, and
+spatial linkages", Discrete Appl. Math. 161, 2013).  The graph is minimal
+exactly when there is one component and no pin is isolated.
+
 Graphs with an isolated pinned vertex are refused by `is_assur`: the
 contraction erases such pins, so the combinatorial and motion checks stop
 talking about the same object.
@@ -19,12 +26,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .counting import ORACLE_MAX_VERTICES
 from .errors import GraphError, NotIsostaticError
-from .graphs import Multigraph, PinnedGraph, compose, contract_pins, ekey, vkey
+from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, all_inner_move
-from .pebble import (circuit_indices, is_circuit, pebble_rank, pinned_dof,
-                     pinned_isostatic)
+from .pebble import _PebbleState, is_circuit, pinned_dof, pinned_isostatic
 
 
 def _require_isostatic(g: PinnedGraph, op: str):
@@ -34,48 +39,25 @@ def _require_isostatic(g: PinnedGraph, op: str):
 
 
 def check_minimality(g: PinnedGraph) -> bool:
-    """No proper vertex subset induces a pinned subgraph with 2|I'| edges.
-
-    Exhaustive over vertex subsets up to ORACLE_MAX_VERTICES total vertices;
-    above that the equivalent circuit condition is used instead.
-    """
-    _require_isostatic(g, "minimality check")
-    if g.n > ORACLE_MAX_VERTICES:
-        return check_circuit_condition(g)
-    verts = sorted(g.inner, key=vkey) + sorted(g.pins, key=vkey)
-    ni = len(g.inner)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    emasks = [(1 << index[u]) | (1 << index[v]) for u, v in g.edges]
-    full = (1 << n) - 1
-    inner_mask = (1 << ni) - 1
-    for mask in range(1, full):
-        induced = sum(1 for em in emasks if em & mask == em)
-        if induced == 0:
-            continue
-        ki = (mask & inner_mask).bit_count()
-        if induced > 2 * ki - 1:
-            return False
-    return True
+    """No proper pinned subgraph is itself isostatic: the decomposition has
+    one component and no pin is isolated."""
+    return minimality_violation(g) is None
 
 
 def minimality_violation(g: PinnedGraph):
-    """A proper pinned subgraph violating minimality: (inner, pins) or None."""
-    _require_isostatic(g, "minimality check")
-    verts = sorted(g.inner, key=vkey) + sorted(g.pins, key=vkey)
-    ni = len(g.inner)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    emasks = [(1 << index[u]) | (1 << index[v]) for u, v in g.edges]
-    for mask in range(1, (1 << n) - 1):
-        induced = sum(1 for em in emasks if em & mask == em)
-        if induced == 0:
-            continue
-        ki = (mask & ((1 << ni) - 1)).bit_count()
-        if induced > 2 * ki - 1:
-            return (tuple(verts[i] for i in range(ni) if mask >> i & 1),
-                    tuple(verts[i] for i in range(ni, n) if mask >> i & 1))
-    return None
+    """A proper pinned subgraph with 2|I'| edges, as (inner, pins), or None.
+
+    With two or more Assur components the witness is component c1; with one
+    component and isolated pins it is the whole graph without them.
+    """
+    components = decompose(g).components
+    if len(components) > 1:
+        sub = components[0].graph
+    elif g.isolated_pins():
+        sub = g.induced(g.inner, g.pins - g.isolated_pins())
+    else:
+        return None
+    return tuple(sorted(sub.inner, key=vkey)), tuple(sorted(sub.pins, key=vkey))
 
 
 def check_circuit_condition(g: PinnedGraph) -> bool:
@@ -317,68 +299,77 @@ def _component_key(graph: PinnedGraph):
     return (len(graph.inner), graph.m, tuple(ekey(e) for e in graph.edges))
 
 
+def _strong_components(inner, out):
+    """Strongly connected components of the inner vertices under `out`
+    (vertex -> out-neighbours), sinks first: iterative Tarjan."""
+    index, low, stack, comps = {}, {}, [], []
+    for root in inner:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(out[root]))]
+        while work:
+            v, heads = work[-1]
+            for w in heads:
+                if w in inner and w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(out[w])))
+                    break
+                if w in low:  # on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = set()
+                    while v not in comp:
+                        comp.add(stack.pop())
+                    comps.append(comp)
+                    for w in comp:
+                        del low[w]
+    return comps
+
+
 def decompose(g: PinnedGraph, seed: Optional[int] = None) -> AssurScheme:
     """Decompose a pinned isostatic graph into its Assur components.
 
-    Level by level: contract the current ground to a single vertex, run the
-    pebble game, and read off the fundamental circuits of the rejected edges;
-    each circuit, re-split onto the ground vertices its edges touch, is one
-    component.  Extracted inner vertices join the ground and the process
-    repeats until no inner vertex remains.  `seed` shuffles edge insertion
-    order (the component multiset and partial order do not depend on it).
+    One (2,0) pebble game orients every edge so that each inner vertex has
+    out degree 2 and each pin 0.  Each strongly connected component of the
+    inner vertices, with its out-edges, is one component; the heads of those
+    edges outside it are its pins (Shai, Sljoka & Whiteley, Discrete Appl.
+    Math. 161, 2013).  A component's level is one more than the highest
+    level among its pins, ground pins having level 0.  `seed` shuffles edge
+    insertion order (the components and their order do not depend on it).
     """
     if len(g.pins) < 2:
         raise NotIsostaticError("decomposition needs at least two pins")
     if not pinned_isostatic(g):
         raise NotIsostaticError("decomposition is undefined for non-isostatic input",
                                 dof=pinned_dof(g))
-    rng = random.Random(seed) if seed is not None else None
-    ground = set(g.pins)
-    inner = set(g.inner)
-    active = list(g.edges)
-    components = []
-    level = 0
-    while inner:
-        level += 1
-        star = "p*"
-        while star in inner:
-            star += "*"
-        medges = [((star if u in ground else u), (star if v in ground else v))
-                  for u, v in active]
-        m = Multigraph(inner | {star}, medges)
-        order = list(range(len(medges)))
-        if rng is not None:
-            rng.shuffle(order)
-        rep = pebble_rank(m, order)
-        if not rep.rejected:
-            raise NotIsostaticError(
-                "decomposition stalled: contraction has no dependent edge")
-        used = set()
-        level_comps = []
-        for ridx in rep.rejected:
-            idxs = circuit_indices(rep, ridx)
-            if idxs & used:
-                raise GraphError("internal error: overlapping circuits in contraction")
-            used |= idxs
-            comp_edges = [active[i] for i in sorted(idxs)]
-            comp_inner = {x for e in comp_edges for x in e} - ground
-            comp_pins = {x for e in comp_edges for x in e} & ground
-            if len(comp_pins) < 2:
-                raise GraphError("internal error: component with fewer than two pins")
-            graph = PinnedGraph(comp_inner, comp_pins, comp_edges)
-            level_comps.append(graph)
-        level_comps.sort(key=_component_key)
-        for graph in level_comps:
-            cid = f"c{len(components) + 1}"
-            pin_map = tuple((p, p) for p in sorted(graph.pins, key=vkey))
-            components.append(AssurComponent(cid=cid, graph=graph,
-                                             level=level, pin_map=pin_map))
-            inner -= graph.inner
-            ground |= graph.inner
-        active = [active[i] for i in range(len(active)) if i not in used]
-        if len(active) != 2 * len(inner):
-            raise GraphError("internal error: level extraction broke the edge count")
-    return AssurScheme(components=tuple(components), ground=frozenset(g.pins))
+    edges = list(g.edges)
+    if seed is not None:
+        random.Random(seed).shuffle(edges)
+    # the (2,0) game accepts every edge of a pinned isostatic graph
+    state = _PebbleState({**dict.fromkeys(g.pins, 0), **dict.fromkeys(g.inner, 2)})
+    for u, v in edges:
+        state.try_insert(u, v, need=1)
+    level = dict.fromkeys(g.pins, 0)
+    parts = []
+    for scc in _strong_components(g.inner, state.out):
+        comp_edges = [(x, y) for x in scc for y in state.out[x]]
+        pins = {y for _, y in comp_edges} - scc
+        lvl = 1 + max(level[p] for p in pins)
+        level.update(dict.fromkeys(scc, lvl))
+        parts.append((lvl, PinnedGraph(scc, pins, comp_edges)))
+    parts.sort(key=lambda part: (part[0], _component_key(part[1])))
+    components = tuple(
+        AssurComponent(cid=f"c{i}", graph=graph, level=lvl,
+                       pin_map=tuple((p, p) for p in sorted(graph.pins, key=vkey)))
+        for i, (lvl, graph) in enumerate(parts, 1))
+    return AssurScheme(components=components, ground=frozenset(g.pins))
 
 
 def recompose(scheme: AssurScheme) -> PinnedGraph:

@@ -17,8 +17,7 @@ from fractions import Fraction
 from . import assur as assur_mod
 from . import counting, fileio, generate, numeric, pebble
 from .canon import canonical_code
-from .errors import (GraphError, NotIsostaticError, PinrigError,
-                     SizeLimitError)
+from .errors import GraphError, NotIsostaticError, PinrigError
 from .graphs import PinnedGraph, vkey
 
 PASS, FAIL, ERROR = 0, 1, 2
@@ -78,13 +77,9 @@ def _check_laman(g):
            "edges": m.m}
     if not ok:
         doc["rejected_edges"] = [list(e) for e in report.rejected_edges]
-        if m.n <= counting.ORACLE_MAX_VERTICES:
-            witness = counting.laman_violation(m)
-            if witness:
-                doc["witness_subgraph"] = {
-                    "vertices": list(witness),
-                    "bound": 2 * len(witness) - 3,
-                }
+        witness = sorted(report.reach[report.rejected[0]], key=vkey)
+        doc["witness_subgraph"] = {"vertices": witness,
+                                   "bound": 2 * len(witness) - 3}
     return ok, doc
 
 
@@ -96,21 +91,20 @@ def _check_pinned(g):
     doc = {"mode": "pinned", "isostatic": ok}
     if not ok:
         doc["pinned_dof"] = pebble.pinned_dof(g)
-        if g.n <= counting.ORACLE_MAX_VERTICES:
-            witness = counting.pinned_violation(g)
-            if witness and witness[0] == "subgraph":
-                _, sub_i, sub_p, count, bound = witness
-                doc["witness_subgraph"] = {"inner": list(sub_i),
-                                           "pins": list(sub_p),
-                                           "edges": count, "bound": bound}
-            elif witness:
-                doc["witness_count"] = {"edges": witness[1], "required": witness[2]}
+        if g.m != 2 * len(g.inner):
+            doc["witness_count"] = {"edges": g.m, "required": 2 * len(g.inner)}
+        else:
+            sub_i, sub_p = pebble.pinned_witness(g)
+            bound = 2 * len(sub_i) - (0 if len(sub_p) >= 2 else 1 if sub_p else 3)
+            doc["witness_subgraph"] = {"inner": list(sub_i), "pins": list(sub_p),
+                                       "edges": g.induced(sub_i, sub_p).m,
+                                       "bound": bound}
     return ok, doc
 
 
 def _assur_witness(g, doc):
     """Attach the culprit: a proper isostatic subgraph or an extra circuit."""
-    violation = assur_mod.minimality_violation(g) if g.n <= counting.ORACLE_MAX_VERTICES else None
+    violation = assur_mod.minimality_violation(g)
     if violation:
         doc["witness_subgraph"] = {"inner": list(violation[0]),
                                    "pins": list(violation[1])}
@@ -377,9 +371,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail_input(f"cannot read {exc.filename}")
-    except SizeLimitError as exc:
-        return _fail_input(str(exc))
-    except (GraphError, PinrigError) as exc:
+    except PinrigError as exc:
         return _fail_input(str(exc))
 
 

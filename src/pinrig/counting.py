@@ -248,15 +248,3 @@ def _pinned_subgraph_violation(g: PinnedGraph):
             sub_p = tuple(verts[i] for i in range(ni, n) if mask >> i & 1)
             return sub_i, sub_p, induced, bound
     return None
-
-
-def pinned_violation(g: PinnedGraph):
-    """Witness for a failed pinned-conditions check, or None if it passes."""
-    if g.n > ORACLE_MAX_VERTICES:
-        raise SizeLimitError(f"pinned conditions oracle bound exceeded: {g.n} vertices")
-    if g.m != 2 * len(g.inner):
-        return ("edge count", g.m, 2 * len(g.inner))
-    hit = _pinned_subgraph_violation(g)
-    if hit is None:
-        return None
-    return ("subgraph",) + hit

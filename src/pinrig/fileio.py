@@ -59,6 +59,27 @@ def _json_id(x, what="vertex"):
     return x
 
 
+def _list(value, what):
+    if not isinstance(value, list):
+        raise GraphError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _id_list(value, what):
+    return [_json_id(x) for x in _list(value, what)]
+
+
+def _pair(value, what):
+    """A two-element list of ids, as a tuple."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise GraphError(f"bad {what} entry {value!r}")
+    return _json_id(value[0]), _json_id(value[1])
+
+
+def _pairs(value, what):
+    return [_pair(x, what) for x in _list(value, f"{what} list")]
+
+
 # -- graphs -------------------------------------------------------------------
 
 def graph_from_dict(doc: dict) -> tuple:
@@ -89,9 +110,7 @@ def graph_from_dict(doc: dict) -> tuple:
     pin_set = set(pins)
     edges = []
     for pair in doc["edges"]:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise GraphError(f"bad edge entry {pair!r}")
-        u, v = map(_json_id, pair)
+        u, v = _pair(pair, "edge")
         if u in pin_set and v in pin_set:
             warnings.warn(f"dropping edge {u!r}-{v!r} between pinned vertices",
                           PinrigWarning, stacklevel=2)
@@ -189,22 +208,26 @@ def scheme_to_dict(s: AssurScheme) -> dict:
             "covers": [list(pair) for pair in s.covers]}
 
 
+def _component_from_dict(entry) -> AssurComponent:
+    keys = ("id", "level", "inner", "pins", "edges", "pin_map")
+    if not (isinstance(entry, dict) and all(k in entry for k in keys)):
+        raise GraphError(f"component entry needs {', '.join(keys)}: {entry!r}")
+    level = entry["level"]
+    if not isinstance(level, int) or isinstance(level, bool):
+        raise GraphError(f"component level must be an integer, got {level!r}")
+    graph = PinnedGraph(_id_list(entry["inner"], "component inner"),
+                        _id_list(entry["pins"], "component pins"),
+                        _pairs(entry["edges"], "edge"))
+    return AssurComponent(cid=_json_id(entry["id"], "component"), graph=graph,
+                          level=level, pin_map=tuple(_pairs(entry["pin_map"], "pin_map")))
+
+
 def scheme_from_dict(doc: dict) -> AssurScheme:
     if not isinstance(doc, dict) or "ground" not in doc or "components" not in doc:
         raise GraphError("scheme document needs 'ground' and 'components'")
-    comps = []
-    for entry in doc["components"]:
-        try:
-            graph = PinnedGraph(entry["inner"], entry["pins"],
-                                [tuple(e) for e in entry["edges"]])
-            comp = AssurComponent(cid=entry["id"], graph=graph,
-                                  level=int(entry["level"]),
-                                  pin_map=tuple((p, t) for p, t in entry["pin_map"]))
-        except (KeyError, TypeError) as exc:
-            raise GraphError(f"bad component entry: {exc}") from None
-        comps.append(comp)
+    comps = [_component_from_dict(c) for c in _list(doc["components"], "components")]
     return AssurScheme(components=tuple(comps),
-                       ground=frozenset(doc["ground"]))
+                       ground=frozenset(_id_list(doc["ground"], "ground")))
 
 
 def scheme_to_dot(s: AssurScheme) -> str:

@@ -292,7 +292,7 @@ class ConstructionStep:
         for k, v in self.params:
             if k == key:
                 return v
-        raise KeyError(key)
+        raise CertificateError(f"{self.kind!r} step lacks {key!r}")
 
 
 def step(kind: str, **params) -> ConstructionStep:

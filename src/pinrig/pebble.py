@@ -6,6 +6,10 @@ from the vertex that pays a pebble.  The invariant pebbles(v) + outdeg(v) == 2
 holds throughout.  The number of accepted edges equals the generic rigidity
 rank of the input, independent of insertion order.
 
+The same engine plays the (2,0) game of Lee & Streinu (Discrete Math. 308,
+2008) for `assur.decompose`: inner vertices start with two pebbles, pins with
+none, and one pebble on either endpoint pays for an edge.
+
 When an edge (u, v) is rejected, the set R of vertices reachable from {u, v}
 along the current orientation carries exactly three pebbles and spans exactly
 2|R| - 3 accepted edges; those edges plus the rejected one form the unique
@@ -23,16 +27,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import GraphError
-from .graphs import (Multigraph, PinnedGraph, contraction_star, fresh_id,
-                     norm_edge, vkey)
+from .graphs import (Multigraph, PinnedGraph, contract_pins, contraction_star,
+                     fresh_id, norm_edge, vkey)
 
 
 class _PebbleState:
-    """Mutable game state, confined to one pebble_rank invocation."""
+    """Mutable game state, confined to one game; `pebbles` maps each vertex
+    to its starting pebbles."""
 
-    def __init__(self, vertices):
-        self.pebbles = {v: 2 for v in vertices}
-        self.out = {v: Counter() for v in vertices}
+    def __init__(self, pebbles):
+        self.pebbles = pebbles
+        self.out = {v: Counter() for v in pebbles}
 
     def _hunt(self, root, forbidden):
         """DFS along the orientation for a pebbled vertex outside `forbidden`.
@@ -56,10 +61,10 @@ class _PebbleState:
     def _pull_pebble(self, root, other):
         """Try to move one pebble to `root`, not stealing from `other`.
 
-        Returns (moved, visited-or-None)."""
+        Returns None once moved, else the out-closure of `root`."""
         target, pred = self._hunt(root, forbidden={root, other})
         if target is None:
-            return False, set(pred)
+            return set(pred)
         # reverse the path root -> ... -> target; the pebble walks back to root
         x = target
         while pred[x] is not None:
@@ -71,31 +76,26 @@ class _PebbleState:
             x = p
         self.pebbles[target] -= 1
         self.pebbles[root] += 1
-        return True, None
+        return None
 
-    def try_insert(self, u, v):
-        """Attempt to accept edge (u, v).
+    def try_insert(self, u, v, need=4):
+        """Attempt to accept edge (u, v) once `need` pebbles sit on its ends
+        (4 in the (2,3) game, 1 in the (2,0) game).
 
         Returns (True, None) on acceptance or (False, reach) on rejection,
         where reach is the out-closure of {u, v} at the moment of failure.
         """
         peb = self.pebbles
-        while peb[u] + peb[v] < 4:
-            visited_u = visited_v = None
-            if peb[u] < 2:
-                moved, visited_u = self._pull_pebble(u, v)
-                if moved:
-                    continue
-            if peb[v] < 2:
-                moved, visited_v = self._pull_pebble(v, u)
-                if moved:
-                    continue
-            reach = {u, v}
-            if visited_u:
-                reach |= visited_u
-            if visited_v:
-                reach |= visited_v
-            return False, frozenset(reach)
+        while peb[u] + peb[v] < need:
+            reach_u = self._pull_pebble(u, v) if peb[u] < 2 else {u}
+            if reach_u is None:
+                continue
+            reach_v = self._pull_pebble(v, u) if peb[v] < 2 else {v}
+            if reach_v is None:
+                continue
+            return False, frozenset(reach_u | reach_v)
+        if not peb[u]:
+            u, v = v, u
         peb[u] -= 1
         self.out[u][v] += 1
         return True, None
@@ -139,7 +139,7 @@ def pebble_rank(m: Multigraph, edge_order: Optional[Sequence[int]] = None) -> Ra
         order = tuple(edge_order)
         if sorted(order) != list(range(m.m)):
             raise GraphError("edge_order must be a permutation of edge indices")
-    state = _PebbleState(m.vertices)
+    state = _PebbleState(dict.fromkeys(m.vertices, 2))
     independent = []
     rejected = []
     reach = {}
@@ -228,10 +228,10 @@ def _scaffold(pins, apex):
 
 
 def _augmented(g: PinnedGraph):
+    # the scaffold goes first: it is independent, so only edges of g are rejected
     pins = sorted(g.pins, key=vkey)
     apex = fresh_id(g.vertices, "p0")
-    edges = list(g.edges) + _scaffold(pins, apex)
-    return Multigraph(g.vertices | {apex}, edges), len(pins)
+    return Multigraph(g.vertices | {apex}, _scaffold(pins, apex) + list(g.edges))
 
 
 def pinned_isostatic(g: PinnedGraph) -> bool:
@@ -243,10 +243,7 @@ def pinned_isostatic(g: PinnedGraph) -> bool:
     """
     if len(g.pins) < 2:
         raise GraphError("pinned isostatic test needs at least two pins")
-    if g.m != 2 * len(g.inner):
-        return False
-    aug, npins = _augmented(g)
-    return pebble_rank(aug).rank == 2 * (len(g.inner) + npins + 1) - 3
+    return g.m == 2 * len(g.inner) and pinned_dof(g) == 0
 
 
 def pinned_dof(g: PinnedGraph) -> int:
@@ -257,9 +254,20 @@ def pinned_dof(g: PinnedGraph) -> int:
     """
     if not g.pins:
         raise GraphError("pinned DOF needs at least one pin")
-    aug, npins = _augmented(g)
-    scaffold_rank = 2 * npins - 1
-    return 2 * len(g.inner) - (pebble_rank(aug).rank - scaffold_rank)
+    scaffold_rank = 2 * len(g.pins) - 1
+    return 2 * len(g.inner) - (pebble_rank(_augmented(g)).rank - scaffold_rank)
+
+
+def pinned_witness(g: PinnedGraph):
+    """(inner, pins) of the reach set, minus the apex, of the first edge the
+    pin-scaffolded game rejects, or None.  Its induced subgraph breaks the
+    pinned counts: it spans 2|R| - 2 scaffolded edges."""
+    rep = pebble_rank(_augmented(g))
+    if not rep.rejected:
+        return None
+    reach = rep.reach[rep.rejected[0]]
+    return (tuple(sorted(reach & g.inner, key=vkey)),
+            tuple(sorted(reach & g.pins, key=vkey)))
 
 
 def contraction_circuits(g: PinnedGraph, star=None):
@@ -271,9 +279,6 @@ def contraction_circuits(g: PinnedGraph, star=None):
     """
     if star is None:
         star = contraction_star(g)
-    pins = g.pins
-    medges = [((star if u in pins else u), (star if v in pins else v))
-              for u, v in g.edges]
-    m = Multigraph(g.inner | {star}, medges)
+    m = contract_pins(g, star)
     rep = pebble_rank(m)
     return star, m, [circuit_indices(rep, i) for i in rep.rejected]

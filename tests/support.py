@@ -9,6 +9,7 @@ against.
 from collections import Counter
 from itertools import combinations, permutations
 
+from pinrig.generate import edge_split
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
 
 # -- fixtures ----------------------------------------------------------------
@@ -50,6 +51,75 @@ def triangle_chain():
 
 def doubled_edge():
     return Multigraph(edges=[(0, 1), (0, 1)])
+
+
+def edge_split_assur(rng, splits):
+    """basic_5 grown by pinned edge-splits with at most one pinned attachment:
+    an Assur graph with 3 + `splits` inner vertices and 2 pins."""
+    g = basic_5()
+    for k in range(splits):
+        while True:
+            u, w = g.edges[rng.randrange(g.m)]
+            cands = [x for x in sorted(g.vertices, key=vkey)
+                     if x not in (u, w) and sum(t in g.pins for t in (u, w, x)) <= 1]
+            if cands:
+                break
+        g = edge_split(g, (u, w), rng.choice(cands), new_vertex=f"s{k}")
+    return g
+
+
+def stack(rng, parts, ground, choose=None):
+    """Pin each part, in order, onto distinct vertices placed before it.
+
+    `choose(pins, pool)` picks the targets of a part's sorted pins (default:
+    a random sample).  Every ground vertex stays a pin, targeted or not.
+    Returns the stacked graph and its known decomposition: the set of
+    (level, edge set) pairs, one per part, where a part's level is one more
+    than the highest level it pins onto and the ground has level 0.
+    """
+    level = dict.fromkeys(ground, 0)
+    inner, edges, expected = [], [], set()
+    for k, part in enumerate(parts):
+        part = part.relabeled({v: f"{k}.{v}" for v in part.vertices})
+        pins = sorted(part.pins, key=vkey)
+        pool = list(ground) + inner
+        targets = choose(pins, pool) if choose else rng.sample(pool, len(pins))
+        lvl = 1 + max(level[t] for t in targets)
+        to = dict(zip(pins, targets))
+        part_edges = [norm_edge(to.get(a, a), to.get(b, b)) for a, b in part.edges]
+        level.update(dict.fromkeys(part.inner, lvl))
+        inner += sorted(part.inner, key=vkey)
+        edges += part_edges
+        expected.add((lvl, frozenset(part_edges)))
+    return PinnedGraph(inner, ground, edges), expected
+
+
+def dyad_chain(rng, levels):
+    """Dyad k pins onto dyad k-1 and onto the ground or an older dyad."""
+    def choose(pins, pool):
+        if len(pool) == 3:
+            return rng.sample(pool, 2)
+        return [pool[-1], rng.choice(pool[:-1])]
+
+    return stack(rng, [dyad()] * levels, ["G0", "G1", "G2"], choose)
+
+
+# -- exhaustive oracles ----------------------------------------------------------
+
+
+def minimality_oracle(g):
+    """A proper vertex subset inducing a pinned subgraph with 2|I'| or more
+    edges, as (inner, pins), or None: a scan of all 2^n vertex subsets."""
+    verts = sorted(g.inner, key=vkey) + sorted(g.pins, key=vkey)
+    ni, n = len(g.inner), len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    emasks = [(1 << index[u]) | (1 << index[v]) for u, v in g.edges]
+    for mask in range(1, (1 << n) - 1):
+        induced = sum(1 for em in emasks if em & mask == em)
+        if induced and induced >= 2 * (mask & ((1 << ni) - 1)).bit_count():
+            return (tuple(verts[i] for i in range(ni) if mask >> i & 1),
+                    tuple(verts[i] for i in range(ni, n) if mask >> i & 1))
+    return None
 
 
 # -- brute-force isomorphism ---------------------------------------------------

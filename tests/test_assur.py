@@ -1,7 +1,10 @@
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme,
@@ -11,6 +14,7 @@ from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme,
 from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
 from pinrig.graphs import PinnedGraph, compose
+from pinrig.pebble import pinned_isostatic
 
 
 class TestChecks:
@@ -242,3 +246,90 @@ def test_random_compositions_round_trip():
         assert recompose(scheme) == g
         for comp in scheme.components:
             assert is_assur(comp.graph, methods=("circuit",)).overall
+
+
+# -- minimality from the decomposition, against the exhaustive scan -------------
+
+def _assert_minimality_matches_oracle(g):
+    expected = support.minimality_oracle(g)
+    assert check_minimality(g) == (expected is None)
+    witness = minimality_violation(g)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        inner, pins = witness
+        assert len(inner) + len(pins) < g.n
+        assert g.induced(inner, pins).m >= max(1, 2 * len(inner))
+
+
+def test_minimality_matches_oracle_on_all_small_pinned_graphs():
+    checked = 0
+    for n_inner in range(1, 5):
+        for n_pins in range(2, 7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                if pinned_isostatic(g):
+                    _assert_minimality_matches_oracle(g)
+                    checked += 1
+    assert checked == 2756
+
+
+def test_minimality_matches_oracle_on_compositions():
+    rng = random.Random(31)
+    parts = (support.dyad, support.triad, support.basic_5)
+    for _ in range(150):
+        chosen, inner = [], 0
+        budget = rng.randint(1, 9)
+        while inner < budget:
+            part = parts[rng.randrange(3)]() if budget - inner >= 3 else support.dyad()
+            chosen.append(part)
+            inner += len(part.inner)
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        assert g.n <= 12
+        _assert_minimality_matches_oracle(g)
+    for splits in range(1, 8):
+        _assert_minimality_matches_oracle(support.edge_split_assur(rng, splits))
+
+
+def test_minimality_violation_is_polynomial():
+    g = support.edge_split_assur(random.Random(5), 21)
+    assert g.n >= 24
+    started = time.perf_counter()
+    assert minimality_violation(g) is None
+    assert check_minimality(g)
+    assert time.perf_counter() - started < 2.0
+
+
+def test_minimality_witness_for_isolated_pin():
+    g = PinnedGraph({"v"}, {"p1", "p2", "p3"}, [("v", "p1"), ("v", "p2")])
+    assert not check_minimality(g)
+    assert minimality_violation(g) == (("v",), ("p1", "p2"))
+
+
+# -- decomposition of known stacks ------------------------------------------------
+
+def _parts(scheme):
+    return {(c.level, frozenset(c.graph.edges)) for c in scheme.components}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), count=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decompose_returns_the_stacked_parts(rng, count, seed):
+    library = (support.dyad, support.triad, support.basic_5)
+    parts = [library[rng.randrange(3)]() for _ in range(count)]
+    g, expected = support.stack(rng, parts, ["G0", "G1", "G2", "G3"])
+    scheme = decompose(g)
+    assert _parts(scheme) == expected
+    assert len(scheme.components) == count
+    assert scheme.levels == max(lvl for lvl, _ in expected)
+    assert decompose(g, seed=seed).components == scheme.components
+    assert recompose(scheme) == g
+
+
+@settings(max_examples=5, deadline=None)
+@given(rng=st.randoms(use_true_random=False), levels=st.integers(150, 200))
+def test_decompose_deep_dyad_chain(rng, levels):
+    g, expected = support.dyad_chain(rng, levels)
+    scheme = decompose(g)
+    assert _parts(scheme) == expected
+    assert scheme.levels == levels
+    assert [c.level for c in scheme.components] == list(range(1, levels + 1))

@@ -16,7 +16,7 @@ from pinrig.fileio import (certificate_from_dict, certificate_to_dict,
                            graph_from_dict, graph_to_dict, linkage_to_dict,
                            linkage_from_dict, load_graph, scheme_from_dict,
                            scheme_to_dict, scheme_to_dot)
-from pinrig.errors import PinrigWarning
+from pinrig.errors import GraphError, PinrigWarning
 from pinrig.generate import certify, verify_certificate
 
 
@@ -451,3 +451,95 @@ class TestFileFormats:
         cert = certify(g)
         back = certificate_from_dict(certificate_to_dict(cert))
         assert verify_certificate(back)
+
+
+class TestWitnessesAtAnySize:
+    """Witnesses come from pebble reach sets and the decomposition, so they
+    are reported above the exhaustive oracles' 12-vertex bound too."""
+
+    @staticmethod
+    def _k4_with_tail(tail):
+        # K4 on 0..3 spans 6 > 2*4 - 3 edges; 2-valent vertices hang below it
+        edges = [[i, j] for i in range(4) for j in range(i + 1, 4)]
+        for k in range(4, 4 + tail):
+            edges += [[k, k - 1], [k, k - 2]]
+        return edges
+
+    def test_laman_witness_on_14_vertices(self, tmp_path, capsys):
+        edges = self._k4_with_tail(10)
+        doc = {"vertices": [{"id": i} for i in range(14)], "edges": edges}
+        code, out, _ = run(capsys, "check", _write_json(tmp_path, "g.json", doc),
+                           "--mode", "laman")
+        assert code == 1
+        witness = json.loads(out)["witness_subgraph"]
+        verts = set(witness["vertices"])
+        induced = sum(1 for u, v in edges if u in verts and v in verts)
+        assert induced > witness["bound"] == 2 * len(verts) - 3
+
+    def test_pinned_witness_on_14_vertices(self, tmp_path, capsys):
+        edges = self._k4_with_tail(8) + [[0, "p1"], [1, "p2"]]
+        doc = {"vertices": [{"id": i} for i in range(12)]
+               + [{"id": p, "kind": "pinned"} for p in ("p1", "p2")],
+               "edges": edges}
+        code, out, _ = run(capsys, "check", _write_json(tmp_path, "g.json", doc),
+                           "--mode", "pinned")
+        assert code == 1
+        witness = json.loads(out)["witness_subgraph"]
+        assert witness["edges"] > witness["bound"]
+        verts = set(witness["inner"]) | set(witness["pins"])
+        assert witness["edges"] == sum(1 for u, v in edges
+                                       if u in verts and v in verts)
+
+    def test_pinned_count_witness_kept(self, tmp_path, capsys):
+        doc = {"vertices": [{"id": "v"}, {"id": "p1", "kind": "pinned"},
+                            {"id": "p2", "kind": "pinned"}],
+               "edges": [["v", "p1"]]}
+        code, out, _ = run(capsys, "check", _write_json(tmp_path, "g.json", doc),
+                           "--mode", "pinned")
+        assert code == 1
+        assert json.loads(out)["witness_count"] == {"edges": 1, "required": 2}
+
+    def test_assur_witness_on_a_large_composition(self, tmp_path, capsys):
+        import random
+        g, _ = support.stack(random.Random(4), [support.dyad()] * 11, ["G0", "G1"])
+        code, out, _ = run(capsys, "check",
+                           _write_json(tmp_path, "g.json", graph_to_dict(g)),
+                           "--mode", "assur", "--method", "ii")
+        assert code == 1
+        witness = json.loads(out)["witness_subgraph"]
+        assert g.n > 12 and len(witness["inner"]) == 1
+        assert g.induced(witness["inner"], witness["pins"]).m == 2
+
+
+class TestSchemeDocumentTypes:
+    @staticmethod
+    def _doc(stacked_dyads):
+        return scheme_to_dict(decompose(stacked_dyads))
+
+    def _rejects(self, doc):
+        with pytest.raises(GraphError):
+            scheme_from_dict(doc)
+
+    def test_components_not_a_list(self, stacked_dyads):
+        self._rejects(dict(self._doc(stacked_dyads), components=5))
+
+    def test_ground_not_a_list(self, stacked_dyads):
+        self._rejects(dict(self._doc(stacked_dyads), ground=7))
+
+    def test_level_not_an_integer(self, stacked_dyads):
+        doc = self._doc(stacked_dyads)
+        doc["components"][0]["level"] = "x"
+        self._rejects(doc)
+
+    def test_list_id(self, stacked_dyads):
+        doc = self._doc(stacked_dyads)
+        doc["components"][0]["inner"] = [["a"]]
+        self._rejects(doc)
+        doc = self._doc(stacked_dyads)
+        doc["components"][0]["id"] = ["c1"]
+        self._rejects(doc)
+
+    def test_boolean_id(self, stacked_dyads):
+        doc = self._doc(stacked_dyads)
+        doc["ground"] = doc["ground"] + [True]
+        self._rejects(doc)

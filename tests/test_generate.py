@@ -9,7 +9,7 @@ from pinrig.canon import canonical_code
 from pinrig.counting import (ORACLE_MAX_VERTICES, circuit_oracle,
                              laman_independent_oracle)
 from pinrig.errors import GraphError, PinrigWarning
-from pinrig.generate import (Certificate, assur_catalog, certify,
+from pinrig.generate import (Certificate, ConstructionStep, assur_catalog, certify,
                              circuit_catalog, edge_split, enumerate_circuits,
                              pin_rearrangement, replay_certificate, step,
                              two_sum, verify_certificate, vertex_addition,
@@ -373,3 +373,9 @@ class TestClosure:
                 current = complete_graph(4)
                 continue
             assert circuit_oracle(current), (step_no, current)
+
+
+def test_verify_certificate_step_missing_parameter_is_false():
+    cert = Certificate("k4", (0, 1, 2, 3),
+                       (ConstructionStep("edge-split", (("u", 0), ("w", 1))),), "")
+    assert verify_certificate(cert) is False

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,8 @@ from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph,
                            contract_pins)
 from pinrig.pebble import (contraction_circuits, fundamental_circuit,
                            generic_dof, is_circuit, is_isostatic,
-                           pebble_rank, pinned_dof, pinned_isostatic)
+                           pebble_rank, pinned_dof, pinned_isostatic,
+                           pinned_witness)
 
 
 class TestRank:
@@ -218,3 +220,36 @@ class TestDof:
                 vi = {x for k in circuits[i] for x in m.edges[k]}
                 vj = {x for k in circuits[j] for x in m.edges[k]}
                 assert vi & vj <= {star}
+
+
+def _pinned_bound(inner, pins):
+    if len(pins) >= 2:
+        return 2 * len(inner)
+    return 2 * len(inner) - (1 if pins else 3)
+
+
+def test_pinned_witness_breaks_its_count_on_all_small_graphs():
+    from pinrig.counting import pinned_conditions_oracle
+    failing = 0
+    for n_inner in range(1, 5):
+        for n_pins in range(2, 7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                witness = pinned_witness(g)
+                assert (witness is None) == pinned_conditions_oracle(g)
+                if witness is not None:
+                    inner, pins = witness
+                    assert g.induced(inner, pins).m > _pinned_bound(inner, pins)
+                    failing += 1
+    assert failing == 1441
+
+
+def test_two_zero_game_orients_pinned_isostatic_graphs(triad, stacked_dyads):
+    from pinrig.pebble import _PebbleState
+    for g in (triad, stacked_dyads, support.edge_split_assur(random.Random(3), 12)):
+        state = _PebbleState({**dict.fromkeys(g.pins, 0), **dict.fromkeys(g.inner, 2)})
+        assert all(state.try_insert(u, v, need=1)[0] for u, v in g.edges)
+        out = state.out
+        assert all(sum(out[v].values()) == 2 for v in g.inner)
+        assert all(not out[p] for p in g.pins)
+        arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
+        assert arcs == Counter(frozenset(e) for e in g.edges)

@@ -6,7 +6,10 @@ pin contraction is a rigidity circuit; equivalently deleting any vertex (or
 any edge) leaves a motion of all remaining inner vertices.  The four checks
 are implemented separately and `is_assur` runs any subset of them, flagging
 disagreement (which, the equivalence being a theorem, signals a bug or an
-unlucky random sample rather than a property of the graph).
+unlucky random sample rather than a property of the graph).  `is_assur`
+validates its input once and then calls the checks' bodies; the two
+deletion checks share one inverse of the pinned rigidity matrix per random
+sample (`numeric.deletion_verdicts`).
 
 The decomposition and the minimality check come from one orientation: the
 (2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
@@ -28,7 +31,7 @@ from typing import Optional
 
 from .errors import GraphError, NotIsostaticError
 from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
-from .numeric import DEFAULT_TRIALS, all_inner_move
+from .numeric import DEFAULT_TRIALS, deletion_verdicts
 from .pebble import _PebbleState, is_circuit, pinned_dof, pinned_isostatic
 
 
@@ -44,13 +47,14 @@ def check_minimality(g: PinnedGraph) -> bool:
     return minimality_violation(g) is None
 
 
-def minimality_violation(g: PinnedGraph):
+def minimality_violation(g: PinnedGraph, scheme: Optional["AssurScheme"] = None):
     """A proper pinned subgraph with 2|I'| edges, as (inner, pins), or None.
 
     With two or more Assur components the witness is component c1; with one
     component and isolated pins it is the whole graph without them.
+    `scheme` is the decomposition of `g` when it is already at hand.
     """
-    components = decompose(g).components
+    components = (decompose(g) if scheme is None else scheme).components
     if len(components) > 1:
         sub = components[0].graph
     elif g.isolated_pins():
@@ -67,9 +71,11 @@ def check_circuit_condition(g: PinnedGraph) -> bool:
     circuit splitting can recover them.
     """
     _require_isostatic(g, "circuit condition")
-    if g.isolated_pins():
-        return False
-    return is_circuit(contract_pins(g))
+    return _circuit_condition(g)
+
+
+def _circuit_condition(g):
+    return not g.isolated_pins() and is_circuit(contract_pins(g))
 
 
 def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
@@ -79,33 +85,34 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
 
     The single-inner-vertex-of-degree-2 graph passes outright.  By default
     pins are deleted too; `include_pins=False` restricts to inner vertices.
+    Every deletion is read off one inverse of the pinned rigidity matrix per
+    random sample (`numeric.deletion_verdicts`): True is certain, and False
+    is wrong with probability at most about 2|I|/p per vertex per sample
+    (p = 2^61 - 1), raised to the power `trials`.
     """
     _require_isostatic(g, "vertex deletion check")
-    if len(g.inner) == 1 and g.degree(next(iter(g.inner))) == 2:
-        return True
-    rng = random.Random(seed)
-    targets = sorted(g.inner, key=vkey)
-    if include_pins:
-        targets += sorted(g.pins, key=vkey)
-    for v in targets:
-        h = g.without_vertex(v)
-        if not h.inner:
-            continue
-        if not all_inner_move(h, seed=rng.randrange(2 ** 32), trials=trials):
-            return False
-    return True
+    return _deletion_checks(g, seed, trials, include_pins)[0]
 
 
 def check_edge_deletion(g: PinnedGraph, seed: int = 0,
                         trials: int = DEFAULT_TRIALS) -> bool:
-    """Deleting any edge leaves a motion of all inner vertices."""
+    """Deleting any edge leaves a motion of all inner vertices.
+
+    Every deletion is read off one inverse of the pinned rigidity matrix per
+    random sample (`numeric.deletion_verdicts`): True is certain, and False
+    is wrong with probability at most about 2|I|/p per edge per sample
+    (p = 2^61 - 1), raised to the power `trials`.
+    """
     _require_isostatic(g, "edge deletion check")
-    rng = random.Random(seed)
-    for u, v in g.edges:
-        if not all_inner_move(g.without_edge(u, v),
-                              seed=rng.randrange(2 ** 32), trials=trials):
-            return False
-    return True
+    return _deletion_checks(g, seed, trials)[1]
+
+
+def _deletion_checks(g, seed, trials, include_pins=True):
+    """(vertex, edge) deletion verdicts of a pinned isostatic graph; a single
+    inner vertex of degree 2 passes vertex deletion outright."""
+    vertex, edge = deletion_verdicts(g, seed=seed, trials=trials,
+                                     include_pins=include_pins)
+    return vertex or (len(g.inner) == 1 and g.degree(next(iter(g.inner))) == 2), edge
 
 
 _METHOD_ALIASES = {
@@ -124,7 +131,9 @@ class AssurVerdict:
 
     `overall` is keyed to the circuit condition, the purely combinatorial
     check; the motion-based conditions are randomized witnesses.  When
-    `disagreement` is False all evaluated booleans are equal.
+    `disagreement` is False all evaluated booleans are equal.  `scheme` is
+    the decomposition, kept when minimality was evaluated or the circuit
+    condition failed.
     """
 
     minimality: Optional[bool]
@@ -134,6 +143,7 @@ class AssurVerdict:
     overall: bool
     disagreement: bool
     reason: Optional[str] = None
+    scheme: Optional["AssurScheme"] = field(default=None, compare=False, repr=False)
 
     def evaluated(self) -> dict:
         out = {}
@@ -171,13 +181,16 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False,
                             reason=f"isolated pinned vertices {pins!r}")
-    results = {"circuit": check_circuit_condition(g)}
+    results = {"circuit": _circuit_condition(g)}
+    scheme = None
+    if "minimality" in chosen or not results["circuit"]:
+        scheme = _decompose(g)  # a failing verdict's witness comes from it too
     if "minimality" in chosen:
-        results["minimality"] = check_minimality(g)
-    if "vertex_deletion" in chosen:
-        results["vertex_deletion"] = check_vertex_deletion(g, seed=seed, trials=trials)
-    if "edge_deletion" in chosen:
-        results["edge_deletion"] = check_edge_deletion(g, seed=seed, trials=trials)
+        results["minimality"] = minimality_violation(g, scheme) is None
+    motion_checks = ("vertex_deletion", "edge_deletion")
+    if chosen.intersection(motion_checks):
+        verdicts = zip(motion_checks, _deletion_checks(g, seed, trials))
+        results.update((name, ok) for name, ok in verdicts if name in chosen)
     values = set(results.values())
     return AssurVerdict(
         minimality=results.get("minimality"),
@@ -186,6 +199,7 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
         edge_deletion=results.get("edge_deletion"),
         overall=results["circuit"],
         disagreement=len(values) > 1,
+        scheme=scheme,
     )
 
 
@@ -349,6 +363,10 @@ def decompose(g: PinnedGraph, seed: Optional[int] = None) -> AssurScheme:
     if not pinned_isostatic(g):
         raise NotIsostaticError("decomposition is undefined for non-isostatic input",
                                 dof=pinned_dof(g))
+    return _decompose(g, seed)
+
+
+def _decompose(g, seed=None):
     edges = list(g.edges)
     if seed is not None:
         random.Random(seed).shuffle(edges)

@@ -102,9 +102,10 @@ def _check_pinned(g):
     return ok, doc
 
 
-def _assur_witness(g, doc):
-    """Attach the culprit: a proper isostatic subgraph or an extra circuit."""
-    violation = assur_mod.minimality_violation(g)
+def _assur_witness(g, scheme, doc):
+    """Attach the culprit: a proper isostatic subgraph or an extra circuit.
+    `scheme` is the verdict's decomposition, or None to decompose here."""
+    violation = assur_mod.minimality_violation(g, scheme)
     if violation:
         doc["witness_subgraph"] = {"inner": list(violation[0]),
                                    "pins": list(violation[1])}
@@ -131,7 +132,7 @@ def cmd_check(args):
         if verdict.reason:
             doc["reason"] = verdict.reason
         if not ok and verdict.reason is None:
-            _assur_witness(g, doc)
+            _assur_witness(g, verdict.scheme, doc)
         if not ok and isinstance(verdict.reason, str) and "DOF" in verdict.reason:
             doc["pinned_dof"] = pebble.pinned_dof(g)
     _emit(doc)

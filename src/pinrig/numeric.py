@@ -18,6 +18,10 @@ Three coordinate domains are supported:
 * ``float``    -- elimination with a relative pivot threshold of 1e-9 for
                   binary-float geometry.  Pivots close to the threshold raise
                   a ConditioningWarning instead of silently deciding.
+
+The vertex- and edge-deletion checks of the Assur characterization read
+every deletion off one GF(p) inverse of the square pinned rigidity matrix per
+sample (`deletion_verdicts`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import ConditioningWarning, GraphError
 from .graphs import PinnedGraph, vkey
@@ -163,46 +168,76 @@ def _rank_mod(rows, p=PRIME):
     return r
 
 
-def _rref_exact(rows, inv, mul, sub):
-    """Reduced row echelon form for an exact field given as operations.
+def _rref_mod(rows, p=PRIME):
+    """Reduced row echelon form over GF(p) (Gauss-Jordan).
+
+    Returns (pivot column list, reduced rows).  Columns left of the pivot
+    are already zero in the pivot row, so each update touches only the
+    pivot row's nonzero columns; rigidity matrices stay sparse for long."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        nonzero = [k for k in range(c, ncols) if prow[k]]
+        for k in nonzero:
+            prow[k] = prow[k] * inv % p
+        entries = [(k, prow[k]) for k in nonzero]
+        for i in range(m):
+            ri = rows[i]
+            f = ri[c]
+            if f and i != r:
+                for k, b in entries:
+                    ri[k] = (ri[k] - f * b) % p
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    return pivots, rows[:len(pivots)]
+
+
+def _inverse_mod(rows, p=PRIME):
+    """Inverse of a square matrix over GF(p) as a list of rows, or None when
+    it is singular: `_rref_mod` of [R | I] pivots on every column of R
+    exactly when R is invertible."""
+    n = len(rows)
+    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(rows)]
+    pivots, reduced = _rref_mod(aug, p)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def _rref_exact(rows):
+    """Reduced row echelon form over the rationals (Fraction entries).
 
     Returns (pivot column list, reduced rows)."""
     rows = [list(r) for r in rows]
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        fac = inv(prow[c])
-        rows[r] = prow = [mul(fac, x) for x in prow]
+        fac = Fraction(1) / rows[r][c]
+        rows[r] = prow = [fac * x for x in rows[r]]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], prow)]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    return pivots, rows[:r]
-
-
-def _rref_mod(rows, p=PRIME):
-    return _rref_exact(rows,
-                       inv=lambda x: pow(x, -1, p),
-                       mul=lambda a, b: (a * b) % p,
-                       sub=lambda a, b: (a - b) % p)
-
-
-def _rref_rational(rows):
-    return _rref_exact(rows,
-                       inv=lambda x: Fraction(1) / x,
-                       mul=lambda a, b: a * b,
-                       sub=lambda a, b: a - b)
+    return pivots, rows[:len(pivots)]
 
 
 def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
@@ -257,7 +292,7 @@ def matrix_rank(mat: RigidityMatrix) -> int:
     if mat.field == "mod":
         return _rank_mod(rows)
     if mat.field == "rational":
-        return len(_rref_rational(rows)[1]) if rows else 0
+        return len(_rref_exact(rows)[1]) if rows else 0
     return len(_rref_float(rows)[1]) if rows else 0
 
 
@@ -275,7 +310,7 @@ def matrix_kernel(mat: RigidityMatrix):
         pivots, red = _rref_mod(mat.as_lists())
         return _kernel_basis(pivots, red, ncols, lambda x: (-x) % PRIME)
     if mat.field == "rational":
-        pivots, red = _rref_rational(mat.as_lists())
+        pivots, red = _rref_exact(mat.as_lists())
         return _kernel_basis(pivots, red, ncols, lambda x: -x)
     pivots, red = _rref_float(mat.as_lists())
     return _kernel_basis(pivots, red, ncols, lambda x: -x)
@@ -349,3 +384,56 @@ def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) 
         if all(combo[2 * i] or combo[2 * i + 1] for i in range(len(mat.columns))):
             return True
     return False
+
+
+def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS,
+                      include_pins: bool = True):
+    """Whether deleting any vertex, and any edge, of a graph with 2|I| edges
+    leaves a motion of every remaining inner vertex.
+
+    Each sample draws a random GF(p) configuration and inverts the square
+    pinned rigidity matrix R once.  Deleting edge j leaves the motions
+    spanned by column j of R^-1; deleting a pin removes only the rows of its
+    edges, so their columns span what is left; deleting inner vertex v also
+    drops v's two coordinates from the span of its edges' columns.  Each
+    target not yet seen to move takes a random combination of its columns
+    and moves when every remaining inner 2x1 block is nonzero.  A target
+    seen to move once moves generically: at an invertible sample the columns
+    are rational functions of the configuration that are nonzero there, so
+    True is certain.  A target still fixed after `trials` samples makes its
+    check False; that is wrong with probability at most about 2|I|/p per
+    target per sample (Schwartz-Zippel, p = 2^61 - 1), raised to the power
+    `trials`.  A singular sample uses up a trial.  Deleting the only inner
+    vertex leaves nothing to move and is skipped.  `include_pins=False`
+    deletes inner vertices only.  Returns (vertex verdict, edge verdict).
+    """
+    if not g.inner or g.m != 2 * len(g.inner):
+        raise GraphError("deletion checks need inner vertices and 2|I| edges")
+    inner = sorted(g.inner, key=vkey)
+    block = {v: i for i, v in enumerate(inner)}
+    deleted = inner + sorted(g.pins, key=vkey) if include_pins else inner
+    # (is a vertex, edge indices spanning its motions, dropped block)
+    targets = [(True, [j for j, e in enumerate(g.edges) if v in e], block.get(v))
+               for v in deleted if len(inner) > 1 or v not in block]
+    targets += [(False, [j], None) for j in range(g.m)]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        if not targets:
+            break
+        mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
+        inv = _inverse_mod(mat.rows)
+        if inv is None:
+            continue
+        cols = list(zip(*inv))
+        targets = [t for t in targets if not _moves(cols, t[1], t[2], rng)]
+    fixed = {t[0] for t in targets}
+    return True not in fixed, False not in fixed
+
+
+def _moves(cols, spans, dropped, rng):
+    """A random combination of the columns `spans` moves every inner block
+    except `dropped` (no columns, no motion)."""
+    lams = [rng.randrange(1, PRIME) for _ in spans]
+    vec = [sum(map(mul, lams, row)) % PRIME for row in zip(*(cols[j] for j in spans))]
+    return bool(vec) and all(vec[2 * i] or vec[2 * i + 1]
+                             for i in range(len(vec) // 2) if i != dropped)

@@ -6,11 +6,13 @@ subsets.  These are the second route that the implementation is checked
 against.
 """
 
+import random
 from collections import Counter
 from itertools import combinations, permutations
 
 from pinrig.generate import edge_split
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
+from pinrig.numeric import all_inner_move
 
 # -- fixtures ----------------------------------------------------------------
 
@@ -120,6 +122,29 @@ def minimality_oracle(g):
             return (tuple(verts[i] for i in range(ni) if mask >> i & 1),
                     tuple(verts[i] for i in range(ni, n) if mask >> i & 1))
     return None
+
+
+def deletion_oracle(g, seed=0, trials=8, include_pins=True):
+    """(vertex, edge) deletion verdicts one deletion at a time: build the
+    graph without each vertex (inner first, then pins) or each edge and ask
+    `all_inner_move` of it with a seed drawn from `seed`.  Deleting the only
+    inner vertex is skipped, and a single inner vertex of degree 2 passes the
+    vertex check outright."""
+    rng = random.Random(seed)
+    if len(g.inner) == 1 and g.degree(next(iter(g.inner))) == 2:
+        vertex = True
+    else:
+        deleted = sorted(g.inner, key=vkey)
+        if include_pins:
+            deleted += sorted(g.pins, key=vkey)
+        vertex = all(not h.inner
+                     or all_inner_move(h, seed=rng.randrange(2 ** 32), trials=trials)
+                     for h in map(g.without_vertex, deleted))
+    rng = random.Random(seed)
+    edge = all(all_inner_move(g.without_edge(u, v), seed=rng.randrange(2 ** 32),
+                              trials=trials)
+               for u, v in g.edges)
+    return vertex, edge
 
 
 # -- brute-force isomorphism ---------------------------------------------------

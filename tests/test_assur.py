@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme,
+from pinrig import numeric
+from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, _deletion_checks,
                           check_circuit_condition, check_edge_deletion,
                           check_minimality, check_vertex_deletion, decompose,
                           is_assur, minimality_violation, recompose)
@@ -333,3 +334,78 @@ def test_decompose_deep_dyad_chain(rng, levels):
     assert _parts(scheme) == expected
     assert scheme.levels == levels
     assert [c.level for c in scheme.components] == list(range(1, levels + 1))
+
+
+# -- deletion checks from one inverse, against the per-deletion route -----------
+
+def _assert_deletions_match_oracle(g, seed, wrappers=False):
+    # both verdicts from one sampling loop, as `is_assur` takes them
+    for include_pins in (True, False):
+        expected = support.deletion_oracle(g, seed=seed, include_pins=include_pins)
+        assert _deletion_checks(g, seed, 8, include_pins) == expected, (g, include_pins)
+        if wrappers:
+            assert check_vertex_deletion(g, seed=seed, include_pins=include_pins) \
+                == expected[0]
+            assert check_edge_deletion(g, seed=seed) == expected[1]
+
+
+def test_deletions_match_oracle_on_all_small_pinned_graphs():
+    checked = 0
+    for n_inner in range(1, 5):
+        for n_pins in range(2, 7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                if pinned_isostatic(g):
+                    _assert_deletions_match_oracle(g, seed=checked)
+                    checked += 1
+    assert checked == 2756
+
+
+def test_deletions_match_oracle_on_stacks_and_edge_splits():
+    rng = random.Random(47)
+    parts = (support.dyad, support.triad, support.basic_5)
+    for k in range(30):
+        chosen = [parts[rng.randrange(3)]() for _ in range(rng.randint(2, 7))]
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        _assert_deletions_match_oracle(g, seed=k, wrappers=True)
+    for splits in (2, 6, 9, 11, 14, 17):
+        g = support.edge_split_assur(rng, splits)
+        assert len(g.inner) == 3 + splits
+        _assert_deletions_match_oracle(g, seed=splits, wrappers=True)
+
+
+def test_deletion_checks_eliminate_once_per_sample(monkeypatch):
+    calls = []
+    real = numeric._rref_mod
+    monkeypatch.setattr(numeric, "_rref_mod", lambda *a: calls.append(1) or real(*a))
+    g = support.edge_split_assur(random.Random(3), 9)
+    assert check_vertex_deletion(g, seed=2) and check_edge_deletion(g, seed=2)
+    assert len(calls) == 2
+    calls.clear()
+    stacked, _ = support.stack(random.Random(4), [support.triad(), support.basic_5()],
+                               ["G0", "G1", "G2"])
+    verdict = is_assur(stacked, seed=2, trials=5)
+    assert verdict.evaluated() == dict.fromkeys(ALL_METHODS, False)
+    assert len(calls) == 5
+
+
+def test_singular_sample_counts_as_a_trial(monkeypatch, triad, stacked_dyads):
+    real = numeric.random_configuration
+    singular = []
+
+    def collinear_first(g, rng):
+        if not singular:
+            singular.append(g)
+            return {v: (k, 0) for k, v in enumerate(sorted(g.vertices, key=str))}
+        return real(g, rng)
+
+    expected = {g: (check_vertex_deletion(g, seed=9), check_edge_deletion(g, seed=9))
+                for g in (triad, stacked_dyads)}
+    assert expected == {triad: (True, True), stacked_dyads: (False, False)}
+    monkeypatch.setattr(numeric, "random_configuration", collinear_first)
+    for g, verdict in expected.items():
+        singular.clear()
+        assert numeric.deletion_verdicts(g, seed=9) == verdict
+        assert singular == [g]
+        singular.clear()
+        # the only sample is the singular one: no target is seen to move
+        assert numeric.deletion_verdicts(g, seed=9, trials=1) == (False, False)

@@ -511,6 +511,35 @@ class TestWitnessesAtAnySize:
         assert g.induced(witness["inner"], witness["pins"]).m == 2
 
 
+def test_assur_check_validates_and_decomposes_once(tmp_path, capsys, monkeypatch):
+    import random
+
+    from pinrig import assur, pebble
+    calls = {"pinned_isostatic": 0, "pebble_rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    isostatic = counted("pinned_isostatic", pebble.pinned_isostatic)
+    monkeypatch.setattr(pebble, "pinned_isostatic", isostatic)
+    monkeypatch.setattr(assur, "pinned_isostatic", isostatic)
+    monkeypatch.setattr(pebble, "pebble_rank", counted("pebble_rank", pebble.pebble_rank))
+    parts = [support.triad(), support.dyad(), support.basic_5(), support.dyad()]
+    g, _ = support.stack(random.Random(6), parts, ["G0", "G1", "G2"])
+    path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+    for method in ("all", "ii", "iii"):
+        calls.update(pinned_isostatic=0, pebble_rank=0)
+        code, out, _ = run(capsys, "check", path, "--mode", "assur", "--method", method)
+        doc = json.loads(out)
+        assert code == 1 and set(doc["conditions"].values()) == {False}
+        assert "witness_subgraph" in doc and "witness_extra_circuit" in doc
+        assert calls["pinned_isostatic"] == 1
+        assert calls["pebble_rank"] <= 3
+
+
 class TestSchemeDocumentTypes:
     @staticmethod
     def _doc(stacked_dyads):

@@ -220,3 +220,17 @@ def test_motion_dimension_matches_combinatorial_pinned_dof():
         assert basis.dim == pinned_dof(g), g
         checked += 1
     assert checked == 120
+
+
+def test_gf_p_inverse_and_rref():
+    from pinrig.numeric import PRIME, _inverse_mod, _rank_mod, _rref_mod
+    rng = random.Random(61)
+    for n in range(1, 9):
+        rows = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
+        inv = _inverse_mod(rows)
+        assert [[sum(a * b for a, b in zip(row, col)) % PRIME for col in zip(*inv)]
+                for row in rows] == [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[-1] = [2 * x % PRIME for x in rows[0]] if n > 1 else [0]
+        assert _inverse_mod(rows) is None
+        pivots, reduced = _rref_mod(rows)
+        assert len(pivots) == len(reduced) == _rank_mod([list(r) for r in rows]) == n - 1

@@ -32,13 +32,18 @@ from typing import Optional
 from .errors import GraphError, NotIsostaticError
 from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, deletion_verdicts
-from .pebble import _PebbleState, is_circuit, pinned_dof, pinned_isostatic
+from .pebble import (is_circuit, pinned_dof, pinned_game, pinned_isostatic,
+                     pinned_orientation)
 
 
-def _require_isostatic(g: PinnedGraph, op: str):
-    if not pinned_isostatic(g):
-        raise NotIsostaticError(f"{op} requires a pinned isostatic graph",
-                                dof=pinned_dof(g))
+def _require_isostatic(g: PinnedGraph, message: str):
+    """Raise NotIsostaticError, with the pinned DOF, unless `g` is pinned
+    isostatic: no pinned DOF and no rejected edge in one scaffolded game."""
+    if len(g.pins) < 2:
+        raise GraphError("pinned isostatic test needs at least two pins")
+    dof, witness = pinned_game(g)
+    if dof or witness:
+        raise NotIsostaticError(message, dof=dof)
 
 
 def check_minimality(g: PinnedGraph) -> bool:
@@ -70,7 +75,7 @@ def check_circuit_condition(g: PinnedGraph) -> bool:
     Isolated pins fail the check: they vanish under contraction, so no
     circuit splitting can recover them.
     """
-    _require_isostatic(g, "circuit condition")
+    _require_isostatic(g, "circuit condition requires a pinned isostatic graph")
     return _circuit_condition(g)
 
 
@@ -90,7 +95,7 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
     is wrong with probability at most about 2|I|/p per vertex per sample
     (p = 2^61 - 1), raised to the power `trials`.
     """
-    _require_isostatic(g, "vertex deletion check")
+    _require_isostatic(g, "vertex deletion check requires a pinned isostatic graph")
     return _deletion_checks(g, seed, trials, include_pins)[0]
 
 
@@ -103,7 +108,7 @@ def check_edge_deletion(g: PinnedGraph, seed: int = 0,
     is wrong with probability at most about 2|I|/p per edge per sample
     (p = 2^61 - 1), raised to the power `trials`.
     """
-    _require_isostatic(g, "edge deletion check")
+    _require_isostatic(g, "edge deletion check requires a pinned isostatic graph")
     return _deletion_checks(g, seed, trials)[1]
 
 
@@ -131,8 +136,9 @@ class AssurVerdict:
 
     `overall` is keyed to the circuit condition, the purely combinatorial
     check; the motion-based conditions are randomized witnesses.  When
-    `disagreement` is False all evaluated booleans are equal.  `scheme` is
-    the decomposition, kept when minimality was evaluated or the circuit
+    `disagreement` is False all evaluated booleans are equal.  `pinned_dof`
+    is set when the input is not pinned isostatic.  `scheme` is the
+    decomposition, kept when minimality was evaluated or the circuit
     condition failed.
     """
 
@@ -143,6 +149,7 @@ class AssurVerdict:
     overall: bool
     disagreement: bool
     reason: Optional[str] = None
+    pinned_dof: Optional[int] = None
     scheme: Optional["AssurScheme"] = field(default=None, compare=False, repr=False)
 
     def evaluated(self) -> dict:
@@ -173,9 +180,10 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False, reason="fewer than two pins")
     if not pinned_isostatic(g):
+        dof = pinned_dof(g)
         return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False,
-                            reason=f"not pinned isostatic (pinned DOF {pinned_dof(g)})")
+                            disagreement=False, pinned_dof=dof,
+                            reason=f"not pinned isostatic (pinned DOF {dof})")
     if g.isolated_pins():
         pins = sorted(g.isolated_pins(), key=vkey)
         return AssurVerdict(None, None, None, None, overall=False,
@@ -360,9 +368,7 @@ def decompose(g: PinnedGraph, seed: Optional[int] = None) -> AssurScheme:
     """
     if len(g.pins) < 2:
         raise NotIsostaticError("decomposition needs at least two pins")
-    if not pinned_isostatic(g):
-        raise NotIsostaticError("decomposition is undefined for non-isostatic input",
-                                dof=pinned_dof(g))
+    _require_isostatic(g, "decomposition is undefined for non-isostatic input")
     return _decompose(g, seed)
 
 
@@ -370,14 +376,11 @@ def _decompose(g, seed=None):
     edges = list(g.edges)
     if seed is not None:
         random.Random(seed).shuffle(edges)
-    # the (2,0) game accepts every edge of a pinned isostatic graph
-    state = _PebbleState({**dict.fromkeys(g.pins, 0), **dict.fromkeys(g.inner, 2)})
-    for u, v in edges:
-        state.try_insert(u, v, need=1)
+    out = pinned_orientation(g, edges)
     level = dict.fromkeys(g.pins, 0)
     parts = []
-    for scc in _strong_components(g.inner, state.out):
-        comp_edges = [(x, y) for x in scc for y in state.out[x]]
+    for scc in _strong_components(g.inner, out):
+        comp_edges = [(x, y) for x in scc for y in out[x]]
         pins = {y for _, y in comp_edges} - scc
         lvl = 1 + max(level[p] for p in pins)
         level.update(dict.fromkeys(scc, lvl))

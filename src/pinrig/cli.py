@@ -8,6 +8,7 @@ take an explicit --seed and echo it in the report, so runs are reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -87,14 +88,15 @@ def _check_pinned(g):
     if len(g.pins) < 2:
         return False, {"mode": "pinned", "isostatic": False,
                        "reason": "fewer than two pins"}
-    ok = pebble.pinned_isostatic(g)
+    dof, witness = pebble.pinned_game(g)
+    ok = not dof and witness is None
     doc = {"mode": "pinned", "isostatic": ok}
     if not ok:
-        doc["pinned_dof"] = pebble.pinned_dof(g)
+        doc["pinned_dof"] = dof
         if g.m != 2 * len(g.inner):
             doc["witness_count"] = {"edges": g.m, "required": 2 * len(g.inner)}
         else:
-            sub_i, sub_p = pebble.pinned_witness(g)
+            sub_i, sub_p = witness
             bound = 2 * len(sub_i) - (0 if len(sub_p) >= 2 else 1 if sub_p else 3)
             doc["witness_subgraph"] = {"inner": list(sub_i), "pins": list(sub_p),
                                        "edges": g.induced(sub_i, sub_p).m,
@@ -102,18 +104,15 @@ def _check_pinned(g):
     return ok, doc
 
 
-def _assur_witness(g, scheme, doc):
-    """Attach the culprit: a proper isostatic subgraph or an extra circuit.
-    `scheme` is the verdict's decomposition, or None to decompose here."""
-    violation = assur_mod.minimality_violation(g, scheme)
-    if violation:
-        doc["witness_subgraph"] = {"inner": list(violation[0]),
-                                   "pins": list(violation[1])}
-    star, m, circuits = pebble.contraction_circuits(g)
-    for idxs in circuits:
-        if len(idxs) < g.m:
-            doc["witness_extra_circuit"] = [list(g.edges[i]) for i in sorted(idxs)]
-            break
+def _assur_witness(scheme, doc):
+    """Attach the culprit of a failing verdict from its decomposition, which
+    has two or more components: component c1 is a proper pinned isostatic
+    subgraph, and as a level-1 Assur component on ground pins its edges
+    contract to a proper circuit of the pin contraction."""
+    c1 = scheme.components[0].graph
+    doc["witness_subgraph"] = {"inner": sorted(c1.inner, key=vkey),
+                               "pins": sorted(c1.pins, key=vkey)}
+    doc["witness_extra_circuit"] = [list(e) for e in c1.edges]
 
 
 def cmd_check(args):
@@ -132,9 +131,9 @@ def cmd_check(args):
         if verdict.reason:
             doc["reason"] = verdict.reason
         if not ok and verdict.reason is None:
-            _assur_witness(g, verdict.scheme, doc)
-        if not ok and isinstance(verdict.reason, str) and "DOF" in verdict.reason:
-            doc["pinned_dof"] = pebble.pinned_dof(g)
+            _assur_witness(verdict.scheme, doc)
+        if verdict.pinned_dof is not None:
+            doc["pinned_dof"] = verdict.pinned_dof
     _emit(doc)
     return PASS if ok else FAIL
 
@@ -313,6 +312,7 @@ def cmd_verify(args):
 
 # -- entry point --------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pinrig",

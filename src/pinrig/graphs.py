@@ -126,9 +126,6 @@ class Multigraph:
     def with_edge(self, u, v) -> "Multigraph":
         return Multigraph(self._vertices, self._edges + (norm_edge(u, v),))
 
-    def with_vertex(self, v) -> "Multigraph":
-        return Multigraph(self._vertices | {v}, self._edges)
-
     def relabeled(self, mapping: Mapping) -> "Multigraph":
         """Apply an injective vertex relabeling given as a full mapping."""
         if set(mapping) != set(self._vertices):
@@ -217,9 +214,6 @@ class PinnedGraph:
     @property
     def m(self) -> int:
         return len(self._edges)
-
-    def is_pin(self, v) -> bool:
-        return v in self._pins
 
     def degree(self, v) -> int:
         return len(self._adj[v])

@@ -14,7 +14,7 @@ Three coordinate domains are supported:
                   probability of at most degree/p per trial, so no tolerances
                   are involved);
 * ``rational`` -- exact Fraction arithmetic for user-supplied int/rational
-                  geometry;
+                  geometry, through the same Gauss-Jordan loop as ``mod``;
 * ``float``    -- elimination with a relative pivot threshold of 1e-9 for
                   binary-float geometry.  Pivots close to the threshold raise
                   a ConditioningWarning instead of silently deciding.
@@ -169,12 +169,13 @@ def _rank_mod(rows, p=PRIME):
 
 
 def _rref_mod(rows, p=PRIME):
-    """Reduced row echelon form over GF(p) (Gauss-Jordan).
+    """Reduced row echelon form (Gauss-Jordan) over GF(p), or over the
+    rationals when `p` is None (entries become Fractions).
 
     Returns (pivot column list, reduced rows).  Columns left of the pivot
     are already zero in the pivot row, so each update touches only the
     pivot row's nonzero columns; rigidity matrices stay sparse for long."""
-    rows = [list(r) for r in rows]
+    rows = [list(r) if p else list(map(Fraction, r)) for r in rows]
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -185,17 +186,21 @@ def _rref_mod(rows, p=PRIME):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        inv = pow(prow[c], -1, p)
+        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
         nonzero = [k for k in range(c, ncols) if prow[k]]
         for k in nonzero:
-            prow[k] = prow[k] * inv % p
+            prow[k] = prow[k] * inv % p if p else prow[k] * inv
         entries = [(k, prow[k]) for k in nonzero]
         for i in range(m):
             ri = rows[i]
             f = ri[c]
             if f and i != r:
-                for k, b in entries:
-                    ri[k] = (ri[k] - f * b) % p
+                if p:
+                    for k, b in entries:
+                        ri[k] = (ri[k] - f * b) % p
+                else:
+                    for k, b in entries:
+                        ri[k] -= f * b
         pivots.append(c)
         if len(pivots) == m:
             break
@@ -212,32 +217,6 @@ def _inverse_mod(rows, p=PRIME):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced]
-
-
-def _rref_exact(rows):
-    """Reduced row echelon form over the rationals (Fraction entries).
-
-    Returns (pivot column list, reduced rows)."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        fac = Fraction(1) / rows[r][c]
-        rows[r] = prow = [fac * x for x in rows[r]]
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        if len(pivots) == m:
-            break
-    return pivots, rows[:len(pivots)]
 
 
 def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
@@ -257,7 +236,7 @@ def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
             warnings.warn(
                 f"pivot {rows[piv][c]:.3e} is close to the zero threshold; "
                 f"rank decisions may be unreliable", ConditioningWarning,
-                stacklevel=3)
+                stacklevel=4)
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         fac = 1.0 / prow[c]
@@ -273,8 +252,9 @@ def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
     return pivots, rows[:r]
 
 
-def _kernel_basis(pivots, reduced, ncols, negate):
-    """Kernel basis from an RREF: one vector per free column."""
+def _kernel_basis(pivots, reduced, ncols, p):
+    """Kernel basis from an RREF over GF(p), or over the rationals or floats
+    when `p` is None: one vector per free column."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -282,38 +262,32 @@ def _kernel_basis(pivots, reduced, ncols, negate):
         vec = [0] * ncols
         vec[f] = 1
         for r, c in enumerate(pivots):
-            vec[c] = negate(reduced[r][f])
+            x = reduced[r][f]
+            vec[c] = -x % p if p else -x
         basis.append(vec)
     return basis
 
 
-def matrix_rank(mat: RigidityMatrix) -> int:
+def _reduce(mat: RigidityMatrix):
+    """(pivots, reduced rows, p) of `mat` over its own field; p is the
+    prime for ``mod`` and None otherwise."""
     rows = mat.as_lists()
+    if mat.field == "float":
+        return (*_rref_float(rows), None)
+    p = PRIME if mat.field == "mod" else None
+    return (*_rref_mod(rows, p), p)
+
+
+def matrix_rank(mat: RigidityMatrix) -> int:
     if mat.field == "mod":
-        return _rank_mod(rows)
-    if mat.field == "rational":
-        return len(_rref_exact(rows)[1]) if rows else 0
-    return len(_rref_float(rows)[1]) if rows else 0
+        return _rank_mod(mat.as_lists())
+    return len(_reduce(mat)[0])
 
 
 def matrix_kernel(mat: RigidityMatrix):
     """Kernel basis vectors as flat coordinate lists."""
-    ncols = mat.shape[1]
-    if not mat.rows:
-        basis = []
-        for f in range(ncols):
-            vec = [0] * ncols
-            vec[f] = 1
-            basis.append(vec)
-        return basis
-    if mat.field == "mod":
-        pivots, red = _rref_mod(mat.as_lists())
-        return _kernel_basis(pivots, red, ncols, lambda x: (-x) % PRIME)
-    if mat.field == "rational":
-        pivots, red = _rref_exact(mat.as_lists())
-        return _kernel_basis(pivots, red, ncols, lambda x: -x)
-    pivots, red = _rref_float(mat.as_lists())
-    return _kernel_basis(pivots, red, ncols, lambda x: -x)
+    pivots, reduced, p = _reduce(mat)
+    return _kernel_basis(pivots, reduced, mat.shape[1], p)
 
 
 # -- randomized generic queries ---------------------------------------------
@@ -369,19 +343,8 @@ def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) 
         raise GraphError("graph has no inner vertices")
     rng = random.Random(seed)
     for _ in range(trials):
-        config = random_configuration(g, rng)
-        mat = build_rigidity_matrix(g, config, field="mod")
-        basis = matrix_kernel(mat)
-        if not basis:
-            continue
-        coeffs = [rng.randrange(1, PRIME) for _ in basis]
-        ncols = mat.shape[1]
-        combo = [0] * ncols
-        for lam, vec in zip(coeffs, basis):
-            for i, x in enumerate(vec):
-                if x:
-                    combo[i] = (combo[i] + lam * x) % PRIME
-        if all(combo[2 * i] or combo[2 * i + 1] for i in range(len(mat.columns))):
+        mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
+        if _moves(matrix_kernel(mat), rng):
             return True
     return False
 
@@ -425,15 +388,16 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
         if inv is None:
             continue
         cols = list(zip(*inv))
-        targets = [t for t in targets if not _moves(cols, t[1], t[2], rng)]
+        targets = [t for t in targets
+                   if not _moves([cols[j] for j in t[1]], rng, t[2])]
     fixed = {t[0] for t in targets}
     return True not in fixed, False not in fixed
 
 
-def _moves(cols, spans, dropped, rng):
-    """A random combination of the columns `spans` moves every inner block
-    except `dropped` (no columns, no motion)."""
-    lams = [rng.randrange(1, PRIME) for _ in spans]
-    vec = [sum(map(mul, lams, row)) % PRIME for row in zip(*(cols[j] for j in spans))]
+def _moves(vectors, rng, dropped=None):
+    """A random combination of `vectors` moves every inner 2x1 block except
+    block `dropped` (no vectors, no motion)."""
+    lams = [rng.randrange(1, PRIME) for _ in vectors]
+    vec = [sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)]
     return bool(vec) and all(vec[2 * i] or vec[2 * i + 1]
                              for i in range(len(vec) // 2) if i != dropped)

@@ -7,8 +7,8 @@ holds throughout.  The number of accepted edges equals the generic rigidity
 rank of the input, independent of insertion order.
 
 The same engine plays the (2,0) game of Lee & Streinu (Discrete Math. 308,
-2008) for `assur.decompose`: inner vertices start with two pebbles, pins with
-none, and one pebble on either endpoint pays for an edge.
+2008) for `pinned_orientation`: inner vertices start with two pebbles, pins
+with none, and one pebble on either endpoint pays for an edge.
 
 When an edge (u, v) is rejected, the set R of vertices reachable from {u, v}
 along the current orientation carries exactly three pebbles and spans exactly
@@ -16,8 +16,11 @@ along the current orientation carries exactly three pebbles and spans exactly
 minimal dependent set (fundamental circuit) of the rejected edge.  Reach sets
 are recorded at rejection time so circuits can be recovered afterwards.
 
-Search order is deterministic (neighbors visited in vertex-key order), so the
-whole report is reproducible for a fixed edge order.
+The search follows out-neighbours in the order their edges were oriented.
+That order shapes the orientation but no result: the accepted edges are the
+greedy basis in insertion order, and a rejected edge's reach set is the
+smallest (2,3)-tight vertex set containing both endpoints, whichever paths
+the search took.  So the whole report depends only on the edge order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class _PebbleState:
         stack = [root]
         while stack:
             x = stack.pop()
-            for y in sorted(self.out[x], key=vkey):
+            for y in self.out[x]:
                 if y in pred:
                     continue
                 pred[y] = x
@@ -190,11 +193,6 @@ def fundamental_circuit(m: Multigraph, report: RankReport, e) -> Multigraph:
     return Multigraph(verts, edges)
 
 
-def is_independent(m: Multigraph) -> bool:
-    """True iff no edge is rejected (the edge multiset is independent)."""
-    return not pebble_rank(m).rejected
-
-
 def is_isostatic(m: Multigraph) -> bool:
     """Minimally rigid: |E| = 2|V| - 3 and full rank."""
     return m.m == 2 * m.n - 3 and pebble_rank(m).rank == m.m
@@ -234,6 +232,23 @@ def _augmented(g: PinnedGraph):
     return Multigraph(g.vertices | {apex}, _scaffold(pins, apex) + list(g.edges))
 
 
+def pinned_game(g: PinnedGraph):
+    """(pinned DOF, witness) from one (2,3) game on the pin-scaffolded graph.
+
+    The DOF is 2|I| minus the pinned rank, rank(augmented) - rank(scaffold).
+    The witness is (inner, pins) of the reach set, minus the apex, of the
+    first rejected edge, or None when no edge is rejected; its induced
+    subgraph spans 2|R| - 2 scaffolded edges, which breaks the pinned counts.
+    """
+    rep = pebble_rank(_augmented(g))
+    dof = 2 * len(g.inner) - (rep.rank - (2 * len(g.pins) - 1))
+    if not rep.rejected:
+        return dof, None
+    reach = rep.reach[rep.rejected[0]]
+    return dof, (tuple(sorted(reach & g.inner, key=vkey)),
+                 tuple(sorted(reach & g.pins, key=vkey)))
+
+
 def pinned_isostatic(g: PinnedGraph) -> bool:
     """True iff |E| = 2|I| and the pin-scaffolded graph is generically rigid.
 
@@ -249,25 +264,32 @@ def pinned_isostatic(g: PinnedGraph) -> bool:
 def pinned_dof(g: PinnedGraph) -> int:
     """Generic motions of the pinned framework: 2|I| minus the pinned rank.
 
-    The pinned rank is rank(augmented) - rank(scaffold); a single pin leaves
-    the rotation about it free, which this count reflects.
+    A single pin leaves the rotation about it free, which this count
+    reflects.
     """
     if not g.pins:
         raise GraphError("pinned DOF needs at least one pin")
-    scaffold_rank = 2 * len(g.pins) - 1
-    return 2 * len(g.inner) - (pebble_rank(_augmented(g)).rank - scaffold_rank)
+    return pinned_game(g)[0]
 
 
 def pinned_witness(g: PinnedGraph):
     """(inner, pins) of the reach set, minus the apex, of the first edge the
-    pin-scaffolded game rejects, or None.  Its induced subgraph breaks the
-    pinned counts: it spans 2|R| - 2 scaffolded edges."""
-    rep = pebble_rank(_augmented(g))
-    if not rep.rejected:
-        return None
-    reach = rep.reach[rep.rejected[0]]
-    return (tuple(sorted(reach & g.inner, key=vkey)),
-            tuple(sorted(reach & g.pins, key=vkey)))
+    pin-scaffolded game rejects, or None (see `pinned_game`)."""
+    return pinned_game(g)[1]
+
+
+def pinned_orientation(g: PinnedGraph, edges):
+    """Orient `edges` of `g`, in that order, by the (2,0) pebble game.
+
+    Inner vertices start with two pebbles and pins with none.  Returns each
+    vertex's out-neighbours (a Counter per vertex).  On a pinned isostatic
+    graph every edge is accepted, each inner vertex ends with out degree 2
+    and each pin with 0.
+    """
+    state = _PebbleState({**dict.fromkeys(g.pins, 0), **dict.fromkeys(g.inner, 2)})
+    for u, v in edges:
+        state.try_insert(u, v, need=1)
+    return state.out
 
 
 def contraction_circuits(g: PinnedGraph, star=None):

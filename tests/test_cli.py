@@ -572,3 +572,92 @@ class TestSchemeDocumentTypes:
         doc = self._doc(stacked_dyads)
         doc["ground"] = doc["ground"] + [True]
         self._rejects(doc)
+
+
+def _failing_stacks(count, seed):
+    """Seeded stacks of 2-6 Assur parts with no isolated pin: pinned
+    isostatic, not Assur."""
+    import random
+    rng = random.Random(seed)
+    parts = (support.dyad, support.triad, support.basic_5)
+    out = []
+    while len(out) < count:
+        chosen = [parts[rng.randrange(3)]() for _ in range(rng.randint(2, 6))]
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        if not g.isolated_pins():
+            out.append(g)
+    return out
+
+
+def test_assur_extra_circuit_is_a_proper_circuit_from_three_games(tmp_path, capsys,
+                                                                  monkeypatch):
+    from pinrig import pebble
+    from pinrig.counting import circuit_oracle
+    from pinrig.graphs import contract_pins
+    from pinrig.pebble import is_circuit
+    games = []
+    real = pebble._PebbleState.__init__
+
+    def counted(self, pebbles):
+        games.append(1)
+        real(self, pebbles)
+
+    monkeypatch.setattr(pebble._PebbleState, "__init__", counted)
+    for g in _failing_stacks(40, seed=12):
+        path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+        games.clear()
+        code, out, _ = run(capsys, "check", path, "--mode", "assur", "--method", "ii")
+        # scaffolded game, circuit game on the contraction, (2,0) orientation
+        assert code == 1 and len(games) == 3
+        edges = [tuple(e) for e in json.loads(out)["witness_extra_circuit"]]
+        assert set(edges) < set(g.edges) and len(set(edges)) == len(edges)
+        inner = {x for e in edges for x in e} & g.inner
+        sub = g.induced(inner, {x for e in edges for x in e} & g.pins)
+        assert sorted(sub.edges) == sorted(edges)
+        assert is_circuit(contract_pins(sub))
+        if g.n <= 12:
+            assert circuit_oracle(contract_pins(sub))
+
+
+def test_scaffolded_game_is_played_once_per_command(tmp_path, capsys, monkeypatch):
+    import random
+
+    from pinrig import pebble
+    from pinrig.graphs import PinnedGraph
+    from pinrig.pebble import pinned_isostatic
+    builds = []
+    real = pebble._augmented
+    monkeypatch.setattr(pebble, "_augmented", lambda g: builds.append(g) or real(g))
+    assur_graph = support.edge_split_assur(random.Random(5), 6)
+    edge_deleted = assur_graph.without_edge(*assur_graph.edges[0])
+    # 2|I| edges, not pinned isostatic: a triad with a dangling bar at a
+    # and a redundant bar from a to a ground pin
+    bottom = PinnedGraph({"a", "b", "c", "d"}, {"q1", "q2", "q3"},
+                         [("a", "b"), ("b", "c"), ("a", "c"), ("a", "q1"),
+                          ("b", "q2"), ("c", "q3"), ("d", "a"), ("a", "q2")])
+    assert not pinned_isostatic(bottom) and bottom.m == 2 * len(bottom.inner)
+    cases = [(assur_graph, ("check", "decompose", "certify")),
+             (edge_deleted, ("check", "check-pinned", "decompose", "certify")),
+             (bottom, ("check-pinned", "decompose"))]
+    for g, commands in cases:
+        path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+        for command in commands:
+            argv = ["check", path, "--mode", "pinned"] if command == "check-pinned" \
+                else [command, path]
+            builds.clear()
+            run(capsys, *argv)
+            assert len(builds) == 1, (command, g)
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    from pinrig import cli
+    cli.build_parser.cache_clear()
+    assert run(capsys, "check", str(SAMPLES / "triad.json"))[0] == 0
+    assert run(capsys, "check", str(SAMPLES / "stacked_dyads.json"))[0] == 1
+    assert run(capsys, "check", str(tmp_path / "missing.json"))[0] == 2
+    with pytest.raises(SystemExit) as info:
+        main(["check", str(SAMPLES / "triad.json"), "--mode", "nonsense"])
+    assert info.value.code == 2
+    assert run(capsys, "check", str(SAMPLES / "triad.json"), "--mode", "laman")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 4

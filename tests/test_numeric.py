@@ -234,3 +234,33 @@ def test_gf_p_inverse_and_rref():
         assert _inverse_mod(rows) is None
         pivots, reduced = _rref_mod(rows)
         assert len(pivots) == len(reduced) == _rank_mod([list(r) for r in rows]) == n - 1
+
+
+def test_exact_kernel_vectors_annihilate_every_row():
+    from pinrig.numeric import PRIME
+    rng = random.Random(31)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(2, 7)
+        g = support.random_multigraph(rng, n, rng.randint(1, 2 * n))
+        if checked % 2:
+            g = PinnedGraph(range(n - 2), (n - 2, n - 1),
+                            [e for e in g.edges if min(e) < n - 2])
+            if not g.m:
+                continue
+        # a small grid makes many configurations special
+        config = {v: (rng.randint(0, 3), rng.randint(0, 3)) for v in g.vertices}
+        if any(config[u] == config[v] for u, v in g.edges):
+            continue
+        for field, p in (("rational", None), ("mod", PRIME)):
+            mat = build_rigidity_matrix(g, config, field=field)
+            kernel = matrix_kernel(mat)
+            for vec in kernel:
+                for row in mat.rows:
+                    dot = sum(a * b for a, b in zip(row, vec))
+                    assert (dot % p if p else dot) == 0
+            assert matrix_rank(mat) + len(kernel) == mat.shape[1]
+        # entries are small, so no minor is a multiple of p: the ranks agree
+        assert matrix_rank(build_rigidity_matrix(g, config, field="rational")) \
+            == matrix_rank(mat)
+        checked += 1

@@ -253,3 +253,74 @@ def test_two_zero_game_orients_pinned_isostatic_graphs(triad, stacked_dyads):
         assert all(not out[p] for p in g.pins)
         arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
         assert arcs == Counter(frozenset(e) for e in g.edges)
+
+
+def test_pinned_orientation_gives_inner_out_degree_two(triad, stacked_dyads):
+    from pinrig.pebble import pinned_orientation
+    rng = random.Random(9)
+    for g in (triad, stacked_dyads, support.edge_split_assur(rng, 12)):
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        out = pinned_orientation(g, edges)
+        assert all(sum(out[v].values()) == 2 for v in g.inner)
+        assert all(not out[p] for p in g.pins)
+        arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
+        assert arcs == Counter(frozenset(e) for e in g.edges)
+
+
+def test_rejected_reach_set_is_the_smallest_tight_set():
+    # brute force: the reach set recorded for a rejected edge is the smallest
+    # vertex set containing both endpoints that spans 2|S| - 3 of the edges
+    # accepted before it, so no search order can change it
+    rng = random.Random(23)
+    rejected = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        g = support.random_multigraph(rng, n, rng.randint(1, 3 * n), allow_parallel=True)
+        order = list(range(g.m))
+        rng.shuffle(order)
+        rep = pebble_rank(g, order)
+        accepted = set(rep.independent)
+        for pos, i in enumerate(order):
+            if i in accepted:
+                continue
+            before = [g.edges[j] for j in order[:pos] if j in accepted]
+            u, v = g.edges[i]
+            rest = sorted(g.vertices - {u, v})
+            subsets = [set(c) | {u, v} for k in range(len(rest) + 1)
+                       for c in combinations(rest, k)]
+            tight = [s for s in subsets
+                     if sum(a in s and b in s for a, b in before) == 2 * len(s) - 3]
+            smallest = min(len(s) for s in tight)
+            assert [s for s in tight if len(s) == smallest] == [set(rep.reach[i])]
+            rejected += 1
+    assert rejected > 500
+
+
+def test_pinned_game_is_all_zero_exactly_on_isostatic_graphs():
+    from pinrig.counting import pinned_conditions_oracle
+    from pinrig.pebble import pinned_game
+    rng = random.Random(77)
+    for _ in range(300):
+        ni, npins = rng.randint(1, 4), rng.randint(2, 3)
+        inner = list(range(ni))
+        pins = [f"P{i}" for i in range(npins)]
+        pairs = ([(a, b) for a in inner for b in inner if a < b]
+                 + [(a, p) for a in inner for p in pins])
+        g = PinnedGraph(inner, pins, rng.sample(pairs, rng.randint(1, len(pairs))))
+        dof, witness = pinned_game(g)
+        assert (dof, witness) == (pinned_dof(g), pinned_witness(g))
+        assert ((dof, witness) == (0, None)) == pinned_isostatic(g) \
+            == pinned_conditions_oracle(g)
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    import ast
+    import pathlib
+
+    import pinrig
+    for path in sorted(pathlib.Path(pinrig.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, node.module, private)

@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,21 @@ from hypothesis import strategies as st
 import support
 from pinrig.canon import canonical_code, canonical_relabel
 from pinrig.errors import SizeLimitError
+from pinrig.generate import assur_catalog, circuit_catalog
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
+
+
+GOLDEN_CODES = Path(__file__).with_name("canon_codes_8.json")
+
+
+def test_catalog_codes_match_the_golden_fixture():
+    # issued certificates embed these codes, so no change to a code may pass
+    golden = json.loads(GOLDEN_CODES.read_text())
+    for name, catalog in (("circuit_catalog", circuit_catalog),
+                          ("assur_catalog", assur_catalog)):
+        codes = {str(n): [canonical_code(g) for g in reps]
+                 for n, reps in catalog(8).items()}
+        assert codes == golden[name], name
 
 
 def test_relabeled_dyad_has_equal_code(dyad):

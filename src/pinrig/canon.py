@@ -1,18 +1,27 @@
-"""Canonical codes for small colored graphs.
+"""Canonical codes for colored multigraphs.
 
 Isomorphism-invariant string codes for multigraphs and pinned graphs, used to
-deduplicate enumeration output and to compare decomposition results.  Pins and
-inner vertices form separate color classes; parallel-edge multiplicities are
-part of the code.
+deduplicate enumeration output, to compare decomposition results and to claim
+the graph a construction certificate builds.  Pins and inner vertices form
+separate color classes; parallel-edge multiplicities are part of the code.
 
-The search is the classic refine-and-individualize scheme: iterated equitable
-refinement of an ordered partition, and when a cell stays ambiguous, branch on
-each of its vertices.  Every leaf yields a discrete ordering; the minimum
-serialized form over all leaves is canonical.  No automorphism pruning is
-done, which is fine at the intended desk scale (default bound 12 vertices).
+The search refines an ordered partition to an equitable one and branches on
+each vertex of its first non-singleton cell; the least code of a leaf is
+canonical (McKay, Congr. Numer. 30, 1981).  One rule prunes it.  When the
+position-by-position map onto a node from the first path's node at its
+depth (or onto a leaf from the best leaf) is an automorphism, it is stored
+and the search returns to where the two paths part; and a node skips each
+child in the orbit of an explored sibling under the stored automorphisms
+that fix its path.  Neither step can lose the least leaf, so every code is
+the unpruned search's.  The search stays exponential in the worst case,
+e.g. on Cai-Fuerer-Immerman graphs (Combinatorica 12, 1992).  The public
+functions refuse graphs above `max_vertices` (default 12), but `certify`
+and `verify` raise it to the graph's size: they run with no size guard.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import SizeLimitError
 from .graphs import Multigraph, PinnedGraph, vkey
@@ -36,11 +45,11 @@ def _as_colored(g):
         raise TypeError(f"cannot canonicalize {type(g).__name__}")
     index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    adj = [[0] * n for _ in range(n)]
+    adj = [{} for _ in range(n)]  # sparse rows: neighbor -> multiplicity
     for u, v in g.edges:
         i, j = index[u], index[v]
-        adj[i][j] += 1
-        adj[j][i] += 1
+        adj[i][j] = adj[i].get(j, 0) + 1
+        adj[j][i] = adj[j].get(i, 0) + 1
     return kind, verts, colors, adj
 
 
@@ -50,16 +59,9 @@ def _refine(cells, adj):
     Splits every cell by the multiset of edge multiplicities into each cell,
     keeping a deterministic cell order (parent position, then signature).
     """
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
+    while True:
         # cell index per vertex for signature computation
-        where = {}
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                where[v] = ci
-        ncells = len(cells)
+        where = {v: ci for ci, cell in enumerate(cells) for v in cell}
         out = []
         for cell in cells:
             if len(cell) == 1:
@@ -67,18 +69,14 @@ def _refine(cells, adj):
                 continue
             sigs = {}
             for v in cell:
-                counts = [0] * ncells
-                row = adj[v]
-                for w, mult in enumerate(row):
-                    if mult:
-                        counts[where[w]] += mult
+                counts = [0] * len(cells)
+                for w, mult in adj[v].items():
+                    counts[where[w]] += mult
                 sigs.setdefault(tuple(counts), []).append(v)
-            if len(sigs) > 1:
-                changed = True
-            for key in sorted(sigs):
-                out.append(sigs[key])
+            out.extend(sigs[key] for key in sorted(sigs))
+        if len(out) == len(cells):
+            return cells
         cells = out
-    return cells
 
 
 def _split_cell(cells, v):
@@ -98,70 +96,79 @@ def _leaf_code(kind, order, colors, adj):
     color_part = "".join(str(colors[v]) for v in order)
     entries = []
     for v in range(n):
-        row = adj[v]
-        i = pos[v]
-        for w in range(v + 1, n):
-            if row[w]:
-                a, b = sorted((i, pos[w]))
-                entries.append((a, b, row[w]))
+        for w, mult in adj[v].items():
+            if w > v:
+                entries.append((*sorted((pos[v], pos[w])), mult))
     entries.sort()
     edge_part = ",".join(f"{a}-{b}x{m}" for a, b, m in entries)
     return f"{kind}{n}|{color_part}|{edge_part}"
 
 
-def _cell_interchangeable(cell, adj, singleton):
-    """True when any internal ordering of `cell` yields the same leaf code.
-
-    Requires every edge from the cell to stay inside the cell or go to a
-    singleton cell (stability then makes the external row parts identical),
-    and the internal multiplicities to be uniform across all pairs (so the
-    induced subgraph is permutation-invariant).
-    """
-    members = set(cell)
-    for v in cell:
-        for w, mult in enumerate(adj[v]):
-            if mult and w not in singleton and w not in members:
-                return False
-    k = adj[cell[0]][cell[1]]
-    return all(adj[u][v] == k for i, u in enumerate(cell) for v in cell[i + 1:])
+def _join(orbit, g):
+    """Merge the orbits, held as vertex -> label, under automorphism `g`."""
+    for v in orbit:
+        a, b = orbit[v], orbit[g[v]]
+        if a != b:
+            orbit.update({w: a for w in orbit if orbit[w] == b})
 
 
-def _fix_interchangeable(cells, adj):
-    """Expand ambiguous cells whose members are provably interchangeable.
-
-    Keeps graphs with many mutually equivalent vertices (isolated vertices,
-    complete cells, parallel repeated components) from exploding the search;
-    the leaf code does not depend on the order chosen for such a cell.
-    """
-    changed = True
-    while changed:
-        changed = False
-        singleton = {cell[0] for cell in cells if len(cell) == 1}
-        out = []
-        for cell in cells:
-            if len(cell) > 1 and _cell_interchangeable(cell, adj, singleton):
-                out.extend([v] for v in cell)
-                changed = True
-            else:
-                out.append(cell)
-        cells = out
-    return cells
+def _automorphism(known, cells, adj):
+    """The map from partition `known` onto `cells`, position by position, when
+    their cell sizes agree and it is an automorphism; else None."""
+    if [len(c) for c in known] != [len(c) for c in cells]:
+        return None
+    g = [0] * len(adj)
+    for a, b in zip(chain.from_iterable(known), chain.from_iterable(cells)):
+        g[a] = b
+    if all(adj[g[v]].get(g[w]) == mult
+           for v, row in enumerate(adj) for w, mult in row.items()):
+        return g
+    return None
 
 
-def _search(kind, cells, colors, adj, best):
-    cells = _refine(cells, adj)
-    if any(len(c) > 1 for c in cells):
-        cells = _fix_interchangeable(cells, adj)
-    if all(len(c) == 1 for c in cells):
-        order = [c[0] for c in cells]
-        code = _leaf_code(kind, order, colors, adj)
-        if best[0] is None or code < best[0]:
-            best[0] = code
-            best[1] = order
-        return
-    target = next(c for c in cells if len(c) > 1)
-    for v in target:
-        _search(kind, _split_cell(cells, v), colors, adj, best)
+def _search(kind, cells, colors, adj):
+    """(code, order) of the minimum leaf, pruned by automorphisms."""
+    first = []  # (partition, path) of each node on the first path
+    best = []   # [code, order, partition, path] of the best leaf
+    autos = []  # automorphisms found so far, as lists v -> image
+
+    def visit(cells, path):
+        cells = _refine(cells, adj)
+        target = next((c for c in cells if len(c) > 1), None)
+        if not best:
+            first.append((cells, path))
+        else:
+            known = first[len(path):len(path) + 1]
+            if target is None and best[2] is not first[-1][0]:
+                known.append(best[2:])
+            for partition, known_path in known:
+                g = _automorphism(partition, cells, adj)
+                if g is not None:
+                    autos.append(g)
+                    return next(i for i, (a, b) in enumerate(zip(path, known_path))
+                                if a != b)
+        if target is None:
+            order = [c[0] for c in cells]
+            code = _leaf_code(kind, order, colors, adj)
+            if not best or code < best[0]:
+                best[:] = [code, order, cells, path]
+            return len(path)
+        orbit, done, used, back = {v: v for v in target}, [], 0, len(path)
+        for v in target:
+            for g in autos[used:]:
+                if all(g[x] == x for x in path):
+                    _join(orbit, g)
+            used = len(autos)
+            if any(orbit[u] == orbit[v] for u in done):
+                continue
+            done.append(v)
+            back = visit(_split_cell(cells, v), path + [v])
+            if back < len(path):
+                break
+        return min(back, len(path))
+
+    visit(cells, [])
+    return best[:2]
 
 
 def canonical_form(g, max_vertices: int = DEFAULT_MAX_VERTICES):
@@ -171,17 +178,9 @@ def canonical_form(g, max_vertices: int = DEFAULT_MAX_VERTICES):
     if n > max_vertices:
         raise SizeLimitError(
             f"canonicalization bound exceeded: {n} vertices > {max_vertices}")
-    if n == 0:
-        return f"{kind}0||", {}
-    start = []
-    if 0 in colors:
-        start.append([i for i in range(n) if colors[i] == 0])
-    if 1 in colors:
-        start.append([i for i in range(n) if colors[i] == 1])
-    best = [None, None]
-    _search(kind, start, colors, adj, best)
-    labeling = {verts[v]: i for i, v in enumerate(best[1])}
-    return best[0], labeling
+    start = [[i for i in range(n) if colors[i] == c] for c in sorted(set(colors))]
+    code, order = _search(kind, start, colors, adj)
+    return code, {verts[v]: i for i, v in enumerate(order)}
 
 
 def canonical_code(g, max_vertices: int = DEFAULT_MAX_VERTICES) -> CanonicalCode:

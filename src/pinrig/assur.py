@@ -32,8 +32,7 @@ from typing import Optional
 from .errors import GraphError, NotIsostaticError
 from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, deletion_verdicts
-from .pebble import (is_circuit, pinned_dof, pinned_game, pinned_isostatic,
-                     pinned_orientation)
+from .pebble import is_circuit, pinned_game, pinned_orientation
 
 
 def _require_isostatic(g: PinnedGraph, message: str):
@@ -179,8 +178,8 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
     if len(g.pins) < 2:
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False, reason="fewer than two pins")
-    if not pinned_isostatic(g):
-        dof = pinned_dof(g)
+    dof, witness = pinned_game(g)
+    if dof or witness:
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False, pinned_dof=dof,
                             reason=f"not pinned isostatic (pinned DOF {dof})")

@@ -21,8 +21,6 @@ and `verify` raise it to the graph's size: they run with no size guard.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .errors import SizeLimitError
 from .graphs import Multigraph, PinnedGraph, vkey
 
@@ -118,7 +116,7 @@ def _automorphism(known, cells, adj):
     if [len(c) for c in known] != [len(c) for c in cells]:
         return None
     g = [0] * len(adj)
-    for a, b in zip(chain.from_iterable(known), chain.from_iterable(cells)):
+    for a, b in zip([v for c in known for v in c], [v for c in cells for v in c]):
         g[a] = b
     if all(adj[g[v]].get(g[w]) == mult
            for v, row in enumerate(adj) for w, mult in row.items()):

@@ -51,12 +51,12 @@ def cmd_dof(args):
         "F": before.dof,
         "link_count": before.link_count,
         "constraint_sum": before.constraint_sum,
-        "lower_bound_caveat": bool(before.overbraced),
+        "lower_bound_caveat": before.overbraced,
         "after_driver_removal": {
             "F": after.dof,
             "link_count": after.link_count,
             "constraint_sum": after.constraint_sum,
-            "lower_bound_caveat": bool(after.overbraced),
+            "lower_bound_caveat": after.overbraced,
         },
     }
     if before.overbraced:

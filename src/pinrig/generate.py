@@ -10,10 +10,10 @@ oracles in :mod:`pinrig.counting` cross-check them in the test suite.
 
 A certificate records a construction path from a base (dyad or K4) to a
 target graph.  `certify` reduces backwards with reverse edge-splits and
-reverse 2-sums, never backtracking; `verify_certificate` replays forward in
-linear time and compares canonical codes, enforcing a step grammar so that a
-passing certificate with a dyad/K4 base really does witness the Assur
-property.
+reverse 2-sums, never backtracking; `verify_certificate` replays forward and
+compares canonical codes, of the result and of every 2-sum operand, enforcing
+a step grammar so that a passing certificate with a dyad/K4 base really does
+witness the Assur property.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
-from .canon import canonical_code, canonical_relabel
+from .canon import canonical_code, canonical_form
 from .errors import CertificateError, GraphError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
                      contraction_star, fresh_id, norm_edge,
@@ -191,6 +191,13 @@ def _set_partitions(items):
             return
 
 
+def _add_class(found, g):
+    """Keep `g`, canonically relabeled, unless `found` has its class already."""
+    code, lab = canonical_form(g)
+    if code not in found:
+        found[code] = g.relabeled(lab)
+
+
 def circuit_catalog(n_max: int) -> dict:
     """Representatives of all rigidity circuit classes on 4..n_max vertices.
 
@@ -200,16 +207,14 @@ def circuit_catalog(n_max: int) -> dict:
     """
     if not 4 <= n_max <= ENUM_MAX_VERTICES:
         raise GraphError(f"circuit enumeration supports 4..{ENUM_MAX_VERTICES} vertices")
-    by_n = {4: {canonical_code(complete_graph(4)): canonical_relabel(complete_graph(4))}}
+    by_n = {4: {}}
+    _add_class(by_n[4], complete_graph(4))
     for n in range(5, n_max + 1):
         found = {}
         for c in by_n.get(n - 1, {}).values():
             for u, w in set(c.edges):
                 for x in sorted(c.vertices - {u, w}, key=vkey):
-                    cand = edge_split(c, (u, w), x, new_vertex=n - 1)
-                    code = canonical_code(cand)
-                    if code not in found:
-                        found[code] = canonical_relabel(cand)
+                    _add_class(found, edge_split(c, (u, w), x, new_vertex=n - 1))
         for n1 in range(4, (n + 2) // 2 + 1):
             n2 = n + 2 - n1
             if n2 < n1 or n2 not in by_n:
@@ -220,10 +225,7 @@ def circuit_catalog(n_max: int) -> dict:
                     for e1 in set(c1.edges):
                         for e2 in set(shifted.edges):
                             for flip in (False, True):
-                                cand = two_sum(c1, shifted, e1, e2, flip=flip)
-                                code = canonical_code(cand)
-                                if code not in found:
-                                    found[code] = canonical_relabel(cand)
+                                _add_class(found, two_sum(c1, shifted, e1, e2, flip=flip))
         by_n[n] = found
     return {n: tuple(reps[c] for c in sorted(reps))
             for n, reps in by_n.items() if reps}
@@ -248,7 +250,8 @@ def assur_catalog(n_max: int) -> dict:
     """
     if not 3 <= n_max <= ENUM_MAX_VERTICES:
         raise GraphError(f"assur enumeration supports 3..{ENUM_MAX_VERTICES} vertices")
-    buckets = {3: {canonical_code(_dyad()): canonical_relabel(_dyad())}}
+    buckets = {3: {}}
+    _add_class(buckets[3], _dyad())
     if n_max >= 5:
         for n_c, circuits in circuit_catalog(n_max - 1).items():
             for c in circuits:
@@ -265,10 +268,7 @@ def assur_catalog(n_max: int) -> dict:
                                       for bi, block in enumerate(blocks)
                                       for nbr in block]
                         g = split_contracted_vertex(c, v, assignment)
-                        code = canonical_code(g)
-                        bucket = buckets.setdefault(g.n, {})
-                        if code not in bucket:
-                            bucket[code] = canonical_relabel(g)
+                        _add_class(buckets.setdefault(g.n, {}), g)
     return {n: tuple(reps[c] for c in sorted(reps))
             for n, reps in sorted(buckets.items())}
 
@@ -346,9 +346,11 @@ def _apply_step(g, st: ConstructionStep):
         return edge_split(g, (st.get("u"), st.get("w")), st.get("x"),
                           new_vertex=st.get("v"))
     if st.kind == "two-sum":
-        other = replay_certificate(st.get("other"))
-        if not isinstance(other, Multigraph):
-            raise CertificateError("two-sum operand certificate must build a multigraph")
+        claim = st.get("other")
+        other = replay_certificate(claim)
+        if (not isinstance(other, Multigraph)
+                or canonical_code(other, max_vertices=max(12, other.n)) != claim.claimed):
+            raise CertificateError("two-sum operand must build the multigraph it claims")
         a, b = st.get("a"), st.get("b")
         return two_sum(g, other, (a, b), (a, b), flip=False)
     if st.kind == "vertex-split":
@@ -367,7 +369,7 @@ def replay_certificate(cert: Certificate):
     Multigraph-phase steps must be circuit-preserving for a ``k4`` base (or
     independence-preserving for an ``edge`` base); a single ``pin-split``
     moves to the pinned phase, after which only Assur-preserving pinned steps
-    are allowed.  Runs in time linear in the certificate size.
+    are allowed, and each 2-sum operand must build the code it claims.
     """
     g = _base_graph(cert)
     pinned = cert.base_kind == "dyad"

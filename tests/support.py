@@ -227,6 +227,24 @@ def random_multigraph(rng, n, m, allow_parallel=False):
     return Multigraph(range(n), edges)
 
 
+def nested_k4(depth):
+    """K4 with a K4 2-summed onto edge (0, 1), then `depth` - 1 more rounds
+    of 2-sums with K4 onto every edge at vertex 0 the last round made: a
+    rigidity circuit on 2^(depth+1) + 2 vertices with a large automorphism
+    group."""
+    edges = list(combinations(range(4), 2))
+    frontier, n = [(0, 1)], 4
+    for _ in range(depth):
+        grown = []
+        for u, w in frontier:
+            edges.remove((u, w))
+            edges += [(u, n), (u, n + 1), (w, n), (w, n + 1), (n, n + 1)]
+            grown += [(u, n), (u, n + 1)]
+            n += 2
+        frontier = grown
+    return Multigraph(range(n), edges)
+
+
 def random_circuit(rng, nv, two_sums):
     """A rigidity circuit on nv vertices: K4, then `two_sums` 2-sums with K4
     (two new vertices each) and edge-splits (one new vertex each), in random

@@ -62,6 +62,27 @@ def test_size_bound_enforced():
     assert canonical_code(big, max_vertices=13)
 
 
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_symmetric_circuit_takes_at_most_one_leaf_per_vertex(depth, monkeypatch):
+    # 6 to 130 vertices; a leaf is a search node whose refined partition is
+    # discrete, so wrapping the refinement counts every node and leaf
+    from pinrig import canon
+    counts = {"nodes": 0, "leaves": 0}
+    refine = canon._refine
+
+    def counted(cells, adj):
+        out = refine(cells, adj)
+        counts["nodes"] += 1
+        counts["leaves"] += all(len(c) == 1 for c in out)
+        return out
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    g = support.nested_k4(depth)
+    canonical_code(g, max_vertices=g.n)
+    assert 1 <= counts["leaves"] <= g.n
+    assert counts["nodes"] <= 2 * g.n
+
+
 def test_canonical_relabel_is_stable():
     g = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     rel = canonical_relabel(g)
@@ -91,10 +112,39 @@ def test_agrees_with_brute_force_on_4_vertex_graphs():
         assert same_code == same_iso, (graphs[i], graphs[j])
 
 
+def _with_shuffled_copies(graphs, rng):
+    """Each graph and a copy under a random relabeling (an isomorphic pair)."""
+    out = []
+    for g in graphs:
+        verts = sorted(g.vertices, key=str)
+        new = [f"x{i}" for i in range(len(verts))]
+        rng.shuffle(new)
+        out += [g, g.relabeled(dict(zip(verts, new)))]
+    return out
+
+
+K4_EDGES = list(combinations(range(4), 2))
+SYMMETRIC = [
+    Multigraph(range(6), []),                                  # isolated vertices
+    Multigraph(range(6), [(0, 1), (0, 1)]),                    # doubled edge, isolated
+    Multigraph(range(6), [(0, 1), (2, 3)]),                    # matching, isolated
+    Multigraph(range(5), [(a, b) for a in (0, 1) for b in (2, 3, 4)]),          # twins
+    Multigraph(range(5), [(0, 1)] + [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+    Multigraph(range(8), K4_EDGES + [(a + 4, b + 4) for a, b in K4_EDGES]),  # 2 K4s
+]
+SYMMETRIC_PINNED = [
+    PinnedGraph([0, 1], ["P0", "P1", "P2"],                    # twins, isolated pin
+                [(0, "P0"), (0, "P1"), (1, "P0"), (1, "P1")]),
+    PinnedGraph([0, 1, 2], ["P0", "P1", "P2"], [(i, f"P{i}") for i in range(3)]),
+    PinnedGraph([0, 1, 2], ["P0", "P1"],                       # twin pins
+                [(0, 1), (1, 2), (0, 2), (0, "P0"), (0, "P1")]),
+]
+
+
 def test_agrees_with_brute_force_on_sampled_larger_graphs():
     rng = random.Random(20260810)
     pool = [support.random_multigraph(rng, rng.randint(5, 6), rng.randint(4, 10))
-            for _ in range(60)]
+            for _ in range(60)] + _with_shuffled_copies(SYMMETRIC, rng)
     codes = [canonical_code(g) for g in pool]
     for i, j in combinations(range(len(pool)), 2):
         assert (codes[i] == codes[j]) == support.brute_isomorphic(pool[i], pool[j])
@@ -111,6 +161,7 @@ def test_agrees_with_brute_force_on_pinned_graphs():
                  + [(a, p) for a in inner for p in pins])
         m = rng.randint(1, len(pairs))
         pool.append(PinnedGraph(inner, pins, rng.sample(pairs, m)))
+    pool += _with_shuffled_copies(SYMMETRIC_PINNED, rng)
     codes = [canonical_code(g) for g in pool]
     for i, j in combinations(range(len(pool)), 2):
         assert (codes[i] == codes[j]) == support.brute_isomorphic(pool[i], pool[j])

@@ -54,6 +54,22 @@ class TestDof:
         assert doc["lower_bound_caveat"] is True
         assert "overbraced_subcollection" in doc
 
+    def test_caveat_is_null_when_the_scan_is_skipped(self, tmp_path, capsys):
+        # 13 links are past the overbrace scan's bound, so the pairwise
+        # joined b1..b4 (3*3 - 2*6 < 0) go unseen: unknown, not false
+        bars, tail = ["b1", "b2", "b3", "b4"], [f"d{i}" for i in range(1, 8)]
+        joints = ([["ground", "c"], ["c", "b1"], ["b4", "d1"]]
+                  + [[a, b] for i, a in enumerate(bars) for b in bars[i + 1:]]
+                  + [[a, b] for a, b in zip(tail, tail[1:])])
+        doc = {"links": ["ground", "c"] + bars + tail, "ground": "ground",
+               "joints": [{"incident": j} for j in joints]}
+        code, out, _ = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["link_count"] == 13
+        assert doc["lower_bound_caveat"] is None
+        assert doc["after_driver_removal"]["lower_bound_caveat"] is None
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "dof", "no_such_file.json")
         assert code == 2 and err
@@ -265,6 +281,43 @@ class TestCertifyVerify:
         code, out, _ = run(capsys, "verify", str(cert_path))
         assert code == 1
         assert json.loads(out)["valid"] is False
+
+    @staticmethod
+    def _nested_k4_split(depth):
+        """Three-pin split of vertex 0 of `support.nested_k4(depth)`."""
+        from pinrig.graphs import split_contracted_vertex
+        m = support.nested_k4(depth)
+        nbrs = sorted(m.neighbors(0).elements())
+        return split_contracted_vertex(m, 0, [(x, f"P{i % 3}") for i, x in enumerate(nbrs)])
+
+    def test_round_trip_on_a_66_vertex_symmetric_circuit(self, tmp_path, capsys):
+        g = self._nested_k4_split(5)
+        assert g.n == 68
+        path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+        cert_path = str(tmp_path / "cert.json")
+        assert run(capsys, "certify", path, "--out", cert_path)[0] == 0
+        code, out, _ = run(capsys, "verify", cert_path)
+        assert code == 0 and json.loads(out)["valid"] is True
+
+    def test_tampered_operand_claim_fails_at_every_level(self, tmp_path, capsys):
+        doc = certificate_to_dict(certify(self._nested_k4_split(2)))
+
+        def operands(cert, level):
+            for st in cert["steps"]:
+                if st["kind"] == "two-sum":
+                    yield st["other"], level
+                    yield from operands(st["other"], level + 1)
+
+        levels = []
+        for operand, level in operands(doc, 1):
+            claimed = operand["claimed"]
+            operand["claimed"] = "tampered: not a canonical code"
+            code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+            assert code == 1 and json.loads(out)["valid"] is False, level
+            operand["claimed"] = claimed
+            levels.append(level)
+        assert levels == [1, 2, 2]
+        assert run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))[0] == 0
 
     def test_non_assur_input_fails(self, capsys):
         code, out, _ = run(capsys, "certify", str(SAMPLES / "stacked_dyads.json"))
@@ -515,7 +568,7 @@ def test_assur_check_validates_and_decomposes_once(tmp_path, capsys, monkeypatch
     import random
 
     from pinrig import assur, pebble
-    calls = {"pinned_isostatic": 0, "pebble_rank": 0}
+    calls = {"pinned_game": 0, "pebble_rank": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -523,20 +576,20 @@ def test_assur_check_validates_and_decomposes_once(tmp_path, capsys, monkeypatch
             return fn(*args, **kwargs)
         return wrapper
 
-    isostatic = counted("pinned_isostatic", pebble.pinned_isostatic)
-    monkeypatch.setattr(pebble, "pinned_isostatic", isostatic)
-    monkeypatch.setattr(assur, "pinned_isostatic", isostatic)
+    game = counted("pinned_game", pebble.pinned_game)
+    monkeypatch.setattr(pebble, "pinned_game", game)
+    monkeypatch.setattr(assur, "pinned_game", game)
     monkeypatch.setattr(pebble, "pebble_rank", counted("pebble_rank", pebble.pebble_rank))
     parts = [support.triad(), support.dyad(), support.basic_5(), support.dyad()]
     g, _ = support.stack(random.Random(6), parts, ["G0", "G1", "G2"])
     path = _write_json(tmp_path, "g.json", graph_to_dict(g))
     for method in ("all", "ii", "iii"):
-        calls.update(pinned_isostatic=0, pebble_rank=0)
+        calls.update(pinned_game=0, pebble_rank=0)
         code, out, _ = run(capsys, "check", path, "--mode", "assur", "--method", method)
         doc = json.loads(out)
         assert code == 1 and set(doc["conditions"].values()) == {False}
         assert "witness_subgraph" in doc and "witness_extra_circuit" in doc
-        assert calls["pinned_isostatic"] == 1
+        assert calls["pinned_game"] == 1
         assert calls["pebble_rank"] <= 3
 
 
@@ -638,7 +691,7 @@ def test_scaffolded_game_is_played_once_per_command(tmp_path, capsys, monkeypatc
     assert not pinned_isostatic(bottom) and bottom.m == 2 * len(bottom.inner)
     cases = [(assur_graph, ("check", "decompose", "certify")),
              (edge_deleted, ("check", "check-pinned", "decompose", "certify")),
-             (bottom, ("check-pinned", "decompose"))]
+             (bottom, ("check", "check-pinned", "decompose", "certify"))]
     for g, commands in cases:
         path = _write_json(tmp_path, "g.json", graph_to_dict(g))
         for command in commands:

@@ -131,6 +131,7 @@ def _search(kind, cells, colors, adj):
     autos = []  # automorphisms found so far, as lists v -> image
 
     def visit(cells, path):
+        """Search below one node; returns the depth the search goes on at."""
         cells = _refine(cells, adj)
         target = next((c for c in cells if len(c) > 1), None)
         if not best:

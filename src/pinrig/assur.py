@@ -242,7 +242,7 @@ class AssurScheme:
 
     components: tuple
     ground: frozenset
-    covers: tuple = field(default=())
+    covers: tuple = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "covers", tuple(self._compute_covers()))

@@ -370,8 +370,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail_input(f"cannot read {exc.filename}")
+    except OSError as exc:
+        # input or output path alike: the message names the reason and the path
+        return _fail_input(str(exc))
     except PinrigError as exc:
         return _fail_input(str(exc))
 

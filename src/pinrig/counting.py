@@ -1,9 +1,10 @@
 """Mobility counting and exhaustive counting oracles.
 
-The fast structural machinery lives in :mod:`pinrig.pebble`; everything here
-is either the engineering-level mobility count for linkage schemas or a
-brute-force oracle meant to cross-check the fast paths on small inputs.
-Oracles are exponential by design and refuse inputs above ORACLE_MAX_VERTICES.
+The engineering-level mobility count for linkage schemas lives here; its
+overbrace caveat comes from one game of the :mod:`pinrig.pebble` engine at
+every size.  The rest are brute-force oracles meant to cross-check the fast
+paths on small inputs: they are exponential by design and refuse inputs above
+ORACLE_MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from typing import Optional
 
 from .errors import GraphError, SizeLimitError
 from .graphs import Multigraph, PinnedGraph, vkey
+from .pebble import pebble_rank
 
 ORACLE_MAX_VERTICES = 12
-OVERBRACE_MAX_LINKS = 12
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,14 @@ class DofReport:
 
     `overbraced` is True when some sub-collection of links has a negative
     count of its own (the prediction is then only a lower bound in a way the
-    global number cannot show), False when none exists, and None when the
-    schema was too large to scan.
+    global number cannot show), and False when none exists.  The witness is
+    one such sub-collection, not necessarily the smallest, or None.
     """
 
     dof: int
     link_count: int
     constraint_sum: int
-    overbraced: Optional[bool] = None
+    overbraced: bool
     overbraced_witness: Optional[tuple] = None
 
 
@@ -71,48 +72,46 @@ def _joint_sum(joints):
     return sum(len(j) - 1 for j in joints)
 
 
-def _induced_joint_sum(joints, subset):
-    total = 0
-    for j in joints:
-        k = len(j & subset)
-        if k >= 2:
-            total += k - 1
-    return total
+def _overbraced(schema):
+    """(overbraced, witness) from one (2,3) pebble game.
 
-
-def _scan_overbraced(schema):
-    links = sorted(schema.links, key=vkey)
-    n = len(links)
-    best = None
-    for mask in range(3, 1 << n):
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        subset = frozenset(links[i] for i in range(n) if mask >> i & 1)
-        f = 3 * (size - 1) - 2 * _induced_joint_sum(schema.joints, subset)
-        if f < 0 and (best is None or size < len(best)):
-            best = subset
-    if best is None:
+    Each link with d >= 2 joints becomes 2d - 3 bars on its joints (a rigid
+    body), the joints being the game's vertices.  A sub-collection S of links
+    with joint set V' gives 2|V'| - 3 - F(S) bars, so F(S) < 0 exactly when
+    its bars are dependent.  The reach set R of the first rejected bar spans
+    2|R| - 2 bars, each link at most 2|J ∩ R| - 3 of them, so the links with
+    two or more joints in R have F <= -1: they are the witness.
+    """
+    joints_of = {}
+    for i, j in enumerate(schema.joints):
+        for link in j:
+            joints_of.setdefault(link, []).append(i)
+    bars = []
+    for link in sorted(joints_of, key=vkey):
+        js = joints_of[link]
+        if len(js) >= 2:
+            bars.append((js[0], js[1]))
+            bars += [(k, j) for k in js[2:] for j in js[:2]]
+    rep = pebble_rank(Multigraph(range(len(schema.joints)), bars))
+    if not rep.rejected:
         return False, None
-    return True, tuple(sorted(best, key=vkey))
+    reach = rep.reach[rep.rejected[0]]
+    witness = [link for link, js in joints_of.items()
+               if len(reach.intersection(js)) >= 2]
+    return True, tuple(sorted(witness, key=vkey))
 
 
 def grubler_dof(schema: LinkageSchema) -> DofReport:
     """Planar mobility count for a linkage schema.
 
     The result is exact as an integer but only a lower bound on the actual
-    degree of freedom; overbraced sub-collections (scanned exhaustively when
-    the schema has at most OVERBRACE_MAX_LINKS links) are flagged because they
-    make the global count undershoot.
+    degree of freedom; an overbraced sub-collection, found by one pebble game
+    at any size, is flagged because it makes the global count undershoot.
     """
     l = len(schema.links)
     s = _joint_sum(schema.joints)
-    f = 3 * (l - 1) - 2 * s
-    if l <= OVERBRACE_MAX_LINKS:
-        over, witness = _scan_overbraced(schema)
-    else:
-        over, witness = None, None
-    return DofReport(dof=f, link_count=l, constraint_sum=s,
+    over, witness = _overbraced(schema)
+    return DofReport(dof=3 * (l - 1) - 2 * s, link_count=l, constraint_sum=s,
                      overbraced=over, overbraced_witness=witness)
 
 

@@ -39,7 +39,7 @@ def _load_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise GraphError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -302,7 +302,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
                            base_vertices=tuple(_json_id(v) for v in base["vertices"]),
                            steps=tuple(_step_from_dict(s) for s in doc["steps"]),
                            claimed=doc["claimed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphError(f"bad certificate document: {exc}") from None
 
 

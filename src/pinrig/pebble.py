@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import GraphError
-from .graphs import (Multigraph, PinnedGraph, contract_pins, contraction_star,
-                     fresh_id, norm_edge, vkey)
+from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
 
 
 class _PebbleState:
@@ -272,12 +271,6 @@ def pinned_dof(g: PinnedGraph) -> int:
     return pinned_game(g)[0]
 
 
-def pinned_witness(g: PinnedGraph):
-    """(inner, pins) of the reach set, minus the apex, of the first edge the
-    pin-scaffolded game rejects, or None (see `pinned_game`)."""
-    return pinned_game(g)[1]
-
-
 def pinned_orientation(g: PinnedGraph, edges):
     """Orient `edges` of `g`, in that order, by the (2,0) pebble game.
 
@@ -290,17 +283,3 @@ def pinned_orientation(g: PinnedGraph, edges):
     for u, v in edges:
         state.try_insert(u, v, need=1)
     return state.out
-
-
-def contraction_circuits(g: PinnedGraph, star=None):
-    """Fundamental circuits of the pin contraction of `g`.
-
-    For a pinned isostatic graph these are exactly its circuits; they are
-    pairwise edge-disjoint and meet only in the contracted vertex.
-    Returns (star, contraction, list of frozensets of edge indices).
-    """
-    if star is None:
-        star = contraction_star(g)
-    m = contract_pins(g, star)
-    rep = pebble_rank(m)
-    return star, m, [circuit_indices(rep, i) for i in rep.rejected]

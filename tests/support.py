@@ -124,6 +124,31 @@ def minimality_oracle(g):
     return None
 
 
+def overbraced_oracle(schema):
+    """(overbraced, smallest witness) for a linkage schema: a scan of all
+    2^L link subsets S for a negative count 3(|S|-1) - 2*sum(t_j - 1)+,
+    where t_j is the number of links of S at joint j."""
+    links = sorted(schema.links, key=vkey)
+    n = len(links)
+    best = None
+    for mask in range(3, 1 << n):
+        size = mask.bit_count()
+        if size < 2:
+            continue
+        subset = frozenset(links[i] for i in range(n) if mask >> i & 1)
+        f = 3 * (size - 1) - 2 * subset_joint_sum(schema.joints, subset)
+        if f < 0 and (best is None or size < len(best)):
+            best = subset
+    if best is None:
+        return False, None
+    return True, tuple(sorted(best, key=vkey))
+
+
+def subset_joint_sum(joints, subset):
+    """sum over joints of (t_j - 1)+, counting only the links in `subset`."""
+    return sum(max(len(j & subset) - 1, 0) for j in joints)
+
+
 def deletion_oracle(g, seed=0, trials=8, include_pins=True):
     """(vertex, edge) deletion verdicts one deletion at a time: build the
     graph without each vertex (inner first, then pins) or each edge and ask
@@ -279,3 +304,49 @@ def bar_schema_from_graph(m: Multigraph):
         joints.append(incident)
     return LinkageSchema(links=frozenset(link_of.values()), joints=tuple(joints),
                          ground=link_of[0])
+
+
+def henneberg_graph(rng, n):
+    """A random Laman graph on n >= 2 vertices by Henneberg steps: a new
+    vertex on two old ones, or on three with one old edge between them
+    removed."""
+    edges = [(0, 1)]
+    for v in range(2, n):
+        if v >= 3 and rng.random() < 0.5:
+            u, w = edges.pop(rng.randrange(len(edges)))
+            x = rng.choice([y for y in range(v) if y not in (u, w)])
+            edges += [(v, u), (v, w), (v, x)]
+        else:
+            edges += [(v, u) for u in rng.sample(range(v), 2)]
+    return Multigraph(range(n), edges)
+
+
+def random_linkage(rng, max_links=12):
+    """A random linkage schema with 2..max_links links, from one of three
+    families: random k-ary joints; the bar linkage of a Henneberg graph, with
+    or without one extra bar; and such a bar linkage with two or three bars
+    merged into one link "m" and up to three other bars dropped."""
+    from pinrig.counting import LinkageSchema
+    kind = rng.randrange(3)
+    if kind == 0:
+        links = [f"l{i}" for i in range(rng.randint(2, max_links))]
+        joints = [frozenset(rng.sample(links, rng.randint(2, min(4, len(links)))))
+                  for _ in range(rng.randint(1, len(links) + 1))]
+        return LinkageSchema(links=links, joints=joints, ground=links[0])
+    # 2n - 3 bars plus an extra one must stay within max_links
+    g = henneberg_graph(rng, rng.randint(3, (max_links + 2) // 2))
+    if rng.random() < 0.5 and g.m < max_links:
+        u, w = rng.sample(sorted(g.vertices), 2)
+        g = Multigraph(g.vertices, g.edges + ((u, w),))
+    schema = bar_schema_from_graph(g)
+    if kind == 1:
+        return schema
+    bars = sorted(schema.links, key=vkey)
+    rng.shuffle(bars)
+    k = rng.randint(2, 3)
+    merged, dropped = set(bars[:k]), set(bars[k:k + rng.randint(0, 3)])
+    joints = [frozenset("m" if b in merged else b for b in j if b not in dropped)
+              for j in schema.joints]
+    joints = [j for j in joints if len(j) >= 2]
+    return LinkageSchema(links=frozenset({"m"}).union(*joints), joints=joints,
+                         ground="m")

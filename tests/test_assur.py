@@ -222,6 +222,12 @@ class TestRecompose:
         with pytest.raises(GraphError):
             AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
 
+    def test_covers_are_computed_not_passed(self):
+        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"), ("p2", "G2")))
+        with pytest.raises(TypeError):
+            AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}),
+                        covers=(("c1", "c1"),))
+
     def test_level_ordering_validated(self):
         c1 = AssurComponent("c1", support.dyad(), 2,
                             (("p1", "G1"), ("p2", "G2")))

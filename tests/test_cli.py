@@ -54,9 +54,9 @@ class TestDof:
         assert doc["lower_bound_caveat"] is True
         assert "overbraced_subcollection" in doc
 
-    def test_caveat_is_null_when_the_scan_is_skipped(self, tmp_path, capsys):
-        # 13 links are past the overbrace scan's bound, so the pairwise
-        # joined b1..b4 (3*3 - 2*6 < 0) go unseen: unknown, not false
+    def test_caveat_is_decided_above_12_links(self, tmp_path, capsys):
+        # the pairwise joined b1..b4 (3*3 - 2*6 < 0) are overbraced inside a
+        # 13-link linkage, past the size the old exhaustive scan reached
         bars, tail = ["b1", "b2", "b3", "b4"], [f"d{i}" for i in range(1, 8)]
         joints = ([["ground", "c"], ["c", "b1"], ["b4", "d1"]]
                   + [[a, b] for i, a in enumerate(bars) for b in bars[i + 1:]]
@@ -67,8 +67,9 @@ class TestDof:
         assert code == 0
         doc = json.loads(out)
         assert doc["link_count"] == 13
-        assert doc["lower_bound_caveat"] is None
-        assert doc["after_driver_removal"]["lower_bound_caveat"] is None
+        for level in (doc, doc["after_driver_removal"]):
+            assert level["lower_bound_caveat"] is True
+            assert level["overbraced_subcollection"] == bars
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "dof", "no_such_file.json")
@@ -375,6 +376,49 @@ class TestInputValidation:
         assert code == 2 and "[x, y]" in err
         assert "Traceback" not in err
 
+    def test_directory_as_input_is_input_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "check", str(tmp_path))
+        assert code == 2 and str(tmp_path) in err and "directory" in err.lower()
+
+    def test_directory_as_certificate_output_is_input_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "certify", str(SAMPLES / "triad.json"),
+                           "--out", str(tmp_path))
+        assert code == 2 and str(tmp_path) in err and "directory" in err.lower()
+
+    def test_file_as_generate_output_directory_is_input_error(self, tmp_path, capsys):
+        taken = tmp_path / "triad.json"
+        taken.write_text("{}")
+        code, _, err = run(capsys, "generate", "--assur", "--max-vertices", "5",
+                           "--out", str(taken))
+        assert code == 2 and str(taken) in err and "exists" in err
+
+    def test_undecodable_bytes_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe")
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2 and err.startswith("error:") and "invalid JSON" in err
+
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text("[" * 200_000)
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2 and err.startswith("error:") and "invalid JSON" in err
+
+    @pytest.mark.parametrize("depth, want", [(120, 1), (250, 2)])
+    def test_deeply_nested_two_sum_operands(self, tmp_path, capsys, depth, want):
+        # the operands claim no code, so a certificate that parses is invalid
+        base = '"base": {"kind": "k4", "vertices": [0, 1, 2, 3]}'
+        doc = '{%s, "steps": [], "claimed": ""}' % base
+        for _ in range(depth):
+            doc = ('{%s, "steps": [{"kind": "two-sum", "a": 0, "b": 1, "other": %s}], '
+                   '"claimed": ""}' % (base, doc))
+        path = tmp_path / "cert.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == want
+        if want == 2:
+            assert "bad certificate document" in err
+
 
 # Arbitrary JSON documents, plus graph-shaped ones whose ids come from a small
 # pool so that many of them reach the analysis instead of the input checks.
@@ -392,6 +436,21 @@ _GRAPH_DOCS = st.fixed_dictionaries({
         lambda vs: [{"id": v, "kind": k} for v, k in vs]) | _JSON_DOCS,
     "edges": st.lists(st.lists(_IDS, min_size=2, max_size=2), max_size=12) | _JSON_DOCS,
 })
+
+# Linkage-shaped documents: links from a small id pool, some of them drivers,
+# and k-ary joints over those links, so that many of them reach the count.
+_LINK_IDS = st.sampled_from(["g", "a", "b", "c", "d", "e", "f", 1, 2])
+
+
+@st.composite
+def _linkage_docs(draw):
+    links = draw(st.lists(_LINK_IDS, min_size=2, max_size=9, unique=True))
+    drivers = draw(st.sets(st.sampled_from(links), max_size=1))
+    joints = draw(st.lists(st.lists(st.sampled_from(links), min_size=2, max_size=4,
+                                    unique=True), max_size=14))
+    return {"links": [{"id": x, "driver": True} if x in drivers else x for x in links],
+            "ground": draw(st.sampled_from(links) | _JSON_DOCS),
+            "joints": [{"incident": j} for j in joints]}
 
 
 def _mutated(doc, data):
@@ -442,6 +501,20 @@ class TestExitCodeContract:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(["verify", str(path)])
         assert code in (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_JSON_DOCS | _linkage_docs())
+    def test_dof_exits_0_or_2_and_always_decides_the_caveat(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "l.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["dof", str(path)])
+        assert code in (0, 2)
+        if code == 0:
+            report = json.loads(out.getvalue())
+            for level in (report, report["after_driver_removal"]):
+                assert isinstance(level["lower_bound_caveat"], bool)
 
 
 class TestFileFormats:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,34 @@ class TestGrubler:
         assert rep.dof == 1
         assert rep.overbraced is True
         assert set(rep.overbraced_witness) == {"b1", "b2", "b3", "b4", "b5", "b6"}
+
+    def test_overbrace_game_agrees_with_the_subset_scan(self):
+        # a seeded slice of the cross-check against the 2^L scan
+        rng = random.Random(2024)
+        tally = Counter()
+        for _ in range(400):
+            schema = support.random_linkage(rng)
+            rep = grubler_dof(schema)
+            over, smallest = support.overbraced_oracle(schema)
+            assert rep.overbraced is over
+            if over:
+                w = frozenset(rep.overbraced_witness)
+                assert 3 * (len(w) - 1) < 2 * support.subset_joint_sum(schema.joints, w)
+                assert len(w) >= len(smallest)
+            else:
+                assert rep.overbraced_witness is None
+            tally[over] += 1
+        assert tally[True] >= 100 and tally[False] >= 100
+
+    def test_caveat_on_a_999_link_bar_linkage(self):
+        g = support.henneberg_graph(random.Random(1), 501)
+        assert grubler_dof(support.bar_schema_from_graph(g)).overbraced is False
+        schema = support.bar_schema_from_graph(
+            Multigraph(g.vertices, g.edges + ((0, 500),)))
+        rep = grubler_dof(schema)
+        assert rep.link_count == 1000 and rep.overbraced is True
+        w = frozenset(rep.overbraced_witness)
+        assert 3 * (len(w) - 1) < 2 * support.subset_joint_sum(schema.joints, w)
 
     def test_joint_needs_two_links(self):
         with pytest.raises(GraphError):

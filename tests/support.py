@@ -322,7 +322,7 @@ def henneberg_graph(rng, n):
 
 
 def random_linkage(rng, max_links=12):
-    """A random linkage schema with 2..max_links links, from one of three
+    """A random linkage schema with at most max_links links, from one of three
     families: random k-ary joints; the bar linkage of a Henneberg graph, with
     or without one extra bar; and such a bar linkage with two or three bars
     merged into one link "m" and up to three other bars dropped."""

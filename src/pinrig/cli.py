@@ -154,10 +154,7 @@ def cmd_decompose(args):
         _emit({"decomposable": False, "reason": str(exc),
                "pinned_dof": exc.dof})
         return FAIL
-    doc = scheme_report(scheme)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    _emit(doc)
+    # files first: an unwritable path exits 2 before any report is printed
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(fileio.scheme_to_dot(scheme))
@@ -165,6 +162,10 @@ def cmd_decompose(args):
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(fileio.scheme_to_dict(scheme), fh, indent=2, default=str)
             fh.write("\n")
+    doc = scheme_report(scheme)
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    _emit(doc)
     return PASS
 
 
@@ -272,8 +273,7 @@ def cmd_generate(args):
     counts = {str(n): len(graphs) for n, graphs in catalog.items()}
     codes = {str(n): [canonical_code(g) for g in graphs]
              for n, graphs in catalog.items()}
-    _emit({"kind": kind, "max_vertices": args.max_vertices,
-           "counts": counts, "codes": codes})
+    # files first: an unwritable path exits 2 before any report is printed
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for n, graphs in catalog.items():
@@ -282,6 +282,8 @@ def cmd_generate(args):
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(to_doc(g), fh, indent=2, default=str)
                     fh.write("\n")
+    _emit({"kind": kind, "max_vertices": args.max_vertices,
+           "counts": counts, "codes": codes})
     return PASS
 
 

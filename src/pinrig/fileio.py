@@ -154,16 +154,19 @@ def linkage_from_dict(doc: dict) -> LinkageSchema:
         raise GraphError("linkage document needs 'links' and 'joints'")
     if not (isinstance(doc["links"], list) and isinstance(doc["joints"], list)):
         raise GraphError("linkage 'links' and 'joints' must be lists")
-    links, drivers = [], []
+    links, drivers = set(), []
     for entry in doc["links"]:
         if isinstance(entry, dict):
             if "id" not in entry:
                 raise GraphError(f"bad link entry {entry!r}")
-            links.append(_json_id(entry["id"], "link"))
+            lid = _json_id(entry["id"], "link")
             if entry.get("driver"):
-                drivers.append(entry["id"])
+                drivers.append(lid)
         else:
-            links.append(_json_id(entry, "link"))
+            lid = _json_id(entry, "link")
+        if lid in links:
+            raise GraphError(f"duplicate link id {lid!r}")
+        links.add(lid)
     if "ground" not in doc:
         raise GraphError("linkage document needs a 'ground' link id")
     joints = []

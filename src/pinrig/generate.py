@@ -10,7 +10,8 @@ oracles in :mod:`pinrig.counting` cross-check them in the test suite.
 
 A certificate records a construction path from a base (dyad or K4) to a
 target graph.  `certify` reduces backwards with reverse edge-splits and
-reverse 2-sums, never backtracking; `verify_certificate` replays forward and
+reverse 2-sums, never backtracking, on one pebble state that holds the current
+circuit minus one rejected edge; `verify_certificate` replays forward and
 compares canonical codes, of the result and of every 2-sum operand, enforcing
 a step grammar so that a passing certificate with a dyad/K4 base really does
 witness the Assur property.
@@ -29,7 +30,7 @@ from .errors import CertificateError, GraphError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
                      contraction_star, fresh_id, norm_edge,
                      split_contracted_vertex, vkey)
-from .pebble import is_circuit
+from .pebble import is_circuit, pebble_state
 
 ENUM_MAX_VERTICES = 10
 
@@ -68,12 +69,16 @@ def edge_split(g, e, x, new_vertex=None):
         # contraction, so no circuit-level split corresponds to them
         if sum(1 for t in (u, w, x) if t in g.pins) > 1:
             raise GraphError("at most one of the three attachments may be pinned")
-        rest = g.without_edge(u, w)
-        return PinnedGraph(rest.inner | {v}, rest.pins,
-                           rest.edges + ((v, u), (v, w), (v, x)))
-    rest = g.without_edge(u, w)
-    return Multigraph(rest.vertices | {v},
-                      rest.edges + ((v, u), (v, w), (v, x)))
+    # one copy of (u, w) out, three new edges in, and a single graph built
+    edges = list(g.edges)
+    try:
+        edges.remove((u, w))
+    except ValueError:
+        raise GraphError(f"edge {(u, w)!r} not present") from None
+    edges += [(v, u), (v, w), (v, x)]
+    if isinstance(g, PinnedGraph):
+        return PinnedGraph(g.inner | {v}, g.pins, edges)
+    return Multigraph(g.vertices | {v}, edges)
 
 
 def two_sum(c1: Multigraph, c2: Multigraph, e1, e2, flip: bool = False) -> Multigraph:
@@ -398,42 +403,19 @@ def verify_certificate(cert: Certificate) -> bool:
         return False
 
 
-def _components_without(m: Multigraph, a, b):
-    rest = m.vertices - {a, b}
-    seen = set()
-    comps = []
-    for start in sorted(rest, key=vkey):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in m.neighbors(x):
-                if y in rest and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _reverse_edge_split(m: Multigraph):
-    """First reverse edge-split of `m` that leaves a circuit: (smaller, step)."""
-    for v in sorted(m.vertices, key=vkey):
-        if m.degree(v) != 3:
-            continue
-        nbrs = sorted(m.neighbors(v), key=vkey)
-        if len(nbrs) != 3:
-            continue
-        for a, b in combinations(nbrs, 2):
-            if m.has_edge(a, b):
-                continue
-            smaller = m.without_vertex(v).with_edge(a, b)
-            if is_circuit(smaller):
-                third = next(x for x in nbrs if x not in (a, b))
-                return smaller, step("edge-split", u=a, w=b, x=third, v=v)
-    return None
+def _first_side(adj, order, a, b):
+    """The component of m - {a, b} that holds its first vertex in `order`,
+    or None when m - {a, b} is connected."""
+    start = next(x for x in order if x != a and x != b)
+    side = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y != a and y != b and y not in side:
+                side.add(y)
+                stack.append(y)
+    return side if len(side) < len(order) - 2 else None
 
 
 def _reverse_two_sum(m: Multigraph):
@@ -443,13 +425,15 @@ def _reverse_two_sum(m: Multigraph):
     everything else; each side plus the edge ab must be a circuit.  Side two
     is reduced on its own into the step's operand certificate.
     """
-    for a, b in combinations(sorted(m.vertices, key=vkey), 2):
-        comps = _components_without(m, a, b)
-        if len(comps) < 2:
+    order = sorted(m.vertices, key=vkey)
+    adj = {x: m.neighbors(x) for x in order}
+    for a, b in combinations(order, 2):
+        first = _first_side(adj, order, a, b)
+        if first is None:
             continue
         sides = ([], [])
         for e in m.edges:
-            sides[not (e[0] in comps[0] or e[1] in comps[0])].append(e)
+            sides[not (e[0] in first or e[1] in first)].append(e)
         c1, c2 = (Multigraph({a, b} | {x for e in side for x in e}, side + [(a, b)])
                   for side in sides)
         if is_circuit(c1) and is_circuit(c2):
@@ -461,6 +445,56 @@ def _reverse_two_sum(m: Multigraph):
     return None
 
 
+def _circuit_state(m: Multigraph):
+    """Circuit `m` as (adjacency, pebble state of m minus r, r), where r is
+    the one edge the game rejects."""
+    state, rejected = pebble_state(m)
+    return {x: m.neighbors(x) for x in m.vertices}, state, rejected[0]
+
+
+def _unsplit(adj, state, r):
+    """First reverse edge-split of the circuit M held as (adj, state, r):
+    (step or None, the edge the state now lacks).
+
+    M minus a vertex v is independent with 2|V - v| - 3 edges, so adding a
+    non-edge ab between two of v's neighbours closes a single circuit, the
+    fundamental circuit of ab; M - v + ab is a circuit exactly when the
+    reach set of the rejected ab is all of V - v.  A rejected try leaves a
+    valid orientation, so nothing is undone.  On success `adj` and `state`
+    hold the smaller circuit and its missing edge is ab; otherwise v's edges
+    go back in and the one rejected becomes the missing edge.  A dropped v
+    stays in the state as an isolated vertex with two pebbles, which no
+    search reaches.
+    """
+    for v in sorted(adj, key=vkey):
+        nbrs = adj[v]
+        if len(nbrs) != 3 or sum(nbrs.values()) != 3:
+            continue
+        order = sorted(nbrs, key=vkey)
+        # each pair in order with the neighbour it leaves out, which loses its
+        # edge to v: no circuit on four or more vertices has a vertex of degree 2
+        pairs = [(a, b, x) for (a, b), x in zip(combinations(order, 2), order[::-1])
+                 if not adj[a][b] and sum(adj[x].values()) > 3]
+        if not pairs:
+            continue
+        for x in order:
+            if not (v in r and x in r):
+                state.remove_edge(v, x)
+        if v not in r:
+            state.try_insert(*r)  # accepted: M - v is independent
+        for a, b, x in pairs:
+            _, reach = state.try_insert(a, b)
+            if len(reach) == len(adj) - 1:
+                for y in order:
+                    del adj[y][v]
+                del adj[v]
+                adj[a][b] += 1
+                adj[b][a] += 1
+                return step("edge-split", u=a, w=b, x=x, v=v), (a, b)
+        r = [(v, x) for x in order if not state.try_insert(v, x)[0]][0]
+    return None, r
+
+
 def _reduce_circuit(m: Multigraph):
     """Reduce circuit `m` to K4: (base vertex tuple, forward step list).
 
@@ -468,16 +502,28 @@ def _reduce_circuit(m: Multigraph):
     J. Combin. Theory Ser. B 88, 2003), so any move that leaves a smaller
     circuit can be carried on down to K4: the first one found is taken and
     never undone.  Reverse edge-splits come first, then reverse 2-sums.
+
+    The current circuit M lives in one pebble state holding M minus one
+    rejected edge r; each reverse edge-split deletes and re-inserts edges
+    there (Jacobs & Hendrickson, J. Comput. Phys. 137, 1997).  Only a
+    reverse 2-sum builds graphs, and it starts a fresh state on side one.
     """
     steps = []
-    while not (m.n == 4 and m.m == 6 and m.is_simple()):
-        move = _reverse_edge_split(m) or _reverse_two_sum(m)
-        if move is None:
-            raise GraphError("internal error: circuit has no reverse edge-split "
-                             "and no reverse 2-sum")
-        m, st = move
+    adj, state, r = _circuit_state(m)
+    while not (len(adj) == 4
+               and all(sorted(c.values()) == [1, 1, 1] for c in adj.values())):
+        st, r = _unsplit(adj, state, r)
+        if st is None:
+            m = Multigraph(adj, [(x, y) for x in adj for y in adj[x].elements()
+                                 if vkey(x) < vkey(y)])
+            move = _reverse_two_sum(m)
+            if move is None:
+                raise GraphError("internal error: circuit has no reverse edge-split "
+                                 "and no reverse 2-sum")
+            m, st = move
+            adj, state, r = _circuit_state(m)
         steps.append(st)
-    return tuple(sorted(m.vertices, key=vkey)), steps[::-1]
+    return tuple(sorted(adj, key=vkey)), steps[::-1]
 
 
 def certify(g: PinnedGraph) -> Certificate:

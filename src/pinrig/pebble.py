@@ -34,8 +34,9 @@ from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
 
 
 class _PebbleState:
-    """Mutable game state, confined to one game; `pebbles` maps each vertex
-    to its starting pebbles."""
+    """Mutable game state; `pebbles` maps each vertex to its starting
+    pebbles.  Edges are inserted by `try_insert` and deleted by
+    `remove_edge`."""
 
     def __init__(self, pebbles):
         self.pebbles = pebbles
@@ -102,6 +103,19 @@ class _PebbleState:
         self.out[u][v] += 1
         return True, None
 
+    def remove_edge(self, u, v):
+        """Delete one accepted copy of edge (u, v).
+
+        The vertex the edge leaves gets back the pebble that paid for it, so
+        the invariant holds and the state is the game on the remaining edges.
+        """
+        if not self.out[u][v]:
+            u, v = v, u
+        self.out[u][v] -= 1
+        if not self.out[u][v]:
+            del self.out[u][v]
+        self.pebbles[u] += 1
+
 
 @dataclass(frozen=True)
 class RankReport:
@@ -156,6 +170,14 @@ def pebble_rank(m: Multigraph, edge_order: Optional[Sequence[int]] = None) -> Ra
     return RankReport(graph=m, rank=len(independent),
                       independent=tuple(independent), rejected=tuple(rejected),
                       order=order, reach=reach)
+
+
+def pebble_state(m: Multigraph):
+    """Play the (2,3) game over the edges of `m` in order: (state, rejected
+    edges).  The state stays live for a caller that goes on to delete edges
+    (`remove_edge`) and insert them (`try_insert`)."""
+    state = _PebbleState(dict.fromkeys(m.vertices, 2))
+    return state, [e for e in m.edges if not state.try_insert(*e)[0]]
 
 
 def circuit_indices(report: RankReport, rejected_index: int) -> frozenset:

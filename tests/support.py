@@ -10,9 +10,10 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 
-from pinrig.generate import edge_split
+from pinrig.generate import edge_split, step
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
 from pinrig.numeric import all_inner_move
+from pinrig.pebble import is_circuit
 
 # -- fixtures ----------------------------------------------------------------
 
@@ -121,6 +122,27 @@ def minimality_oracle(g):
         if induced and induced >= 2 * (mask & ((1 << ni) - 1)).bit_count():
             return (tuple(verts[i] for i in range(ni) if mask >> i & 1),
                     tuple(verts[i] for i in range(ni, n) if mask >> i & 1))
+    return None
+
+
+def reverse_edge_split_oracle(m):
+    """First reverse edge-split of circuit `m` that leaves a circuit, as
+    (smaller circuit, step), or None: each vertex of degree 3 with three
+    distinct neighbours in vkey order, each non-adjacent neighbour pair in
+    order, two graphs built and a whole circuit game played per pair."""
+    for v in sorted(m.vertices, key=vkey):
+        if m.degree(v) != 3:
+            continue
+        nbrs = sorted(m.neighbors(v), key=vkey)
+        if len(nbrs) != 3:
+            continue
+        for a, b in combinations(nbrs, 2):
+            if m.has_edge(a, b):
+                continue
+            smaller = m.without_vertex(v).with_edge(a, b)
+            if is_circuit(smaller):
+                third = next(x for x in nbrs if x not in (a, b))
+                return smaller, step("edge-split", u=a, w=b, x=third, v=v)
     return None
 
 

@@ -392,6 +392,27 @@ class TestInputValidation:
                            "--out", str(taken))
         assert code == 2 and str(taken) in err and "exists" in err
 
+    def test_unwritable_generate_output_prints_no_report(self, tmp_path, capsys):
+        taken = tmp_path / "taken.json"
+        taken.write_text("{}")
+        code, out, _ = run(capsys, "generate", "--assur", "--max-vertices", "4",
+                           "--out", str(taken))
+        assert code == 2 and out == ""
+
+    def test_unwritable_decompose_output_prints_no_report(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "decompose", str(SAMPLES / "triad.json"),
+                             "--json", str(target))
+        assert code == 2 and out == "" and str(target) in err
+
+    def test_duplicate_link_id_is_input_error(self, tmp_path, capsys):
+        doc = {"links": ["g", "a", "a", "b"], "ground": "g",
+               "joints": [{"incident": ["g", "a"]}, {"incident": ["a", "b"]},
+                          {"incident": ["b", "g"]}]}
+        code, out, err = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
+        assert code == 2 and out == ""
+        assert "duplicate link id 'a'" in err
+
     def test_undecodable_bytes_are_input_error(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_bytes(b"\xff\xfe")

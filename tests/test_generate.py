@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,8 +15,8 @@ from pinrig.generate import (Certificate, ConstructionStep, assur_catalog, certi
                              pin_rearrangement, replay_certificate, step,
                              two_sum, verify_certificate, vertex_addition,
                              vertex_split)
-from pinrig.graphs import (Multigraph, complete_graph, contract_pins,
-                           split_contracted_vertex)
+from pinrig.graphs import (Multigraph, complete_graph, contract_pins, norm_edge,
+                           split_contracted_vertex, vkey)
 from pinrig.pebble import is_isostatic
 
 
@@ -379,3 +380,46 @@ def test_verify_certificate_step_missing_parameter_is_false():
     cert = Certificate("k4", (0, 1, 2, 3),
                        (ConstructionStep("edge-split", (("u", 0), ("w", 1))),), "")
     assert verify_certificate(cert) is False
+
+
+def test_every_reduction_step_matches_the_oracle(monkeypatch):
+    """On every step of the one-state reduction, nested 2-sum operands
+    included, the state holds the circuit minus its rejected edge, and the
+    reverse edge-split taken (or its absence) is the oracle's."""
+    from pinrig import generate
+    real = generate._unsplit
+    taken = Counter()
+
+    def graph_of(adj):
+        return Multigraph(adj, [(x, y) for x in adj for y in adj[x].elements()
+                                if vkey(x) < vkey(y)])
+
+    def held_plus(state, r):
+        out = state.out
+        return Counter([norm_edge(*r)] + [norm_edge(x, y) for x in out
+                                          for y in out[x].elements()])
+
+    def checked(adj, state, r):
+        m = graph_of(adj)
+        assert held_plus(state, r) == m.edge_counter()
+        want = support.reverse_edge_split_oracle(m)
+        st, r = real(adj, state, r)
+        if want is None:
+            assert st is None and held_plus(state, r) == m.edge_counter()
+            taken["none"] += 1
+        else:
+            assert st == want[1] and graph_of(adj) == want[0]
+            assert norm_edge(*r) == norm_edge(st.get("u"), st.get("w"))
+            taken["edge-split"] += 1
+        return st, r
+
+    monkeypatch.setattr(generate, "_unsplit", checked)
+    rng = random.Random(8)
+    for i in range(48):
+        nv = rng.randint(8, 36)
+        two_sums = rng.randint(1, (nv - 4) // 2) if i % 2 else 0
+        c = support.random_circuit(rng, nv, two_sums)
+        base, steps = generate._reduce_circuit(c)
+        assert verify_certificate(Certificate("k4", base, tuple(steps),
+                                              canonical_code(c, max_vertices=nv)))
+    assert taken["none"] >= 24 and taken["edge-split"] >= 700

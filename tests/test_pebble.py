@@ -331,3 +331,38 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             if isinstance(node, ast.ImportFrom) and node.level:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
+    from pinrig.pebble import pebble_state
+    rng = random.Random(21)
+
+    def check(state, edges):
+        out = state.out
+        assert all(state.pebbles[v] + sum(out[v].values()) == 2 for v in state.pebbles)
+        arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
+        assert arcs == Counter(frozenset(e) for e in edges)
+        return sum(state.pebbles.values())
+
+    for _ in range(40):
+        g = support.henneberg_graph(rng, rng.randint(3, 24))
+        state, rejected = pebble_state(g)
+        assert not rejected
+        edges = list(g.edges)
+        for _ in range(3):
+            gone = rng.sample(edges, rng.randint(1, len(edges)))
+            rest = list(edges)
+            for u, v in gone:
+                state.remove_edge(*rng.sample((u, v), 2))
+                rest.remove((u, v))
+                assert check(state, rest) == 3 + len(edges) - len(rest)
+            # a subset of an independent set is independent: all come back
+            assert all(state.try_insert(u, v)[0] for u, v in gone)
+            assert check(state, edges) == 3
+        # the Laman graph is rigid: any further edge is rejected, and its
+        # reach set spans a tight subgraph
+        u, v = rng.sample(sorted(g.vertices), 2)
+        ok, reach = state.try_insert(u, v)
+        assert not ok and {u, v} <= reach
+        assert sum(1 for e in edges if set(e) <= reach) == 2 * len(reach) - 3
+        assert check(state, edges) == 3

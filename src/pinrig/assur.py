@@ -8,8 +8,10 @@ are implemented separately and `is_assur` runs any subset of them, flagging
 disagreement (which, the equivalence being a theorem, signals a bug or an
 unlucky random sample rather than a property of the graph).  `is_assur`
 validates its input once and then calls the checks' bodies; the two
-deletion checks share one inverse of the pinned rigidity matrix per random
-sample (`numeric.deletion_verdicts`).
+deletion checks share their random samples: one inverse of the pinned
+rigidity matrix answers every deletion, and each check's first deletion
+still fixed, its witness, is confirmed by one solve per later sample
+(`numeric.deletion_verdicts`).
 
 The decomposition and the minimality check come from one orientation: the
 (2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
@@ -89,10 +91,12 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
 
     The single-inner-vertex-of-degree-2 graph passes outright.  By default
     pins are deleted too; `include_pins=False` restricts to inner vertices.
-    Every deletion is read off one inverse of the pinned rigidity matrix per
-    random sample (`numeric.deletion_verdicts`): True is certain, and False
-    is wrong with probability at most about 2|I|/p per vertex per sample
-    (p = 2^61 - 1), raised to the power `trials`.
+    Every deletion is read off one inverse of the pinned rigidity matrix,
+    and the first vertex whose deletion stays fixed, the witness, is solved
+    for again at each later random sample (`numeric.deletion_verdicts`).
+    True is certain.  False means the witness stayed fixed at `trials`
+    samples, and is wrong with probability at most about (2|I|/p)^trials
+    (p = 2^61 - 1).
     """
     _require_isostatic(g, "vertex deletion check requires a pinned isostatic graph")
     return _deletion_checks(g, seed, trials, include_pins)[0]
@@ -102,10 +106,12 @@ def check_edge_deletion(g: PinnedGraph, seed: int = 0,
                         trials: int = DEFAULT_TRIALS) -> bool:
     """Deleting any edge leaves a motion of all inner vertices.
 
-    Every deletion is read off one inverse of the pinned rigidity matrix per
-    random sample (`numeric.deletion_verdicts`): True is certain, and False
-    is wrong with probability at most about 2|I|/p per edge per sample
-    (p = 2^61 - 1), raised to the power `trials`.
+    Every deletion is read off one inverse of the pinned rigidity matrix,
+    and the first edge whose deletion stays fixed, the witness, is solved
+    for again at each later random sample (`numeric.deletion_verdicts`).
+    True is certain.  False means the witness stayed fixed at `trials`
+    samples, and is wrong with probability at most about (2|I|/p)^trials
+    (p = 2^61 - 1).
     """
     _require_isostatic(g, "edge deletion check requires a pinned isostatic graph")
     return _deletion_checks(g, seed, trials)[1]

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import assur as assur_mod
 from . import counting, fileio, generate, numeric, pebble
-from .canon import canonical_code
 from .errors import GraphError, NotIsostaticError, PinrigError
 from .graphs import PinnedGraph, vkey
 
@@ -260,24 +259,23 @@ def cmd_generate(args):
     if args.circuits == args.assur:
         return _fail_input("choose exactly one of --circuits / --assur")
     if args.circuits:
-        catalog = generate.circuit_catalog(args.max_vertices)
+        classes = generate.circuit_classes(args.max_vertices)
         kind = "circuit"
 
         def to_doc(g):
             # circuits are plain graphs; store them with every vertex inner
             return fileio.graph_to_dict(PinnedGraph(g.vertices, (), g.edges))
     else:
-        catalog = generate.assur_catalog(args.max_vertices)
+        classes = generate.assur_classes(args.max_vertices)
         kind = "assur"
         to_doc = fileio.graph_to_dict
-    counts = {str(n): len(graphs) for n, graphs in catalog.items()}
-    codes = {str(n): [canonical_code(g) for g in graphs]
-             for n, graphs in catalog.items()}
+    counts = {str(n): len(reps) for n, reps in classes.items()}
+    codes = {str(n): list(reps) for n, reps in classes.items()}
     # files first: an unwritable path exits 2 before any report is printed
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for n, graphs in catalog.items():
-            for i, g in enumerate(graphs):
+        for n, reps in classes.items():
+            for i, g in enumerate(reps.values()):
                 path = os.path.join(args.out, f"{kind}_n{n}_{i}.json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(to_doc(g), fh, indent=2, default=str)

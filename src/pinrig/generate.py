@@ -203,12 +203,17 @@ def _add_class(found, g):
         found[code] = g.relabeled(lab)
 
 
-def circuit_catalog(n_max: int) -> dict:
+def _sorted_classes(by_n):
+    """{n: {code: graph}} with vertex counts and codes in sorted order."""
+    return {n: dict(sorted(reps.items())) for n, reps in sorted(by_n.items()) if reps}
+
+
+def circuit_classes(n_max: int) -> dict:
     """Representatives of all rigidity circuit classes on 4..n_max vertices.
 
     Closure of {K4} under edge-split and 2-sum, breadth-first by vertex count,
-    deduplicated by canonical code.  Returns {vertex count: tuple of
-    canonically labeled multigraphs}.
+    deduplicated by canonical code.  Returns {vertex count: {canonical code:
+    canonically labeled multigraph}}, codes in sorted order.
     """
     if not 4 <= n_max <= ENUM_MAX_VERTICES:
         raise GraphError(f"circuit enumeration supports 4..{ENUM_MAX_VERTICES} vertices")
@@ -232,26 +237,30 @@ def circuit_catalog(n_max: int) -> dict:
                             for flip in (False, True):
                                 _add_class(found, two_sum(c1, shifted, e1, e2, flip=flip))
         by_n[n] = found
-    return {n: tuple(reps[c] for c in sorted(reps))
-            for n, reps in by_n.items() if reps}
+    return _sorted_classes(by_n)
+
+
+def circuit_catalog(n_max: int) -> dict:
+    """{vertex count: tuple of the `circuit_classes` representatives}."""
+    return {n: tuple(reps.values()) for n, reps in circuit_classes(n_max).items()}
 
 
 def enumerate_circuits(n_max: int) -> frozenset:
     """Canonical codes of every circuit class reachable within n_max vertices."""
-    return frozenset(canonical_code(g)
-                     for reps in circuit_catalog(n_max).values() for g in reps)
+    return frozenset(code for reps in circuit_classes(n_max).values() for code in reps)
 
 
 def _dyad() -> PinnedGraph:
     return PinnedGraph({0}, {1, 2}, [(0, 1), (0, 2)])
 
 
-def assur_catalog(n_max: int) -> dict:
+def assur_classes(n_max: int) -> dict:
     """Representatives of all Assur graph classes with at most n_max vertices.
 
     The dyad, plus every pin-splitting of every vertex of every circuit on at
     most n_max - 1 vertices (each pin must receive an edge, so no isolated
-    pins appear).  Returns {total vertex count: tuple of pinned graphs}.
+    pins appear).  Returns {total vertex count: {canonical code:
+    canonically labeled pinned graph}}, codes in sorted order.
     """
     if not 3 <= n_max <= ENUM_MAX_VERTICES:
         raise GraphError(f"assur enumeration supports 3..{ENUM_MAX_VERTICES} vertices")
@@ -274,14 +283,17 @@ def assur_catalog(n_max: int) -> dict:
                                       for nbr in block]
                         g = split_contracted_vertex(c, v, assignment)
                         _add_class(buckets.setdefault(g.n, {}), g)
-    return {n: tuple(reps[c] for c in sorted(reps))
-            for n, reps in sorted(buckets.items())}
+    return _sorted_classes(buckets)
+
+
+def assur_catalog(n_max: int) -> dict:
+    """{total vertex count: tuple of the `assur_classes` representatives}."""
+    return {n: tuple(reps.values()) for n, reps in assur_classes(n_max).items()}
 
 
 def enumerate_assur(n_max: int) -> frozenset:
     """Canonical codes of every Assur class with at most n_max vertices."""
-    return frozenset(canonical_code(g)
-                     for reps in assur_catalog(n_max).values() for g in reps)
+    return frozenset(code for reps in assur_classes(n_max).values() for code in reps)
 
 
 # -- certificates --------------------------------------------------------------

@@ -20,8 +20,10 @@ Three coordinate domains are supported:
                   a ConditioningWarning instead of silently deciding.
 
 The vertex- and edge-deletion checks of the Assur characterization read
-every deletion off one GF(p) inverse of the square pinned rigidity matrix per
-sample (`deletion_verdicts`).
+every deletion off one GF(p) inverse of the square pinned rigidity matrix at
+the first invertible sample; a target still fixed is then confirmed on its
+own, one witness per check, by solving for its motion at each later sample
+(`deletion_verdicts`).
 """
 
 from __future__ import annotations
@@ -354,21 +356,28 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     """Whether deleting any vertex, and any edge, of a graph with 2|I| edges
     leaves a motion of every remaining inner vertex.
 
-    Each sample draws a random GF(p) configuration and inverts the square
-    pinned rigidity matrix R once.  Deleting edge j leaves the motions
-    spanned by column j of R^-1; deleting a pin removes only the rows of its
-    edges, so their columns span what is left; deleting inner vertex v also
-    drops v's two coordinates from the span of its edges' columns.  Each
-    target not yet seen to move takes a random combination of its columns
-    and moves when every remaining inner 2x1 block is nonzero.  A target
-    seen to move once moves generically: at an invertible sample the columns
-    are rational functions of the configuration that are nonzero there, so
-    True is certain.  A target still fixed after `trials` samples makes its
-    check False; that is wrong with probability at most about 2|I|/p per
-    target per sample (Schwartz-Zippel, p = 2^61 - 1), raised to the power
-    `trials`.  A singular sample uses up a trial.  Deleting the only inner
-    vertex leaves nothing to move and is skipped.  `include_pins=False`
-    deletes inner vertices only.  Returns (vertex verdict, edge verdict).
+    Each sample draws a random GF(p) configuration and its square pinned
+    rigidity matrix R.  Deleting edge j leaves the motions spanned by column
+    j of R^-1; deleting a pin removes only the rows of its edges, so their
+    columns span what is left; deleting inner vertex v also drops v's two
+    coordinates from the span of its edges' columns.  A target moves at a
+    sample when a random combination x of its columns moves every remaining
+    inner 2x1 block.  Every target is tested up to the first invertible
+    sample, which inverts R once.  After it, each kind (vertex, edge) with a
+    target still fixed tests only its first one, its witness: one
+    elimination of [R | b1 b2] per sample solves R x = b, with b a random
+    combination of the unit vectors of the witness's edges.  A witness that
+    moves is dropped and the next fixed target of its kind takes over, with
+    the samples it was tested at so far (one, unless singular samples came
+    first).  A target seen to move once moves generically: at an invertible
+    sample x is a rational function of the configuration that is nonzero
+    there, so True is certain.  A kind is False when its witness stayed
+    fixed at `trials` samples; that is wrong only if the witness moves
+    generically, with probability at most about (2|I|/p)^trials for a given
+    target (Schwartz-Zippel, p = 2^61 - 1).  A singular sample counts as a
+    fixed sample for every target it tests.  Deleting the only inner vertex
+    leaves nothing to move and is skipped.  `include_pins=False` deletes
+    inner vertices only.  Returns (vertex verdict, edge verdict).
     """
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
@@ -380,24 +389,48 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
                for v in deleted if len(inner) > 1 or v not in block]
     targets += [(False, [j], None) for j in range(g.m)]
     rng = random.Random(seed)
-    for _ in range(trials):
-        if not targets:
+
+    def sample():
+        return build_rigidity_matrix(g, random_configuration(g, rng), field="mod").rows
+
+    shared = 0  # samples that tested every target
+    while targets and shared < trials:
+        shared += 1
+        inv = _inverse_mod(sample())
+        if inv is not None:
+            cols = list(zip(*inv))
+            targets = [t for t in targets
+                       if not _moves([cols[j] for j in t[1]], rng, t[2])]
             break
-        mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
-        inv = _inverse_mod(mat.rows)
-        if inv is None:
-            continue
-        cols = list(zip(*inv))
-        targets = [t for t in targets
-                   if not _moves([cols[j] for j in t[1]], rng, t[2])]
-    fixed = {t[0] for t in targets}
-    return True not in fixed, False not in fixed
+    fixed = {kind: [t for t in targets if t[0] is kind] for kind in (True, False)}
+    count = dict.fromkeys(fixed, shared)
+    n = g.m
+    while active := [k for k in fixed if fixed[k] and count[k] < trials]:
+        aug = [list(row) + [0] * len(active) for row in sample()]
+        for c, k in enumerate(active):
+            for j in fixed[k][0][1]:
+                aug[j][n + c] = rng.randrange(1, PRIME)
+        pivots, reduced = _rref_mod(aug)
+        invertible = pivots == list(range(n))
+        for c, k in enumerate(active):
+            if invertible and _all_move([row[n + c] for row in reduced], fixed[k][0][2]):
+                fixed[k].pop(0)
+                count[k] = shared
+            else:
+                count[k] += 1
+    return not fixed[True], not fixed[False]
 
 
 def _moves(vectors, rng, dropped=None):
     """A random combination of `vectors` moves every inner 2x1 block except
     block `dropped` (no vectors, no motion)."""
     lams = [rng.randrange(1, PRIME) for _ in vectors]
-    vec = [sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)]
+    return _all_move([sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)],
+                     dropped)
+
+
+def _all_move(vec, dropped=None):
+    """`vec` moves every inner 2x1 block except block `dropped` (an empty
+    vector does not move)."""
     return bool(vec) and all(vec[2 * i] or vec[2 * i + 1]
                              for i in range(len(vec) // 2) if i != dropped)

@@ -10,9 +10,11 @@ import random
 from collections import Counter
 from itertools import combinations, permutations
 
+from pinrig.errors import GraphError
 from pinrig.generate import edge_split, step
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
-from pinrig.numeric import all_inner_move
+from pinrig.numeric import (_inverse_mod, _moves, all_inner_move, build_rigidity_matrix,
+                            random_configuration)
 from pinrig.pebble import is_circuit
 
 # -- fixtures ----------------------------------------------------------------
@@ -192,6 +194,44 @@ def deletion_oracle(g, seed=0, trials=8, include_pins=True):
                               trials=trials)
                for u, v in g.edges)
     return vertex, edge
+
+
+def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
+    """(vertex, edge) deletion verdicts with one full GF(p) inverse per
+    sample: every target still fixed takes a random combination of its
+    columns of R^-1 at each of `trials` samples (a singular one uses up a
+    trial).  The inverse-per-sample route that `numeric.deletion_verdicts`
+    replaced; deleting the only inner vertex is skipped."""
+    if not g.inner or g.m != 2 * len(g.inner):
+        raise GraphError("deletion checks need inner vertices and 2|I| edges")
+    inner = sorted(g.inner, key=vkey)
+    block = {v: i for i, v in enumerate(inner)}
+    deleted = inner + sorted(g.pins, key=vkey) if include_pins else inner
+    # (is a vertex, edge indices spanning its motions, dropped block)
+    targets = [(True, [j for j, e in enumerate(g.edges) if v in e], block.get(v))
+               for v in deleted if len(inner) > 1 or v not in block]
+    targets += [(False, [j], None) for j in range(g.m)]
+    rng = random.Random(seed)
+    for _ in range(trials):
+        if not targets:
+            break
+        mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
+        inv = _inverse_mod(mat.rows)
+        if inv is None:
+            continue
+        cols = list(zip(*inv))
+        targets = [t for t in targets
+                   if not _moves([cols[j] for j in t[1]], rng, t[2])]
+    fixed = {t[0] for t in targets}
+    return True not in fixed, False not in fixed
+
+
+def generic_configuration(g, seed=0):
+    """Integer coordinates below 10^9 for every vertex: a generic position
+    for exact rational motion checks, but for an event of tiny probability."""
+    rng = random.Random(seed)
+    return {v: (rng.randrange(10 ** 9), rng.randrange(10 ** 9))
+            for v in sorted(g.vertices, key=vkey)}
 
 
 # -- brute-force isomorphism ---------------------------------------------------

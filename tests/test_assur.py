@@ -14,7 +14,8 @@ from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, _deletion_ch
                           is_assur, minimality_violation, recompose)
 from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
-from pinrig.graphs import PinnedGraph, compose
+from pinrig.graphs import PinnedGraph, compose, vkey
+from pinrig.numeric import motion_space
 from pinrig.pebble import pinned_isostatic
 
 
@@ -415,3 +416,117 @@ def test_singular_sample_counts_as_a_trial(monkeypatch, triad, stacked_dyads):
         singular.clear()
         # the only sample is the singular one: no target is seen to move
         assert numeric.deletion_verdicts(g, seed=9, trials=1) == (False, False)
+
+
+def test_deletions_match_inverse_oracle_on_assur_graphs_and_compositions():
+    # the replaced route, one full inverse per sample, on 3-60 inner vertices
+    rng = random.Random(53)
+    for k, size in enumerate((3, 5, 8, 13, 21, 34, 60)):
+        assur = support.edge_split_assur(rng, size - 3)
+        parts, placed = [], 0
+        while placed < size:
+            room = size - placed - (0 if parts else 1)  # room for a second part
+            part = (support.edge_split_assur(rng, rng.randint(0, min(room, 20) - 3))
+                    if room >= 3 else support.dyad())
+            parts.append(part)
+            placed += len(part.inner)
+        composed, _ = support.stack(rng, parts, ["G0", "G1"])
+        assert len(assur.inner) == len(composed.inner) == size and len(parts) > 1
+        for g in (assur, composed):
+            for include_pins in (True, False):
+                expected = support.deletion_inverse_oracle(g, seed=k,
+                                                           include_pins=include_pins)
+                assert expected == ((True, True) if g is assur else (False, False))
+                assert numeric.deletion_verdicts(g, seed=k, include_pins=include_pins) \
+                    == expected, (size, g is assur, include_pins)
+
+
+def _fixed_at(h, config):
+    """Some inner vertex of `h` stays still in every motion at `config`, in
+    exact rationals."""
+    basis = motion_space(h, {v: config[v] for v in h.vertices})
+    return any(all(vec[v] == (0, 0) for vec in basis.vectors) for v in h.inner)
+
+
+def _fixed_deletions(g, config):
+    """Per kind (vertex, edge), the deletion targets in `deletion_verdicts`
+    order that leave some inner vertex fixed at `config`."""
+    inner = sorted(g.inner, key=vkey)
+    vertices = [h for h in map(g.without_vertex, inner + sorted(g.pins, key=vkey))
+                if h.inner]
+    edges = [g.without_edge(u, v) for u, v in g.edges]
+    return [[i for i, h in enumerate(hs) if _fixed_at(h, config)]
+            for hs in (vertices, edges)]
+
+
+def _hand_over_run(monkeypatch, g, special, trials):
+    """deletion_verdicts with the configurations `special` gives by sample
+    number (from 1); returns the verdicts, the samples drawn and the
+    right-hand sides solved per confirmation sample."""
+    real_config, real_rref = numeric.random_configuration, numeric._rref_mod
+    samples, widths = [], []
+
+    def configure(h, rng):
+        samples.append(h)
+        return dict(special[len(samples)]) if len(samples) in special \
+            else real_config(h, rng)
+
+    def counted(rows, *a):
+        widths.append(len(rows[0]) - len(rows))
+        return real_rref(rows, *a)
+
+    monkeypatch.setattr(numeric, "random_configuration", configure)
+    monkeypatch.setattr(numeric, "_rref_mod", counted)
+    verdicts = numeric.deletion_verdicts(g, seed=5, trials=trials)
+    monkeypatch.undo()
+    return verdicts, len(samples), widths[1:]
+
+
+TRIAD_SPECIAL = {"b": (0, 0), "c": (1, 0), "q3": (2, 0), "a": (0, 1),
+                 "q1": (-1, 3), "q2": (1, -2)}
+
+
+def test_witness_hand_over_ends_true_when_every_witness_moves(monkeypatch, triad):
+    # b, c and q3 collinear: the bar c-q3 points at b, so deletions that leave
+    # the triangle on the bars b-q2 and c-q3 hold b still at this position only
+    assert motion_space(triad, TRIAD_SPECIAL).dim == 0
+    fixed = _fixed_deletions(triad, TRIAD_SPECIAL)
+    assert all(fixed) and _fixed_deletions(triad, support.generic_configuration(triad)) \
+        == [[], []]
+    # each witness moves at its first confirmation sample and hands over
+    verdicts, samples, widths = _hand_over_run(monkeypatch, triad, {1: TRIAD_SPECIAL}, 8)
+    assert verdicts == (True, True)
+    assert samples == 1 + max(map(len, fixed))
+    assert widths == [2] * min(map(len, fixed)) + [1] * abs(len(fixed[0]) - len(fixed[1]))
+
+
+def test_witness_hand_over_restarts_the_count_of_the_next_witness(monkeypatch, triad):
+    # a dyad z on the triad's vertex a and pin q1: deleting z, or one of its
+    # bars, leaves the triad rigid, so those targets are fixed generically
+    g = PinnedGraph(triad.inner | {"z"}, triad.pins,
+                    list(triad.edges) + [("z", "a"), ("z", "q1")])
+    special = dict(TRIAD_SPECIAL, z=(3, 4))
+    assert motion_space(g, special).dim == 0
+    fixed = _fixed_deletions(g, special)
+    generic = _fixed_deletions(g, support.generic_configuration(g))
+    # per kind, the witnesses that move before the first generically fixed one
+    moving = [fx.index(gn[0]) for fx, gn in zip(fixed, generic)]
+    assert all(moving) and all(set(gn) <= set(fx) for fx, gn in zip(fixed, generic))
+    for trials in (2, 3, 5, 8):
+        # each moving witness takes one sample; the first fixed one has been
+        # fixed at one sample when it takes over and needs trials - 1 more
+        per_kind = [k + trials - 1 for k in moving]
+        verdicts, samples, widths = _hand_over_run(monkeypatch, g, {1: special}, trials)
+        assert verdicts == (False, False)
+        assert samples == 1 + max(per_kind)
+        assert widths == [2] * min(per_kind) + [1] * abs(per_kind[0] - per_kind[1])
+
+
+def test_singular_confirmation_sample_counts_for_both_witnesses(monkeypatch,
+                                                                stacked_dyads):
+    collinear = {v: (k, 0) for k, v in enumerate(sorted(stacked_dyads.vertices, key=vkey))}
+    for trials in (3, 5):
+        verdicts, samples, widths = _hand_over_run(monkeypatch, stacked_dyads,
+                                                   {2: collinear}, trials)
+        assert verdicts == (False, False)
+        assert samples == trials and widths == [2] * (trials - 1)

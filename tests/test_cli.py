@@ -2,6 +2,7 @@ import io
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,34 @@ class TestGenerate:
     def test_requires_exactly_one_kind(self, capsys):
         code, _, err = run(capsys, "generate", "--max-vertices", "5")
         assert code == 2 and err
+
+    def test_report_searches_no_code_the_catalog_found(self, capsys, monkeypatch):
+        from pinrig import canon, generate
+        calls = []
+        real = canon.canonical_form
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(canon, "canonical_form", counted)
+        monkeypatch.setattr(generate, "canonical_form", counted)
+        golden = json.loads(Path(__file__).with_name("canon_codes_8.json").read_text())
+        for flag, catalog, enumerate_codes in (
+                ("--circuits", generate.circuit_catalog, generate.enumerate_circuits),
+                ("--assur", generate.assur_catalog, generate.enumerate_assur)):
+            calls.clear()
+            catalog(7)
+            searches = len(calls)
+            calls.clear()
+            code, out, _ = run(capsys, "generate", flag, "--max-vertices", "7")
+            assert code == 0 and len(calls) == searches
+            codes = json.loads(out)["codes"]
+            assert codes == {n: c for n, c in golden[catalog.__name__].items()
+                             if int(n) <= 7}
+            calls.clear()
+            assert enumerate_codes(7) == {c for cs in codes.values() for c in cs}
+            assert len(calls) == searches
 
 
 class TestCertifyVerify:

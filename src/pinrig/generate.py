@@ -11,10 +11,11 @@ oracles in :mod:`pinrig.counting` cross-check them in the test suite.
 A certificate records a construction path from a base (dyad or K4) to a
 target graph.  `certify` reduces backwards with reverse edge-splits and
 reverse 2-sums, never backtracking, on one pebble state that holds the current
-circuit minus one rejected edge; `verify_certificate` replays forward and
-compares canonical codes, of the result and of every 2-sum operand, enforcing
-a step grammar so that a passing certificate with a dyad/K4 base really does
-witness the Assur property.
+circuit minus one rejected edge: the state of the game that found the
+circuit (`pebble.circuit_state`), one game per side of a reverse 2-sum.
+`verify_certificate` replays forward and compares canonical codes, of the
+result and of every 2-sum operand, enforcing a step grammar so that a passing
+certificate with a dyad/K4 base really does witness the Assur property.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 
+from .assur import is_assur
 from .canon import canonical_code, canonical_form
 from .errors import CertificateError, GraphError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
                      contraction_star, fresh_id, norm_edge,
                      split_contracted_vertex, vkey)
-from .pebble import is_circuit, pebble_state
+from .pebble import circuit_state
 
 ENUM_MAX_VERTICES = 10
 
@@ -364,6 +366,8 @@ def _apply_step(g, st: ConstructionStep):
                           new_vertex=st.get("v"))
     if st.kind == "two-sum":
         claim = st.get("other")
+        if not isinstance(claim, Certificate):
+            raise CertificateError("two-sum operand must be a certificate")
         other = replay_certificate(claim)
         if (not isinstance(other, Multigraph)
                 or canonical_code(other, max_vertices=max(12, other.n)) != claim.claimed):
@@ -385,8 +389,9 @@ def replay_certificate(cert: Certificate):
 
     Multigraph-phase steps must be circuit-preserving for a ``k4`` base (or
     independence-preserving for an ``edge`` base); a single ``pin-split``
-    moves to the pinned phase, after which only Assur-preserving pinned steps
-    are allowed, and each 2-sum operand must build the code it claims.
+    from a ``k4`` base moves to the pinned phase (a split independent graph
+    need not be pinned isostatic), after which only Assur-preserving pinned
+    steps are allowed, and each 2-sum operand must build the code it claims.
     """
     g = _base_graph(cert)
     pinned = cert.base_kind == "dyad"
@@ -394,7 +399,7 @@ def replay_certificate(cert: Certificate):
         if pinned:
             if st.kind not in _PINNED_STEPS:
                 raise CertificateError(f"step {st.kind!r} not allowed after pinning")
-        elif st.kind == "pin-split":
+        elif st.kind == "pin-split" and cert.base_kind == "k4":
             pinned = True
         elif st.kind not in _MULTI_STEPS[cert.base_kind]:
             raise CertificateError(
@@ -430,38 +435,44 @@ def _first_side(adj, order, a, b):
     return side if len(side) < len(order) - 2 else None
 
 
-def _reverse_two_sum(m: Multigraph):
-    """First reverse 2-sum of `m` at a separating pair: (side one, step).
+def _reverse_two_sum(adj):
+    """First reverse 2-sum of the circuit with adjacency `adj` at a
+    separating pair: (side one held as by `_circuit_state`, step).
 
-    Side one is the first component of m - {a, b} with its edges, side two
-    everything else; each side plus the edge ab must be a circuit.  Side two
-    is reduced on its own into the step's operand certificate.
+    Side one is the first component of M - {a, b} with its edges, side two
+    everything else; each side plus the edge ab must be a circuit, which one
+    game per side decides.  Side two is reduced on its own state into the
+    step's operand certificate.
     """
-    order = sorted(m.vertices, key=vkey)
-    adj = {x: m.neighbors(x) for x in order}
+    order = sorted(adj, key=vkey)
+    edges = [(x, y) for x in adj for y in adj[x].elements() if vkey(x) < vkey(y)]
     for a, b in combinations(order, 2):
         first = _first_side(adj, order, a, b)
         if first is None:
             continue
         sides = ([], [])
-        for e in m.edges:
+        for e in edges:
             sides[not (e[0] in first or e[1] in first)].append(e)
         c1, c2 = (Multigraph({a, b} | {x for e in side for x in e}, side + [(a, b)])
                   for side in sides)
-        if is_circuit(c1) and is_circuit(c2):
-            base2, steps2 = _reduce_circuit(c2)
+        held1 = _circuit_state(c1)
+        held2 = held1 and _circuit_state(c2)
+        if held2:
+            base2, steps2 = _reduce_circuit(held2)
             other = Certificate(base_kind="k4", base_vertices=base2,
                                 steps=tuple(steps2),
                                 claimed=canonical_code(c2, max_vertices=max(12, c2.n)))
-            return c1, step("two-sum", a=a, b=b, other=other)
+            return held1, step("two-sum", a=a, b=b, other=other)
     return None
 
 
 def _circuit_state(m: Multigraph):
-    """Circuit `m` as (adjacency, pebble state of m minus r, r), where r is
-    the one edge the game rejects."""
-    state, rejected = pebble_state(m)
-    return {x: m.neighbors(x) for x in m.vertices}, state, rejected[0]
+    """Circuit `m` held as (adjacency, pebble state of m minus r, r), where r
+    is the one edge the game rejects, or None when `m` is not a circuit."""
+    held = circuit_state(m)
+    if held is None:
+        return None
+    return ({x: m.neighbors(x) for x in m.vertices}, *held)
 
 
 def _unsplit(adj, state, r):
@@ -507,8 +518,9 @@ def _unsplit(adj, state, r):
     return None, r
 
 
-def _reduce_circuit(m: Multigraph):
-    """Reduce circuit `m` to K4: (base vertex tuple, forward step list).
+def _reduce_circuit(held):
+    """Reduce the circuit held as (adj, state, r) to K4: (base vertex tuple,
+    forward step list).
 
     Every circuit arises from K4 by edge-splits and 2-sums (Berg & Jordan,
     J. Combin. Theory Ser. B 88, 2003), so any move that leaves a smaller
@@ -518,22 +530,20 @@ def _reduce_circuit(m: Multigraph):
     The current circuit M lives in one pebble state holding M minus one
     rejected edge r; each reverse edge-split deletes and re-inserts edges
     there (Jacobs & Hendrickson, J. Comput. Phys. 137, 1997).  Only a
-    reverse 2-sum builds graphs, and it starts a fresh state on side one.
+    reverse 2-sum builds graphs, one per side, and it goes on with the state
+    whose game decided side one.
     """
+    adj, state, r = held
     steps = []
-    adj, state, r = _circuit_state(m)
     while not (len(adj) == 4
                and all(sorted(c.values()) == [1, 1, 1] for c in adj.values())):
         st, r = _unsplit(adj, state, r)
         if st is None:
-            m = Multigraph(adj, [(x, y) for x in adj for y in adj[x].elements()
-                                 if vkey(x) < vkey(y)])
-            move = _reverse_two_sum(m)
+            move = _reverse_two_sum(adj)
             if move is None:
                 raise GraphError("internal error: circuit has no reverse edge-split "
                                  "and no reverse 2-sum")
-            m, st = move
-            adj, state, r = _circuit_state(m)
+            (adj, state, r), st = move
         steps.append(st)
     return tuple(sorted(adj, key=vkey)), steps[::-1]
 
@@ -546,8 +556,6 @@ def certify(g: PinnedGraph) -> Certificate:
     pin-split step rebuilds the pinned graph.  Raises GraphError when `g`
     is not Assur; there is no search that could give up.
     """
-    from .assur import is_assur  # local import to avoid a cycle
-
     verdict = is_assur(g, methods=("circuit",))
     if not verdict.overall:
         raise GraphError(f"certify requires an Assur graph ({verdict.reason or 'circuit condition fails'})")
@@ -557,8 +565,7 @@ def certify(g: PinnedGraph) -> Certificate:
         p1, p2 = sorted(g.pins, key=vkey)
         return Certificate("dyad", (inner, p1, p2), (), claimed)
     star = contraction_star(g)
-    m = contract_pins(g, star)
-    base, steps = _reduce_circuit(m)
+    base, steps = _reduce_circuit(_circuit_state(contract_pins(g, star)))
     assignment = tuple(sorted(((u, v) if v in g.pins else (v, u)
                                for u, v in g.edges if u in g.pins or v in g.pins),
                               key=lambda t: (vkey(t[0]), vkey(t[1]))))

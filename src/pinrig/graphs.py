@@ -96,26 +96,9 @@ class Multigraph:
     def has_edge(self, u, v) -> bool:
         return self._adj.get(u, Counter())[v] > 0
 
-    def is_simple(self) -> bool:
-        return all(m == 1 for m in self.edge_counter().values())
-
     def support(self) -> frozenset:
         """Vertices with at least one incident edge."""
         return frozenset(v for v in self._vertices if self._adj[v])
-
-    def without_edge_index(self, i: int) -> "Multigraph":
-        if not 0 <= i < len(self._edges):
-            raise GraphError(f"edge index {i} out of range")
-        return Multigraph(self._vertices, self._edges[:i] + self._edges[i + 1:])
-
-    def without_edge(self, u, v) -> "Multigraph":
-        """Remove one copy of edge (u, v)."""
-        e = norm_edge(u, v)
-        try:
-            i = self._edges.index(e)
-        except ValueError:
-            raise GraphError(f"edge {e!r} not present") from None
-        return self.without_edge_index(i)
 
     def without_vertex(self, v) -> "Multigraph":
         if v not in self._vertices:

@@ -19,6 +19,10 @@ Three coordinate domains are supported:
                   binary-float geometry.  Pivots close to the threshold raise
                   a ConditioningWarning instead of silently deciding.
 
+Over GF(p) and the rationals every exact answer is one call of that loop,
+`_rref_mod`: ranks are its pivot counts, kernels are read off its reduced
+rows, and `_solve` reads X with R X = B off the reduction of [R | B].
+
 The vertex- and edge-deletion checks of the Assur characterization read
 every deletion off one GF(p) inverse of the square pinned rigidity matrix at
 the first invertible sample; a target still fixed is then confirmed on its
@@ -143,33 +147,6 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
 
 # -- elimination kernels ----------------------------------------------------
 
-def _rank_mod(rows, p=PRIME):
-    """Row echelon rank over GF(p), destroying `rows`."""
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    m = len(rows)
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[c], -1, p)
-        if inv != 1:
-            prow[c:] = [(x * inv) % p for x in prow[c:]]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                ri[c:] = [(a - f * b) % p for a, b in zip(ri[c:], prow[c:])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
 def _rref_mod(rows, p=PRIME):
     """Reduced row echelon form (Gauss-Jordan) over GF(p), or over the
     rationals when `p` is None (entries become Fractions).
@@ -209,13 +186,13 @@ def _rref_mod(rows, p=PRIME):
     return pivots, rows[:len(pivots)]
 
 
-def _inverse_mod(rows, p=PRIME):
-    """Inverse of a square matrix over GF(p) as a list of rows, or None when
-    it is singular: `_rref_mod` of [R | I] pivots on every column of R
-    exactly when R is invertible."""
+def _solve(rows, rhs):
+    """Rows of X with R X = B over GF(p), for the square R given by `rows`
+    and B by `rhs` (one row of B per row of R), or None when R is singular:
+    `_rref_mod` of [R | B] pivots on every column of R exactly when R is
+    invertible."""
     n = len(rows)
-    aug = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(rows)]
-    pivots, reduced = _rref_mod(aug, p)
+    pivots, reduced = _rref_mod([list(r) + list(b) for r, b in zip(rows, rhs)])
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in reduced]
@@ -281,8 +258,6 @@ def _reduce(mat: RigidityMatrix):
 
 
 def matrix_rank(mat: RigidityMatrix) -> int:
-    if mat.field == "mod":
-        return _rank_mod(mat.as_lists())
     return len(_reduce(mat)[0])
 
 
@@ -343,6 +318,8 @@ def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) 
     """
     if not g.inner:
         raise GraphError("graph has no inner vertices")
+    if trials < 1:
+        raise GraphError("trials must be >= 1")
     rng = random.Random(seed)
     for _ in range(trials):
         mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
@@ -364,8 +341,8 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     sample when a random combination x of its columns moves every remaining
     inner 2x1 block.  Every target is tested up to the first invertible
     sample, which inverts R once.  After it, each kind (vertex, edge) with a
-    target still fixed tests only its first one, its witness: one
-    elimination of [R | b1 b2] per sample solves R x = b, with b a random
+    target still fixed tests only its first one, its witness: one `_solve`
+    per sample, one column of B per kind, solves R x = b, with b a random
     combination of the unit vectors of the witness's edges.  A witness that
     moves is dropped and the next fixed target of its kind takes over, with
     the samples it was tested at so far (one, unless singular samples came
@@ -381,6 +358,8 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     """
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
+    if trials < 1:
+        raise GraphError("trials must be >= 1")
     inner = sorted(g.inner, key=vkey)
     block = {v: i for i, v in enumerate(inner)}
     deleted = inner + sorted(g.pins, key=vkey) if include_pins else inner
@@ -393,10 +372,12 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     def sample():
         return build_rigidity_matrix(g, random_configuration(g, rng), field="mod").rows
 
+    n = g.m
+    identity = [[int(i == k) for k in range(n)] for i in range(n)]
     shared = 0  # samples that tested every target
     while targets and shared < trials:
         shared += 1
-        inv = _inverse_mod(sample())
+        inv = _solve(sample(), identity)
         if inv is not None:
             cols = list(zip(*inv))
             targets = [t for t in targets
@@ -404,16 +385,15 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
             break
     fixed = {kind: [t for t in targets if t[0] is kind] for kind in (True, False)}
     count = dict.fromkeys(fixed, shared)
-    n = g.m
     while active := [k for k in fixed if fixed[k] and count[k] < trials]:
-        aug = [list(row) + [0] * len(active) for row in sample()]
+        rows = sample()
+        rhs = [[0] * len(active) for _ in range(n)]
         for c, k in enumerate(active):
             for j in fixed[k][0][1]:
-                aug[j][n + c] = rng.randrange(1, PRIME)
-        pivots, reduced = _rref_mod(aug)
-        invertible = pivots == list(range(n))
+                rhs[j][c] = rng.randrange(1, PRIME)
+        x = _solve(rows, rhs)
         for c, k in enumerate(active):
-            if invertible and _all_move([row[n + c] for row in reduced], fixed[k][0][2]):
+            if x is not None and _all_move([row[c] for row in x], fixed[k][0][2]):
                 fixed[k].pop(0)
                 count[k] = shared
             else:

@@ -1,5 +1,9 @@
 """The (2,3)-pebble game: rank, independence, isostatic tests, circuits.
 
+Every query plays one game on one `_PebbleState`: `pebble_rank`,
+`circuit_state` (whose live state `certify` goes on to edit), `pinned_game`
+(the pin scaffold, then the graph) and `pinned_orientation` (below).
+
 Each vertex starts with two pebbles.  An edge is accepted when four pebbles
 can be gathered on its endpoints (two each); accepting orients the edge away
 from the vertex that pays a pebble.  The invariant pebbles(v) + outdeg(v) == 2
@@ -172,14 +176,6 @@ def pebble_rank(m: Multigraph, edge_order: Optional[Sequence[int]] = None) -> Ra
                       order=order, reach=reach)
 
 
-def pebble_state(m: Multigraph):
-    """Play the (2,3) game over the edges of `m` in order: (state, rejected
-    edges).  The state stays live for a caller that goes on to delete edges
-    (`remove_edge`) and insert them (`try_insert`)."""
-    state = _PebbleState(dict.fromkeys(m.vertices, 2))
-    return state, [e for e in m.edges if not state.try_insert(*e)[0]]
-
-
 def circuit_indices(report: RankReport, rejected_index: int) -> frozenset:
     """Edge indices of the fundamental circuit of one rejected edge."""
     if rejected_index not in report.reach:
@@ -219,18 +215,34 @@ def is_isostatic(m: Multigraph) -> bool:
     return m.m == 2 * m.n - 3 and pebble_rank(m).rank == m.m
 
 
-def is_circuit(m: Multigraph) -> bool:
-    """One-game circuit test over the support of the edges.
+def circuit_state(m: Multigraph):
+    """One (2,3) game over the edges of `m` in order: (state, r) when the
+    edges form a rigidity circuit, else None.
 
-    With |E| = 2|V| - 2 and exactly one rejected edge the edge set has
-    nullity 1, so it holds a single circuit: the rejected edge's fundamental
-    circuit.  The edge set is a circuit exactly when that is all of it.
+    With |E| = 2|V(E)| - 2 and exactly one rejected edge r the edge set has
+    nullity 1, so it holds a single circuit: the fundamental circuit of r,
+    which spans r's reach set.  The edge set is a circuit exactly when that
+    reach set is all of V(E).  The state holds every edge but r and stays
+    live for a caller that goes on to delete edges (`remove_edge`) and
+    insert them (`try_insert`).
     """
-    if m.m == 0 or m.m != 2 * len(m.support()) - 2:
-        return False
-    report = pebble_rank(m)
-    return (len(report.rejected) == 1
-            and len(circuit_indices(report, report.rejected[0])) == m.m)
+    support = m.support()
+    if m.m == 0 or m.m != 2 * len(support) - 2:
+        return None
+    state = _PebbleState(dict.fromkeys(m.vertices, 2))
+    held = None
+    for e in m.edges:
+        ok, reach = state.try_insert(*e)
+        if not ok:
+            if held is not None or len(reach) != len(support):
+                return None
+            held = state, e
+    return held
+
+
+def is_circuit(m: Multigraph) -> bool:
+    """The edges of `m` form a rigidity circuit on their support."""
+    return circuit_state(m) is not None
 
 
 def generic_dof(m: Multigraph) -> int:
@@ -246,26 +258,30 @@ def _scaffold(pins, apex):
     return path + [(apex, p) for p in pins]
 
 
-def _augmented(g: PinnedGraph):
-    # the scaffold goes first: it is independent, so only edges of g are rejected
-    pins = sorted(g.pins, key=vkey)
-    apex = fresh_id(g.vertices, "p0")
-    return Multigraph(g.vertices | {apex}, _scaffold(pins, apex) + list(g.edges))
-
-
 def pinned_game(g: PinnedGraph):
-    """(pinned DOF, witness) from one (2,3) game on the pin-scaffolded graph.
+    """(pinned DOF, witness) from one (2,3) game: the pin scaffold first,
+    then the edges of `g`.
 
-    The DOF is 2|I| minus the pinned rank, rank(augmented) - rank(scaffold).
-    The witness is (inner, pins) of the reach set, minus the apex, of the
-    first rejected edge, or None when no edge is rejected; its induced
-    subgraph spans 2|R| - 2 scaffolded edges, which breaks the pinned counts.
+    The scaffold is independent, so the pinned rank is the number of edges
+    of `g` accepted and the DOF is 2|I| minus it.  The witness is (inner,
+    pins) of the reach set, minus the apex, of the first rejected edge, or
+    None when no edge is rejected; its induced subgraph spans 2|R| - 2
+    scaffolded edges, which breaks the pinned counts.
     """
-    rep = pebble_rank(_augmented(g))
-    dof = 2 * len(g.inner) - (rep.rank - (2 * len(g.pins) - 1))
-    if not rep.rejected:
+    apex = fresh_id(g.vertices, "p0")
+    state = _PebbleState(dict.fromkeys(g.vertices | {apex}, 2))
+    for e in _scaffold(sorted(g.pins, key=vkey), apex):
+        state.try_insert(*e)
+    accepted, reach = 0, None
+    for e in g.edges:
+        ok, r = state.try_insert(*e)
+        if ok:
+            accepted += 1
+        elif reach is None:
+            reach = r
+    dof = 2 * len(g.inner) - accepted
+    if reach is None:
         return dof, None
-    reach = rep.reach[rep.rejected[0]]
     return dof, (tuple(sorted(reach & g.inner, key=vkey)),
                  tuple(sorted(reach & g.pins, key=vkey)))
 

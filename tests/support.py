@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from pinrig.errors import GraphError
 from pinrig.generate import edge_split, step
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
-from pinrig.numeric import (_inverse_mod, _moves, all_inner_move, build_rigidity_matrix,
+from pinrig.numeric import (PRIME, _moves, _solve, all_inner_move, build_rigidity_matrix,
                             random_configuration)
 from pinrig.pebble import is_circuit
 
@@ -216,7 +216,7 @@ def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
         if not targets:
             break
         mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
-        inv = _inverse_mod(mat.rows)
+        inv = _solve(mat.rows, [[int(i == k) for k in range(g.m)] for i in range(g.m)])
         if inv is None:
             continue
         cols = list(zip(*inv))
@@ -224,6 +224,34 @@ def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
                    if not _moves([cols[j] for j in t[1]], rng, t[2])]
     fixed = {t[0] for t in targets}
     return True not in fixed, False not in fixed
+
+
+def rank_mod_reference(rows, p=PRIME):
+    """Row echelon rank over GF(p) by forward elimination only, destroying
+    `rows`: the reference for the Gauss-Jordan loop `numeric._rref_mod`."""
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    m = len(rows)
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = pow(prow[c], -1, p)
+        if inv != 1:
+            prow[c:] = [(x * inv) % p for x in prow[c:]]
+        for i in range(r + 1, m):
+            f = rows[i][c]
+            if f:
+                ri = rows[i]
+                ri[c:] = [(a - f * b) % p for a, b in zip(ri[c:], prow[c:])]
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def generic_configuration(g, seed=0):

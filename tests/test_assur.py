@@ -418,6 +418,18 @@ def test_singular_sample_counts_as_a_trial(monkeypatch, triad, stacked_dyads):
         assert numeric.deletion_verdicts(g, seed=9, trials=1) == (False, False)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_motion_checks_refuse_fewer_than_one_trial(triad, trials):
+    checks = [lambda: numeric.deletion_verdicts(triad, trials=trials),
+              lambda: numeric.all_inner_move(triad, trials=trials),
+              lambda: check_vertex_deletion(triad, trials=trials),
+              lambda: check_edge_deletion(triad, trials=trials),
+              lambda: is_assur(triad, trials=trials)]
+    for check in checks:
+        with pytest.raises(GraphError, match="trials must be >= 1"):
+            check()
+
+
 def test_deletions_match_inverse_oracle_on_assur_graphs_and_compositions():
     # the replaced route, one full inverse per sample, on 3-60 inner vertices
     rng = random.Random(53)

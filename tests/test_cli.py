@@ -349,6 +349,17 @@ class TestCertifyVerify:
         assert levels == [1, 2, 2]
         assert run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))[0] == 0
 
+    def test_pin_split_from_edge_base_fails(self, tmp_path, capsys):
+        # a split of an independent graph: pinned DOF 1, not even isostatic
+        doc = {"base": {"kind": "edge", "vertices": [0, 1]},
+               "steps": [{"kind": "vertex-addition", "u": 0, "w": 1, "v": 2},
+                         {"kind": "edge-split", "u": 0, "w": 1, "x": 2, "v": 3},
+                         {"kind": "pin-split", "vertex": 0,
+                          "assignment": [[2, "p"], [3, "q"]]}],
+               "claimed": "P5|00011|0-1x1,0-2x1,1-2x1,1-4x1,2-3x1"}
+        code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 1 and json.loads(out)["valid"] is False
+
     def test_non_assur_input_fails(self, capsys):
         code, out, _ = run(capsys, "certify", str(SAMPLES / "stacked_dyads.json"))
         assert code == 1
@@ -802,8 +813,9 @@ def test_scaffolded_game_is_played_once_per_command(tmp_path, capsys, monkeypatc
     from pinrig.graphs import PinnedGraph
     from pinrig.pebble import pinned_isostatic
     builds = []
-    real = pebble._augmented
-    monkeypatch.setattr(pebble, "_augmented", lambda g: builds.append(g) or real(g))
+    real = pebble._scaffold
+    monkeypatch.setattr(pebble, "_scaffold",
+                        lambda pins, apex: builds.append(pins) or real(pins, apex))
     assur_graph = support.edge_split_assur(random.Random(5), 6)
     edge_deleted = assur_graph.without_edge(*assur_graph.edges[0])
     # 2|I| edges, not pinned isostatic: a triad with a dangling bar at a

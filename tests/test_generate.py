@@ -306,6 +306,21 @@ class TestCertificates:
         g = replay_certificate(cert)
         assert is_isostatic(g)
 
+    def test_grammar_rejects_pin_split_from_edge_base(self):
+        # the replay would be a pinned graph with pinned DOF 1, not isostatic
+        cert = Certificate(
+            base_kind="edge", base_vertices=(0, 1),
+            steps=(step("vertex-addition", u=0, w=1, v=2),
+                   step("edge-split", u=0, w=1, x=2, v=3),
+                   step("pin-split", vertex=0, assignment=((2, "p"), (3, "q")))),
+            claimed="P5|00011|0-1x1,0-2x1,1-2x1,1-4x1,2-3x1")
+        assert verify_certificate(cert) is False
+
+    def test_two_sum_operand_that_is_no_certificate_is_false(self):
+        cert = Certificate("k4", (0, 1, 2, 3),
+                           (step("two-sum", a=0, b=1, other="x"),), "")
+        assert verify_certificate(cert) is False
+
     def test_catalog_certificates_round_trip(self):
         for n, graphs in assur_catalog(6).items():
             for g in graphs:
@@ -382,6 +397,40 @@ def test_verify_certificate_step_missing_parameter_is_false():
     assert verify_certificate(cert) is False
 
 
+def test_certify_builds_three_plus_two_pebble_states_per_two_sum(monkeypatch):
+    """The gate's two games and the contraction's one, then one game per
+    side of each reverse 2-sum, nested operands included."""
+    from pinrig import pebble
+    built = []
+
+    class Counting(pebble._PebbleState):
+        def __init__(self, pebbles):
+            built.append(1)
+            super().__init__(pebbles)
+
+    def two_sums(steps):
+        return sum(1 + two_sums(st.get("other").steps)
+                   for st in steps if st.kind == "two-sum")
+
+    def pin_split(c, pins):
+        nbrs = sorted(c.neighbors(0).elements())
+        return split_contracted_vertex(c, 0, [(x, f"P{i % pins}")
+                                              for i, x in enumerate(nbrs)])
+
+    monkeypatch.setattr(pebble, "_PebbleState", Counting)
+    rng = random.Random(3)
+    circuits = [support.nested_k4(2), support.nested_k4(3)]
+    circuits += [support.random_circuit(rng, 20, 6) for _ in range(6)]
+    counts = []
+    for i, c in enumerate(circuits):
+        built.clear()
+        cert = certify(pin_split(c, 2 + i % 2))
+        counts.append((two_sums(cert.steps), len(built)))
+    assert all(n == 3 + 2 * k for k, n in counts), counts
+    # nested operands: more 2-sums than the top level holds
+    assert counts[0][0] == 3 and max(k for k, _ in counts[2:]) > 0
+
+
 def test_every_reduction_step_matches_the_oracle(monkeypatch):
     """On every step of the one-state reduction, nested 2-sum operands
     included, the state holds the circuit minus its rejected edge, and the
@@ -419,7 +468,7 @@ def test_every_reduction_step_matches_the_oracle(monkeypatch):
         nv = rng.randint(8, 36)
         two_sums = rng.randint(1, (nv - 4) // 2) if i % 2 else 0
         c = support.random_circuit(rng, nv, two_sums)
-        base, steps = generate._reduce_circuit(c)
+        base, steps = generate._reduce_circuit(generate._circuit_state(c))
         assert verify_certificate(Certificate("k4", base, tuple(steps),
                                               canonical_code(c, max_vertices=nv)))
     assert taken["none"] >= 24 and taken["edge-split"] >= 700

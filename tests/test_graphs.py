@@ -41,10 +41,6 @@ class TestConstruction:
         assert m.m == 2
         assert m.edge_counter()[(0, 1)] == 2
 
-    def test_without_edge_removes_one_copy(self):
-        m = Multigraph(edges=[(0, 1), (0, 1)])
-        assert m.without_edge(0, 1).m == 1
-
 
 class TestContraction:
     def test_dyad_contracts_to_doubled_edge(self, dyad):

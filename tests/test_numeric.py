@@ -223,17 +223,19 @@ def test_motion_dimension_matches_combinatorial_pinned_dof():
 
 
 def test_gf_p_inverse_and_rref():
-    from pinrig.numeric import PRIME, _inverse_mod, _rank_mod, _rref_mod
+    from pinrig.numeric import PRIME, _rref_mod, _solve
     rng = random.Random(61)
     for n in range(1, 9):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
         rows = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
-        inv = _inverse_mod(rows)
+        inv = _solve(rows, identity)
         assert [[sum(a * b for a, b in zip(row, col)) % PRIME for col in zip(*inv)]
-                for row in rows] == [[int(i == j) for j in range(n)] for i in range(n)]
+                for row in rows] == identity
         rows[-1] = [2 * x % PRIME for x in rows[0]] if n > 1 else [0]
-        assert _inverse_mod(rows) is None
+        assert _solve(rows, identity) is None
         pivots, reduced = _rref_mod(rows)
-        assert len(pivots) == len(reduced) == _rank_mod([list(r) for r in rows]) == n - 1
+        assert (len(pivots) == len(reduced)
+                == support.rank_mod_reference([list(r) for r in rows]) == n - 1)
 
 
 def test_exact_kernel_vectors_annihilate_every_row():

@@ -334,7 +334,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
-    from pinrig.pebble import pebble_state
+    from pinrig.pebble import _PebbleState
     rng = random.Random(21)
 
     def check(state, edges):
@@ -346,8 +346,8 @@ def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
 
     for _ in range(40):
         g = support.henneberg_graph(rng, rng.randint(3, 24))
-        state, rejected = pebble_state(g)
-        assert not rejected
+        state = _PebbleState(dict.fromkeys(g.vertices, 2))
+        assert all(state.try_insert(u, v)[0] for u, v in g.edges)
         edges = list(g.edges)
         for _ in range(3):
             gone = rng.sample(edges, rng.randint(1, len(edges)))

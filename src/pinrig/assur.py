@@ -7,11 +7,12 @@ any edge) leaves a motion of all remaining inner vertices.  The four checks
 are implemented separately and `is_assur` runs any subset of them, flagging
 disagreement (which, the equivalence being a theorem, signals a bug or an
 unlucky random sample rather than a property of the graph).  `is_assur`
-validates its input once and then calls the checks' bodies; the two
-deletion checks share their random samples: one inverse of the pinned
-rigidity matrix answers every deletion, and each check's first deletion
-still fixed, its witness, is confirmed by one solve per later sample
-(`numeric.deletion_verdicts`).
+validates its input once, through `assur_gate`, whose game on the pin
+contraction decides the circuit check (and is the state `certify` reduces),
+and then calls the other checks' bodies.  The two deletion checks share
+their random samples: one inverse of the pinned rigidity matrix answers
+every deletion, and each check's first deletion still fixed, its witness,
+is confirmed by one solve per later sample (`numeric.deletion_verdicts`).
 
 The decomposition and the minimality check come from one orientation: the
 (2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
@@ -34,7 +35,7 @@ from typing import Optional
 from .errors import GraphError, NotIsostaticError
 from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, deletion_verdicts
-from .pebble import is_circuit, pinned_game, pinned_orientation
+from .pebble import circuit_state, is_circuit, pinned_game, pinned_orientation
 
 
 def _require_isostatic(g: PinnedGraph, message: str):
@@ -77,11 +78,27 @@ def check_circuit_condition(g: PinnedGraph) -> bool:
     circuit splitting can recover them.
     """
     _require_isostatic(g, "circuit condition requires a pinned isostatic graph")
-    return _circuit_condition(g)
-
-
-def _circuit_condition(g):
     return not g.isolated_pins() and is_circuit(contract_pins(g))
+
+
+def assur_gate(g: PinnedGraph):
+    """(reason, pinned DOF, held): the checks every Assur test starts with.
+
+    `reason` says why `g` cannot be Assur before any circuit is sought:
+    fewer than two pins, not pinned isostatic (one scaffolded game, whose
+    DOF is returned), or isolated pins.  Otherwise `held` is
+    `pebble.circuit_state` of the pin contraction: its live game when the
+    contraction is a circuit, which `certify` goes on to reduce, else None.
+    """
+    if len(g.pins) < 2:
+        return "fewer than two pins", None, None
+    dof, witness = pinned_game(g)
+    if dof or witness:
+        return f"not pinned isostatic (pinned DOF {dof})", dof, None
+    if g.isolated_pins():
+        pins = sorted(g.isolated_pins(), key=vkey)
+        return f"isolated pinned vertices {pins!r}", None, None
+    return None, None, circuit_state(contract_pins(g))
 
 
 def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
@@ -181,20 +198,11 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
             chosen.add(_METHOD_ALIASES[m])
         except KeyError:
             raise GraphError(f"unknown method {m!r}") from None
-    if len(g.pins) < 2:
+    reason, dof, held = assur_gate(g)
+    if reason:
         return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False, reason="fewer than two pins")
-    dof, witness = pinned_game(g)
-    if dof or witness:
-        return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False, pinned_dof=dof,
-                            reason=f"not pinned isostatic (pinned DOF {dof})")
-    if g.isolated_pins():
-        pins = sorted(g.isolated_pins(), key=vkey)
-        return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False,
-                            reason=f"isolated pinned vertices {pins!r}")
-    results = {"circuit": _circuit_condition(g)}
+                            disagreement=False, reason=reason, pinned_dof=dof)
+    results = {"circuit": held is not None}
     scheme = None
     if "minimality" in chosen or not results["circuit"]:
         scheme = _decompose(g)  # a failing verdict's witness comes from it too

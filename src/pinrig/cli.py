@@ -158,9 +158,7 @@ def cmd_decompose(args):
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(fileio.scheme_to_dot(scheme))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(fileio.scheme_to_dict(scheme), fh, indent=2, default=str)
-            fh.write("\n")
+        fileio.write_json(fileio.scheme_to_dict(scheme), args.json)
     doc = scheme_report(scheme)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -169,19 +167,14 @@ def cmd_decompose(args):
 
 
 def scheme_report(scheme):
-    return {
-        "decomposable": True,
-        "component_count": len(scheme.components),
-        "levels": scheme.levels,
-        "components": [
-            {"id": c.cid, "level": c.level,
-             "inner": sorted(c.graph.inner, key=vkey),
-             "pins": sorted(c.graph.pins, key=vkey),
-             "edges": [list(e) for e in c.graph.edges]}
-            for c in scheme.components
-        ],
-        "covers": [list(p) for p in scheme.covers],
-    }
+    """The scheme document of `fileio.scheme_to_dict` without ground pins and
+    pin maps (identities here), with the component and level counts."""
+    doc = fileio.scheme_to_dict(scheme)
+    for c in doc["components"]:
+        del c["pin_map"]
+    return {"decomposable": True, "component_count": len(scheme.components),
+            "levels": scheme.levels, "components": doc["components"],
+            "covers": doc["covers"]}
 
 
 # -- motion ----------------------------------------------------------------------
@@ -277,9 +270,7 @@ def cmd_generate(args):
         for n, reps in classes.items():
             for i, g in enumerate(reps.values()):
                 path = os.path.join(args.out, f"{kind}_n{n}_{i}.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(to_doc(g), fh, indent=2, default=str)
-                    fh.write("\n")
+                fileio.write_json(to_doc(g), path)
     _emit({"kind": kind, "max_vertices": args.max_vertices,
            "counts": counts, "codes": codes})
     return PASS
@@ -296,9 +287,7 @@ def cmd_certify(args):
         return FAIL
     doc = fileio.certificate_to_dict(cert)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, default=str)
-            fh.write("\n")
+        fileio.write_json(doc, args.out)
     _emit(doc)
     return PASS
 

@@ -22,12 +22,13 @@ objects; vertex ids keep their JSON types (ints stay ints).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 
 from .assur import AssurComponent, AssurScheme
 from .counting import LinkageSchema
 from .errors import GraphError, PinrigWarning
-from .generate import Certificate, ConstructionStep
+from .generate import STEPS, Certificate, ConstructionStep
 from .graphs import PinnedGraph, vkey
 
 
@@ -44,11 +45,12 @@ def _load_json(path):
 
 
 def _point(value, what):
-    """An [x, y] pair of numbers, as a tuple."""
+    """An [x, y] pair of finite numbers, as a tuple (JSON files may hold
+    NaN and Infinity)."""
     if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                    for c in value)):
-        raise GraphError(f"{what} must be [x, y], got {value!r}")
+            and all(isinstance(c, int) and not isinstance(c, bool)
+                    or isinstance(c, float) and math.isfinite(c) for c in value)):
+        raise GraphError(f"{what} must be [x, y] of finite numbers, got {value!r}")
     return value[0], value[1]
 
 
@@ -133,6 +135,13 @@ def graph_to_dict(g: PinnedGraph, positions=None) -> dict:
             entry["pos"] = list(positions[v])
         verts.append(entry)
     return {"vertices": verts, "edges": _as_pairs(g.edges)}
+
+
+def write_json(doc, path):
+    """Write `doc` to `path` as indented JSON and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, default=str)
+        fh.write("\n")
 
 
 def load_graph(path):
@@ -262,14 +271,6 @@ def _step_to_dict(st: ConstructionStep) -> dict:
     return out
 
 
-_STEP_PARAMS = {"vertex-addition": ("u", "w", "v"),
-                "edge-split": ("u", "w", "x", "v"),
-                "two-sum": ("a", "b", "other"),
-                "vertex-split": ("v", "shared", "moved", "v2"),
-                "pin-split": ("vertex", "assignment"),
-                "pin-rearrange": ("assignment",)}
-
-
 def _step_param(key, value):
     if key == "other":
         return certificate_from_dict(value)
@@ -283,7 +284,8 @@ def _step_param(key, value):
 def _step_from_dict(doc: dict) -> ConstructionStep:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise GraphError("certificate step needs a 'kind'")
-    missing = [k for k in _STEP_PARAMS.get(doc["kind"], ()) if k not in doc]
+    names = STEPS[doc["kind"]][0] if doc["kind"] in STEPS else ()
+    missing = [k for k in names if k not in doc]
     if missing:
         raise GraphError(f"{doc['kind']!r} step lacks {', '.join(missing)}")
     params = {k: _step_param(k, v) for k, v in doc.items() if k != "kind"}

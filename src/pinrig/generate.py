@@ -25,12 +25,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-
-from .assur import is_assur
+from .assur import assur_gate
 from .canon import canonical_code, canonical_form
 from .errors import CertificateError, GraphError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
-                     contraction_star, fresh_id, norm_edge,
+                     contraction_star, fresh_id, norm_edge, rename_apart,
                      split_contracted_vertex, vkey)
 from .pebble import circuit_state
 
@@ -104,14 +103,7 @@ def two_sum(c1: Multigraph, c2: Multigraph, e1, e2, flip: bool = False) -> Multi
                           f"not a rigidity circuit count", PinrigWarning, stacklevel=2)
     a, b = e1
     cc, dd = e2n if not flip else (e2n[1], e2n[0])
-    taken = set(c1.vertices)
-    amap = {cc: a, dd: b}
-    for w in sorted(c2.vertices - {cc, dd}, key=vkey):
-        new = w
-        while new in taken:
-            new = f"{new}'"
-        amap[w] = new
-        taken.add(new)
+    amap = {cc: a, dd: b, **rename_apart(c2.vertices - {cc, dd}, c1.vertices)}
     edges1 = list(c1.edges)
     edges1.remove(e1)
     edges2 = list(c2.edges)
@@ -173,29 +165,17 @@ def pin_rearrangement(g: PinnedGraph, assignment) -> PinnedGraph:
 # -- enumeration --------------------------------------------------------------
 
 def _set_partitions(items):
-    """All partitions of `items` into unlabeled nonempty blocks."""
+    """All partitions of `items` into unlabeled nonempty blocks: the first
+    item is a block on its own, or joins a block of a partition of the rest."""
     items = list(items)
-    n = len(items)
-    if n == 0:
+    if not items:
         yield ()
         return
-    a = [0] * n
-    while True:
-        k = max(a) + 1
-        blocks = [[] for _ in range(k)]
-        for i, r in enumerate(a):
-            blocks[r].append(items[i])
-        yield tuple(tuple(bl) for bl in blocks)
-        j = n - 1
-        while j >= 1:
-            if a[j] <= max(a[:j]):
-                a[j] += 1
-                for t in range(j + 1, n):
-                    a[t] = 0
-                break
-            j -= 1
-        else:
-            return
+    first = items[0]
+    for blocks in _set_partitions(items[1:]):
+        yield ((first,), *blocks)
+        for i, block in enumerate(blocks):
+            yield (*blocks[:i], (first, *block), *blocks[i + 1:])
 
 
 def _add_class(found, g):
@@ -356,32 +336,37 @@ def _base_graph(cert: Certificate):
     raise CertificateError(f"unknown base kind {cert.base_kind!r}")
 
 
+def _edge_split_step(g, u, w, x, v):
+    if isinstance(g, PinnedGraph) and g.n < 4:
+        raise CertificateError("pinned edge-split needs at least four vertices")
+    return edge_split(g, (u, w), x, new_vertex=v)
+
+
+def _two_sum_step(g, a, b, claim):
+    if not isinstance(claim, Certificate):
+        raise CertificateError("two-sum operand must be a certificate")
+    other = replay_certificate(claim)
+    if not isinstance(other, Multigraph) or _code(other) != claim.claimed:
+        raise CertificateError("two-sum operand must build the multigraph it claims")
+    return two_sum(g, other, (a, b), (a, b), flip=False)
+
+
+# step kind -> (parameter names, builder taking the graph and their values)
+STEPS = {
+    "vertex-addition": (("u", "w", "v"), vertex_addition),
+    "edge-split": (("u", "w", "x", "v"), _edge_split_step),
+    "two-sum": (("a", "b", "other"), _two_sum_step),
+    "vertex-split": (("v", "shared", "moved", "v2"), vertex_split),
+    "pin-split": (("vertex", "assignment"), split_contracted_vertex),
+    "pin-rearrange": (("assignment",), pin_rearrangement),
+}
+
+
 def _apply_step(g, st: ConstructionStep):
-    if st.kind == "vertex-addition":
-        return vertex_addition(g, st.get("u"), st.get("w"), new_vertex=st.get("v"))
-    if st.kind == "edge-split":
-        if isinstance(g, PinnedGraph) and g.n < 4:
-            raise CertificateError("pinned edge-split needs at least four vertices")
-        return edge_split(g, (st.get("u"), st.get("w")), st.get("x"),
-                          new_vertex=st.get("v"))
-    if st.kind == "two-sum":
-        claim = st.get("other")
-        if not isinstance(claim, Certificate):
-            raise CertificateError("two-sum operand must be a certificate")
-        other = replay_certificate(claim)
-        if (not isinstance(other, Multigraph)
-                or canonical_code(other, max_vertices=max(12, other.n)) != claim.claimed):
-            raise CertificateError("two-sum operand must build the multigraph it claims")
-        a, b = st.get("a"), st.get("b")
-        return two_sum(g, other, (a, b), (a, b), flip=False)
-    if st.kind == "vertex-split":
-        return vertex_split(g, st.get("v"), st.get("shared"),
-                            st.get("moved"), new_vertex=st.get("v2"))
-    if st.kind == "pin-split":
-        return split_contracted_vertex(g, st.get("vertex"), st.get("assignment"))
-    if st.kind == "pin-rearrange":
-        return pin_rearrangement(g, st.get("assignment"))
-    raise CertificateError(f"unknown step kind {st.kind!r}")
+    if st.kind not in STEPS:
+        raise CertificateError(f"unknown step kind {st.kind!r}")
+    names, build = STEPS[st.kind]
+    return build(g, *map(st.get, names))
 
 
 def replay_certificate(cert: Certificate):
@@ -411,11 +396,16 @@ def replay_certificate(cert: Certificate):
     return g
 
 
+def _code(g):
+    """Canonical code of `g` at any size: certificates are not bounded by
+    the catalog-sized default of `canonical_code`."""
+    return canonical_code(g, max_vertices=g.n)
+
+
 def verify_certificate(cert: Certificate) -> bool:
     """Replay and compare canonical codes; False on any violation."""
     try:
-        g = replay_certificate(cert)
-        return canonical_code(g, max_vertices=max(12, g.n)) == cert.claimed
+        return _code(replay_certificate(cert)) == cert.claimed
     except (CertificateError, GraphError):
         return False
 
@@ -461,7 +451,7 @@ def _reverse_two_sum(adj):
             base2, steps2 = _reduce_circuit(held2)
             other = Certificate(base_kind="k4", base_vertices=base2,
                                 steps=tuple(steps2),
-                                claimed=canonical_code(c2, max_vertices=max(12, c2.n)))
+                                claimed=_code(c2))
             return held1, step("two-sum", a=a, b=b, other=other)
     return None
 
@@ -552,22 +542,24 @@ def certify(g: PinnedGraph) -> Certificate:
     """Construction certificate for an Assur graph.
 
     Dyads certify trivially; otherwise the pin contraction is reduced
-    directly to K4 by reverse edge-splits and reverse 2-sums, and a final
+    directly to K4 by reverse edge-splits and reverse 2-sums, starting on
+    the live game in which `assur_gate` found it a circuit, and a final
     pin-split step rebuilds the pinned graph.  Raises GraphError when `g`
     is not Assur; there is no search that could give up.
     """
-    verdict = is_assur(g, methods=("circuit",))
-    if not verdict.overall:
-        raise GraphError(f"certify requires an Assur graph ({verdict.reason or 'circuit condition fails'})")
-    claimed = canonical_code(g, max_vertices=max(12, g.n))
+    reason, _, held = assur_gate(g)
+    if held is None:
+        raise GraphError(f"certify requires an Assur graph ({reason or 'circuit condition fails'})")
+    claimed = _code(g)
     if len(g.inner) == 1:
         inner = next(iter(g.inner))
         p1, p2 = sorted(g.pins, key=vkey)
         return Certificate("dyad", (inner, p1, p2), (), claimed)
-    star = contraction_star(g)
-    base, steps = _reduce_circuit(_circuit_state(contract_pins(g, star)))
+    m = contract_pins(g)
+    base, steps = _reduce_circuit(({x: m.neighbors(x) for x in m.vertices}, *held))
     assignment = tuple(sorted(((u, v) if v in g.pins else (v, u)
                                for u, v in g.edges if u in g.pins or v in g.pins),
                               key=lambda t: (vkey(t[0]), vkey(t[1]))))
-    steps.append(step("pin-split", vertex=star, assignment=assignment))
+    steps.append(step("pin-split", vertex=contraction_star(g),
+                      assignment=assignment))
     return Certificate("k4", base, tuple(steps), claimed)

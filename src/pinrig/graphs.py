@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping
-from typing import Union
 
 from .errors import GraphError
 
@@ -204,9 +203,6 @@ class PinnedGraph:
     def neighbors(self, v) -> frozenset:
         return frozenset(self._adj[v])
 
-    def has_edge(self, u, v) -> bool:
-        return v in self._adj.get(u, ())
-
     def isolated_pins(self) -> frozenset:
         return frozenset(p for p in self._pins if not self._adj[p])
 
@@ -263,9 +259,6 @@ class PinnedGraph:
         return (f"PinnedGraph(inner={sorted(self._inner, key=vkey)!r}, "
                 f"pins={sorted(self._pins, key=vkey)!r}, "
                 f"edges={list(self._edges)!r})")
-
-
-AnyGraph = Union[Multigraph, PinnedGraph]
 
 
 def fresh_id(taken: Iterable, hint: str = "v"):
@@ -361,14 +354,7 @@ def compose(h: PinnedGraph, g: PinnedGraph, cmap: Mapping) -> PinnedGraph:
         if t not in gverts:
             raise GraphError(f"composition target {t!r} is not a vertex of the base graph")
 
-    taken = set(gverts)
-    rename = {}
-    for w in sorted(h.inner, key=vkey):
-        new = w
-        while new in taken:
-            new = f"{new}'"
-        rename[w] = new
-        taken.add(new)
+    rename = rename_apart(h.inner, gverts)
 
     def send(x):
         return cmap[x] if x in h.pins else rename[x]
@@ -376,6 +362,21 @@ def compose(h: PinnedGraph, g: PinnedGraph, cmap: Mapping) -> PinnedGraph:
     edges = list(g.edges) + [(send(u), send(v)) for u, v in h.edges]
     inner = set(g.inner) | set(rename.values())
     return PinnedGraph(inner, g.pins, edges)
+
+
+def rename_apart(names, taken) -> dict:
+    """Map each of `names`, in vkey order, to itself with apostrophes
+    appended until it clashes neither with `taken` nor with an earlier
+    new name."""
+    taken = set(taken)
+    out = {}
+    for w in sorted(names, key=vkey):
+        new = w
+        while new in taken:
+            new = f"{new}'"
+        out[w] = new
+        taken.add(new)
+    return out
 
 
 def complete_graph(spec) -> Multigraph:

@@ -32,6 +32,7 @@ own, one witness per check, by solving for its motion at each later sample
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass
@@ -101,8 +102,9 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
     """Assemble the rigidity matrix of `g` at configuration `config`.
 
     `config` must give coordinates for every vertex; adjacent vertices must
-    sit at distinct points.  For a PinnedGraph, columns exist only for inner
-    vertices (pin coordinates still shape the rows).
+    sit at distinct points.  Coordinates must convert to the field, and a
+    float row must be finite.  For a PinnedGraph, columns exist only for
+    inner vertices (pin coordinates still shape the rows).
     """
     if isinstance(g, PinnedGraph):
         col_vertices = sorted(g.inner, key=vkey)
@@ -117,9 +119,12 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
         x, y = config[v]
         if field == "mod":
             return x % PRIME, y % PRIME
-        if field == "rational":
-            return Fraction(x), Fraction(y)
-        return float(x), float(y)
+        try:
+            if field == "rational":
+                return Fraction(x), Fraction(y)
+            return float(x), float(y)
+        except (OverflowError, ValueError):
+            raise GraphError(f"coordinates of {v!r} do not convert to {field}") from None
 
     pos = {v: coords(v) for v in g.vertices}
     col_of = {v: 2 * i for i, v in enumerate(col_vertices)}
@@ -130,6 +135,8 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
         dx, dy = xu - xv, yu - yv
         if field == "mod":
             dx, dy = dx % PRIME, dy % PRIME
+        elif field == "float" and not (math.isfinite(dx) and math.isfinite(dy)):
+            raise GraphError(f"edge {u!r}-{v!r} has a non-finite rigidity row")
         if dx == 0 and dy == 0:
             raise GraphError(f"adjacent vertices {u!r}, {v!r} share a location")
         row = [0] * ncols

@@ -135,7 +135,6 @@ class RankReport:
     rank: int
     independent: tuple
     rejected: tuple
-    order: tuple
     reach: dict = field(repr=False)
 
     @property
@@ -173,7 +172,7 @@ def pebble_rank(m: Multigraph, edge_order: Optional[Sequence[int]] = None) -> Ra
             reach[i] = r
     return RankReport(graph=m, rank=len(independent),
                       independent=tuple(independent), rejected=tuple(rejected),
-                      order=order, reach=reach)
+                      reach=reach)
 
 
 def circuit_indices(report: RankReport, rejected_index: int) -> frozenset:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import support
 from pinrig import numeric
 from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, _deletion_checks,
-                          check_circuit_condition, check_edge_deletion,
+                          assur_gate, check_circuit_condition, check_edge_deletion,
                           check_minimality, check_vertex_deletion, decompose,
                           is_assur, minimality_violation, recompose)
 from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
-from pinrig.graphs import PinnedGraph, compose, vkey
+from pinrig.counting import circuit_oracle, pinned_conditions_oracle
+from pinrig.graphs import PinnedGraph, compose, contract_pins, vkey
 from pinrig.numeric import motion_space
 from pinrig.pebble import pinned_isostatic
 
@@ -354,6 +355,26 @@ def _assert_deletions_match_oracle(g, seed, wrappers=False):
             assert check_vertex_deletion(g, seed=seed, include_pins=include_pins) \
                 == expected[0]
             assert check_edge_deletion(g, seed=seed) == expected[1]
+
+
+def test_assur_gate_matches_the_oracles_on_all_small_pinned_graphs():
+    """A reason exactly for fewer than two pins, failed pinned counts or an
+    isolated pin; otherwise a held game exactly when the pin contraction is
+    a circuit."""
+    seen = Counter()
+    for n_inner in range(1, 7):
+        for n_pins in range(7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                reason, _, held = assur_gate(g)
+                refused = (len(g.pins) < 2 or not pinned_conditions_oracle(g)
+                           or bool(g.isolated_pins()))
+                assert (reason is not None) == refused, g
+                if refused:
+                    assert held is None, g
+                else:
+                    assert (held is not None) == circuit_oracle(contract_pins(g)), g
+                seen[reason is None, held is not None] += 1
+    assert seen[True, True] and seen[True, False] and seen[False, False]
 
 
 def test_deletions_match_oracle_on_all_small_pinned_graphs():

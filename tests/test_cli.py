@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -18,7 +19,8 @@ from pinrig.fileio import (certificate_from_dict, certificate_to_dict,
                            linkage_from_dict, load_graph, scheme_from_dict,
                            scheme_to_dict, scheme_to_dot)
 from pinrig.errors import GraphError, PinrigWarning
-from pinrig.generate import certify, verify_certificate
+from pinrig.generate import STEPS, certify, verify_certificate
+from pinrig.numeric import motion_space
 
 
 def run(capsys, *argv):
@@ -365,21 +367,19 @@ class TestCertifyVerify:
         assert code == 1
         assert json.loads(out)["certified"] is False
 
-    @pytest.mark.parametrize("kind, params, missing", [
-        ("vertex-addition", {"u": 0, "w": 1}, "v"),
-        ("edge-split", {"u": 0, "w": 1}, "x"),
-        ("two-sum", {"a": 0, "b": 1}, "other"),
-        ("vertex-split", {"v": 0, "shared": 1, "moved": [2]}, "v2"),
-        ("pin-split", {"vertex": 0}, "assignment"),
-        ("pin-rearrange", {}, "assignment"),
-    ])
+    # one case per step kind in generate's table and parameter dropped; an
+    # id names the kind, its place in the table and the dropped parameter
+    @pytest.mark.parametrize("kind, missing", [
+        pytest.param(kind, name, id=f"{kind}-params{k}-{name}")
+        for k, (kind, (names, _)) in enumerate(STEPS.items()) for name in names])
     def test_step_missing_a_parameter_is_input_error(self, tmp_path, capsys,
-                                                     kind, params, missing):
+                                                     kind, missing):
+        params = {name: 0 for name in STEPS[kind][0] if name != missing}
         doc = {"base": {"kind": "k4", "vertices": [0, 1, 2, 3]},
                "steps": [dict(params, kind=kind)], "claimed": ""}
         code, _, err = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
         assert code == 2
-        assert err.startswith("error:") and missing in err
+        assert err == f"error: {kind!r} step lacks {missing}\n"
         assert "Traceback" not in err
 
 
@@ -415,6 +415,23 @@ class TestInputValidation:
                            "--config", _write_json(tmp_path, "cfg.json", config))
         assert code == 2 and "[x, y]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [
+        {"v": [math.nan, 0], "p1": [0, 0], "p2": [2, 0]},
+        {"v": [math.inf, 1], "p1": [0, 0], "p2": [2, 0]},
+        {"v": [1e308, 1], "p1": [-1e308, 0], "p2": [2, 0]},  # difference overflows
+        {"v": [2 * 10 ** 308, 0.5], "p1": [0, 0], "p2": [2, 0]},  # no such float
+    ], ids=["nan", "infinity", "overflowing-difference", "huge-integer"])
+    def test_non_finite_coordinates_are_input_errors(self, tmp_path, capsys, config):
+        g, _ = load_graph(SAMPLES / "dyad.json")
+        with pytest.raises(GraphError):
+            motion_space(g, {v: tuple(xy) for v, xy in config.items()})
+        inline = _write_json(tmp_path, "g.json", graph_to_dict(g, config))
+        for argv in ([str(SAMPLES / "dyad.json"), "--config",
+                      _write_json(tmp_path, "cfg.json", config)], [inline]):
+            code, out, err = run(capsys, "motion", *argv)
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+            assert "Traceback" not in err
 
     def test_directory_as_input_is_input_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", str(tmp_path))

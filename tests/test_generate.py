@@ -397,9 +397,10 @@ def test_verify_certificate_step_missing_parameter_is_false():
     assert verify_certificate(cert) is False
 
 
-def test_certify_builds_three_plus_two_pebble_states_per_two_sum(monkeypatch):
-    """The gate's two games and the contraction's one, then one game per
-    side of each reverse 2-sum, nested operands included."""
+def test_certify_builds_two_plus_two_pebble_states_per_two_sum(monkeypatch):
+    """The gate's two games, the scaffolded one and the contraction's, whose
+    state the reduction goes on to edit, then one game per side of each
+    reverse 2-sum, nested operands included."""
     from pinrig import pebble
     built = []
 
@@ -426,7 +427,7 @@ def test_certify_builds_three_plus_two_pebble_states_per_two_sum(monkeypatch):
         built.clear()
         cert = certify(pin_split(c, 2 + i % 2))
         counts.append((two_sums(cert.steps), len(built)))
-    assert all(n == 3 + 2 * k for k, n in counts), counts
+    assert all(n == 2 + 2 * k for k, n in counts), counts
     # nested operands: more 2-sums than the top level holds
     assert counts[0][0] == 3 and max(k for k, _ in counts[2:]) > 0
 

@@ -107,6 +107,12 @@ class TestMotionSpace:
         basis = motion_space(g, {"q1": (0, 0), "q2": (3, 0), "a": (1, 1), "b": (2, 1)})
         assert basis.dim == 1
 
+    def test_rational_field_refuses_nan_and_infinity(self, dyad):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(GraphError):
+                motion_space(dyad, {"v": (bad, 1), "p1": (0, 0), "p2": (2, 0)},
+                             field="rational")
+
     def test_motions_annihilate_every_edge_exactly(self):
         rng = random.Random(5)
         for _ in range(25):

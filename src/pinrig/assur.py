@@ -10,9 +10,10 @@ unlucky random sample rather than a property of the graph).  `is_assur`
 validates its input once, through `assur_gate`, whose game on the pin
 contraction decides the circuit check (and is the state `certify` reduces),
 and then calls the other checks' bodies.  The two deletion checks share
-their random samples: one inverse of the pinned rigidity matrix answers
-every deletion, and each check's first deletion still fixed, its witness,
-is confirmed by one solve per later sample (`numeric.deletion_verdicts`).
+their random samples: the inverse of the pinned rigidity matrix at the
+first invertible sample answers every deletion, and each check's first
+deletion still fixed, its witness, is confirmed by one sparse solve per
+later sample, in the pivot order of the first (`numeric.deletion_verdicts`).
 
 The decomposition and the minimality check come from one orientation: the
 (2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
@@ -108,9 +109,10 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
 
     The single-inner-vertex-of-degree-2 graph passes outright.  By default
     pins are deleted too; `include_pins=False` restricts to inner vertices.
-    Every deletion is read off one inverse of the pinned rigidity matrix,
-    and the first vertex whose deletion stays fixed, the witness, is solved
-    for again at each later random sample (`numeric.deletion_verdicts`).
+    Every deletion is read off the inverse of the pinned rigidity matrix at
+    the first invertible sample, and the first vertex whose deletion stays
+    fixed, the witness, is solved for again at each later random sample,
+    replaying the first sample's pivot order (`numeric.deletion_verdicts`).
     True is certain.  False means the witness stayed fixed at `trials`
     samples, and is wrong with probability at most about (2|I|/p)^trials
     (p = 2^61 - 1).
@@ -123,9 +125,10 @@ def check_edge_deletion(g: PinnedGraph, seed: int = 0,
                         trials: int = DEFAULT_TRIALS) -> bool:
     """Deleting any edge leaves a motion of all inner vertices.
 
-    Every deletion is read off one inverse of the pinned rigidity matrix,
-    and the first edge whose deletion stays fixed, the witness, is solved
-    for again at each later random sample (`numeric.deletion_verdicts`).
+    Every deletion is read off the inverse of the pinned rigidity matrix at
+    the first invertible sample, and the first edge whose deletion stays
+    fixed, the witness, is solved for again at each later random sample,
+    replaying the first sample's pivot order (`numeric.deletion_verdicts`).
     True is certain.  False means the witness stayed fixed at `trials`
     samples, and is wrong with probability at most about (2|I|/p)^trials
     (p = 2^61 - 1).

@@ -14,20 +14,26 @@ Three coordinate domains are supported:
                   probability of at most degree/p per trial, so no tolerances
                   are involved);
 * ``rational`` -- exact Fraction arithmetic for user-supplied int/rational
-                  geometry, through the same Gauss-Jordan loop as ``mod``;
+                  geometry, through the same elimination as ``mod``;
 * ``float``    -- elimination with a relative pivot threshold of 1e-9 for
                   binary-float geometry.  Pivots close to the threshold raise
                   a ConditioningWarning instead of silently deciding.
 
-Over GF(p) and the rationals every exact answer is one call of that loop,
-`_rref_mod`: ranks are its pivot counts, kernels are read off its reduced
-rows, and `_solve` reads X with R X = B off the reduction of [R | B].
+Over GF(p) and the rationals every exact answer comes from one sparse
+elimination, `_factor`: rows are dicts {column: nonzero entry}, elimination
+runs forward only (never above a pivot), and every pivot is a nonzero value,
+since entries that cancel are deleted.  Ranks are its pivot counts; kernels
+and `_solve` back-substitute through its steps.  Ranks and kernels pivot in
+natural column order, so the pivot columns, and with them the kernel basis,
+are those of the reduced row echelon form; a square solve takes the columns
+with fewest nonzeros first (after Markowitz, Management Sci. 3, 1957), which
+keeps the factors of a rigidity matrix sparse.
 
 The vertex- and edge-deletion checks of the Assur characterization read
-every deletion off one GF(p) inverse of the square pinned rigidity matrix at
-the first invertible sample; a target still fixed is then confirmed on its
-own, one witness per check, by solving for its motion at each later sample
-(`deletion_verdicts`).
+every deletion off the inverse of the square pinned rigidity matrix at the
+first invertible sample; a target still fixed is then confirmed on its own,
+one witness per check, by solving for its motion at each later sample, with
+the pivot order of the first sample replayed (`deletion_verdicts`).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -102,9 +109,10 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
     """Assemble the rigidity matrix of `g` at configuration `config`.
 
     `config` must give coordinates for every vertex; adjacent vertices must
-    sit at distinct points.  Coordinates must convert to the field, and a
-    float row must be finite.  For a PinnedGraph, columns exist only for
-    inner vertices (pin coordinates still shape the rows).
+    sit at distinct points.  Coordinates must convert to the field (the
+    ``mod`` field takes integers only), and a float row must be finite.
+    For a PinnedGraph, columns exist only for inner vertices (pin
+    coordinates still shape the rows).
     """
     if isinstance(g, PinnedGraph):
         col_vertices = sorted(g.inner, key=vkey)
@@ -118,6 +126,9 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
     def coords(v):
         x, y = config[v]
         if field == "mod":
+            if not (isinstance(x, int) and isinstance(y, int)):
+                raise GraphError(f"coordinates of {v!r} are not integers, "
+                                 f"as the mod field needs")
             return x % PRIME, y % PRIME
         try:
             if field == "rational":
@@ -152,57 +163,107 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
                           columns=tuple(col_vertices), field=field)
 
 
-# -- elimination kernels ----------------------------------------------------
+# -- the exact elimination kernel -------------------------------------------
 
-def _rref_mod(rows, p=PRIME):
-    """Reduced row echelon form (Gauss-Jordan) over GF(p), or over the
-    rationals when `p` is None (entries become Fractions).
+def _sparse(rows, p=PRIME):
+    """Dict rows {column: nonzero entry} of the dense `rows`, reduced mod p,
+    or as Fractions when `p` is None."""
+    if p:
+        return [{k: y for k, x in enumerate(r) if (y := x % p)} for r in rows]
+    return [{k: Fraction(x) for k, x in enumerate(r) if x} for r in rows]
 
-    Returns (pivot column list, reduced rows).  Columns left of the pivot
-    are already zero in the pivot row, so each update touches only the
-    pivot row's nonzero columns; rigidity matrices stay sparse for long."""
-    rows = [list(r) if p else list(map(Fraction, r)) for r in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+
+def _factor(rows, cols, p=PRIME, order=()):
+    """Forward elimination, in place, of the dict rows `rows` (column ->
+    nonzero entry) over GF(p), or over the rationals when `p` is None.
+
+    Pivots lie in the columns `cols`, taken in that order: each pivots on
+    the sparsest live row that is nonzero there, and a column zero in every
+    live row is skipped.  The (row, column) pairs of `order` are replayed
+    first, up to the first whose entry is zero; the columns left are then
+    pivoted afresh.  An entry that cancels is deleted, so a pivot is always
+    a nonzero value, never a merely structural one.  A live row is updated
+    on the pivot row's entries only, and a row that has pivoted is never
+    touched again.  Columns outside `cols` (right-hand sides) ride along.
+    Returns the steps (row, column, inverse of the pivot, pivot row without
+    its pivot entry)."""
+    live = list(range(len(rows)))
+    steps = []
+
+    def eliminate(r, c):
         prow = rows[r]
-        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
-        nonzero = [k for k in range(c, ncols) if prow[k]]
-        for k in nonzero:
-            prow[k] = prow[k] * inv % p if p else prow[k] * inv
-        entries = [(k, prow[k]) for k in nonzero]
-        for i in range(m):
+        live.remove(r)
+        inv = pow(prow.pop(c), -1, p) if p else 1 / prow.pop(c)
+        entries = list(prow.items())
+        for i in live:
             ri = rows[i]
-            f = ri[c]
-            if f and i != r:
-                if p:
-                    for k, b in entries:
-                        ri[k] = (ri[k] - f * b) % p
-                else:
-                    for k, b in entries:
-                        ri[k] -= f * b
-        pivots.append(c)
-        if len(pivots) == m:
+            f = ri.pop(c, 0)
+            if not f:
+                continue
+            if p:
+                f = f * inv % p
+                for k, b in entries:
+                    if x := (ri.get(k, 0) - f * b) % p:
+                        ri[k] = x
+                    else:
+                        del ri[k]
+            else:
+                f *= inv
+                for k, b in entries:
+                    if x := ri.get(k, 0) - f * b:
+                        ri[k] = x
+                    else:
+                        del ri[k]
+        steps.append((r, c, inv, prow))
+
+    for r, c in order:
+        if c not in rows[r]:
             break
-    return pivots, rows[:len(pivots)]
+        eliminate(r, c)
+    done = {step[1] for step in steps}
+    for c in cols:
+        if c not in done and (hits := [i for i in live if c in rows[i]]):
+            eliminate(min(hits, key=lambda i: len(rows[i])), c)
+    return steps
 
 
-def _solve(rows, rhs):
-    """Rows of X with R X = B over GF(p), for the square R given by `rows`
-    and B by `rhs` (one row of B per row of R), or None when R is singular:
-    `_rref_mod` of [R | B] pivots on every column of R exactly when R is
-    invertible."""
+def _back_substitute(steps, right, p=PRIME):
+    """Back substitution through the steps of `_factor`: per pivot column c
+    of pivot row r, x_c = (right[r] - sum of a_k x_k) / pivot over the
+    row's entries a_k at pivot columns k, where `right[r]` lists what the
+    row holds at the other columns wanted (right-hand sides, or free
+    columns).  It runs from the last step back: a pivot row's other pivot
+    columns all pivoted after it."""
+    solved = {}
+    for r, c, inv, prow in reversed(steps):
+        acc = right[r]
+        for k, a in prow.items():
+            if (xk := solved.get(k)) is not None:
+                acc = [x - a * y for x, y in zip(acc, xk)]
+        solved[c] = [x * inv % p for x in acc] if p else [x * inv for x in acc]
+    return solved
+
+
+def _solve(rows, rhs, order=(), p=PRIME):
+    """Columns of X with R X = B, for the square R given by the dict rows
+    `rows` (eliminated in place) and B by the dict columns `rhs` (row ->
+    nonzero entry), or None when R is singular; with the pivot order
+    [(row, column)] that `_factor` took, to replay at another R of the same
+    pattern.  Columns are tried by fewest nonzeros, and R is invertible
+    exactly when every one pivots."""
     n = len(rows)
-    pivots, reduced = _rref_mod([list(r) + list(b) for r, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in reduced]
+    count = Counter(k for r in rows for k in r)
+    for j, col in enumerate(rhs, n):
+        for i, x in col.items():
+            rows[i][j] = x
+    steps = _factor(rows, sorted(range(n), key=count.__getitem__), p, order)
+    order = [step[:2] for step in steps]
+    if len(steps) < n:
+        return None, order
+    js = range(n, n + len(rhs))
+    right = {r: [prow.get(j, 0) for j in js] for r, _, _, prow in steps}
+    solved = _back_substitute(steps, right, p)
+    return list(zip(*(solved[c] for c in range(n)))), order
 
 
 def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
@@ -238,40 +299,48 @@ def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
     return pivots, rows[:r]
 
 
-def _kernel_basis(pivots, reduced, ncols, p):
-    """Kernel basis from an RREF over GF(p), or over the rationals or floats
-    when `p` is None: one vector per free column."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _kernel_basis(solved, free, ncols, p):
+    """Kernel basis over GF(p), or over the rationals or floats when `p` is
+    None, from the reduced rows: `solved[c]` lists the entries of pivot
+    column c's row at the `free` columns.  One vector per free column."""
     basis = []
-    for f in free:
+    for i, f in enumerate(free):
         vec = [0] * ncols
         vec[f] = 1
-        for r, c in enumerate(pivots):
-            x = reduced[r][f]
-            vec[c] = -x % p if p else -x
+        for c, row in solved.items():
+            vec[c] = -row[i] % p if p else -row[i]
         basis.append(vec)
     return basis
 
 
-def _reduce(mat: RigidityMatrix):
-    """(pivots, reduced rows, p) of `mat` over its own field; p is the
-    prime for ``mod`` and None otherwise."""
-    rows = mat.as_lists()
-    if mat.field == "float":
-        return (*_rref_float(rows), None)
-    p = PRIME if mat.field == "mod" else None
-    return (*_rref_mod(rows, p), p)
+def _exact_kernel(rows, ncols, p=PRIME):
+    """Kernel basis of the dense `rows` over GF(p), or over the rationals
+    when `p` is None: `_factor` in natural column order, whose pivot
+    columns are those of the RREF, then back substitution at the free
+    columns."""
+    steps = _factor(_sparse(rows, p), range(ncols), p)
+    pivots = {step[1] for step in steps}
+    free = [f for f in range(ncols) if f not in pivots]
+    right = {r: [prow.get(f, 0) for f in free] for r, _, _, prow in steps}
+    return _kernel_basis(_back_substitute(steps, right, p), free, ncols, p)
 
 
 def matrix_rank(mat: RigidityMatrix) -> int:
-    return len(_reduce(mat)[0])
+    if mat.field == "float":
+        return len(_rref_float(mat.as_lists())[0])
+    p = PRIME if mat.field == "mod" else None
+    return len(_factor(_sparse(mat.rows, p), range(mat.shape[1]), p))
 
 
 def matrix_kernel(mat: RigidityMatrix):
     """Kernel basis vectors as flat coordinate lists."""
-    pivots, reduced, p = _reduce(mat)
-    return _kernel_basis(pivots, reduced, mat.shape[1], p)
+    ncols = mat.shape[1]
+    if mat.field != "float":
+        return _exact_kernel(mat.rows, ncols, PRIME if mat.field == "mod" else None)
+    pivots, rows = _rref_float(mat.as_lists())
+    free = [f for f in range(ncols) if f not in pivots]
+    solved = {c: [row[f] for f in free] for c, row in zip(pivots, rows)}
+    return _kernel_basis(solved, free, ncols, None)
 
 
 # -- randomized generic queries ---------------------------------------------
@@ -347,21 +416,25 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     coordinates from the span of its edges' columns.  A target moves at a
     sample when a random combination x of its columns moves every remaining
     inner 2x1 block.  Every target is tested up to the first invertible
-    sample, which inverts R once.  After it, each kind (vertex, edge) with a
-    target still fixed tests only its first one, its witness: one `_solve`
-    per sample, one column of B per kind, solves R x = b, with b a random
-    combination of the unit vectors of the witness's edges.  A witness that
-    moves is dropped and the next fixed target of its kind takes over, with
-    the samples it was tested at so far (one, unless singular samples came
-    first).  A target seen to move once moves generically: at an invertible
-    sample x is a rational function of the configuration that is nonzero
-    there, so True is certain.  A kind is False when its witness stayed
-    fixed at `trials` samples; that is wrong only if the witness moves
-    generically, with probability at most about (2|I|/p)^trials for a given
-    target (Schwartz-Zippel, p = 2^61 - 1).  A singular sample counts as a
-    fixed sample for every target it tests.  Deleting the only inner vertex
-    leaves nothing to move and is skipped.  `include_pins=False` deletes
-    inner vertices only.  Returns (vertex verdict, edge verdict).
+    sample, whose one `_solve` of [R | I] fixes a pivot order and yields the
+    columns of R^-1.  After it, each kind (vertex, edge) with a target still
+    fixed tests only its first one, its witness: one `_solve` per sample,
+    one column of B per kind, solves R x = b, with b a random combination of
+    the unit vectors of the witness's edges.  Every sample has the same rows
+    and columns, so each later one replays that order; where that meets a
+    zero pivot, the rest of the sample is pivoted afresh, so a sample is
+    singular exactly when R is.  A witness that moves is dropped and the
+    next fixed target of its kind takes over, with the samples it was tested
+    at so far (one, unless singular samples came first).  A target seen to
+    move once moves generically: at an invertible sample x is a rational
+    function of the configuration that is nonzero there, so True is certain.
+    A kind is False when its witness stayed fixed at `trials` samples; that
+    is wrong only if the witness moves generically, with probability at most
+    about (2|I|/p)^trials for a given target (Schwartz-Zippel, p =
+    2^61 - 1).  A singular sample counts as a fixed sample for every target
+    it tests.  Deleting the only inner vertex leaves nothing to move and is
+    skipped.  `include_pins=False` deletes inner vertices only.  Returns
+    (vertex verdict, edge verdict).
     """
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
@@ -375,18 +448,27 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
                for v in deleted if len(inner) > 1 or v not in block]
     targets += [(False, [j], None) for j in range(g.m)]
     rng = random.Random(seed)
+    col_of = {v: 2 * i for i, v in enumerate(inner)}
+    # per edge (u, v), its (column, index into (xu-xv, yu-yv, xv-xu, yv-yu))
+    slots = [[(col_of[w] + a, 2 * s + a) for s, w in enumerate(e) if w in col_of
+              for a in (0, 1)] for e in g.edges]
 
     def sample():
-        return build_rigidity_matrix(g, random_configuration(g, rng), field="mod").rows
+        """Dict rows of the pinned rigidity matrix at a random configuration."""
+        config = random_configuration(g, rng)
+        rows = []
+        for (u, v), slot in zip(g.edges, slots):
+            (xu, yu), (xv, yv) = config[u], config[v]
+            d = (xu - xv, yu - yv, xv - xu, yv - yu)
+            rows.append({c: y for c, i in slot if (y := d[i] % PRIME)})
+        return rows
 
-    n = g.m
-    identity = [[int(i == k) for k in range(n)] for i in range(n)]
+    identity = [{j: 1} for j in range(g.m)]
     shared = 0  # samples that tested every target
     while targets and shared < trials:
         shared += 1
-        inv = _solve(sample(), identity)
-        if inv is not None:
-            cols = list(zip(*inv))
+        cols, order = _solve(sample(), identity)
+        if cols is not None:
             targets = [t for t in targets
                        if not _moves([cols[j] for j in t[1]], rng, t[2])]
             break
@@ -394,13 +476,10 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     count = dict.fromkeys(fixed, shared)
     while active := [k for k in fixed if fixed[k] and count[k] < trials]:
         rows = sample()
-        rhs = [[0] * len(active) for _ in range(n)]
+        rhs = [{j: rng.randrange(1, PRIME) for j in fixed[k][0][1]} for k in active]
+        x, _ = _solve(rows, rhs, order)
         for c, k in enumerate(active):
-            for j in fixed[k][0][1]:
-                rhs[j][c] = rng.randrange(1, PRIME)
-        x = _solve(rows, rhs)
-        for c, k in enumerate(active):
-            if x is not None and _all_move([row[c] for row in x], fixed[k][0][2]):
+            if x is not None and _all_move(x[c], fixed[k][0][2]):
                 fixed[k].pop(0)
                 count[k] = shared
             else:
@@ -412,6 +491,8 @@ def _moves(vectors, rng, dropped=None):
     """A random combination of `vectors` moves every inner 2x1 block except
     block `dropped` (no vectors, no motion)."""
     lams = [rng.randrange(1, PRIME) for _ in vectors]
+    if len(vectors) == 1:  # a nonzero multiple moves what its vector moves
+        return _all_move(vectors[0], dropped)
     return _all_move([sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)],
                      dropped)
 

@@ -8,13 +8,15 @@ against.
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from pinrig.errors import GraphError
 from pinrig.generate import edge_split, step
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
-from pinrig.numeric import (PRIME, _moves, _solve, all_inner_move, build_rigidity_matrix,
-                            random_configuration)
+from pinrig import numeric
+from pinrig.numeric import (PRIME, _all_move, _moves, all_inner_move,
+                            build_rigidity_matrix, random_configuration)
 from pinrig.pebble import is_circuit
 
 # -- fixtures ----------------------------------------------------------------
@@ -196,27 +198,34 @@ def deletion_oracle(g, seed=0, trials=8, include_pins=True):
     return vertex, edge
 
 
-def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
-    """(vertex, edge) deletion verdicts with one full GF(p) inverse per
-    sample: every target still fixed takes a random combination of its
-    columns of R^-1 at each of `trials` samples (a singular one uses up a
-    trial).  The inverse-per-sample route that `numeric.deletion_verdicts`
-    replaced; deleting the only inner vertex is skipped."""
+def _deletion_targets(g, include_pins):
+    """The deletion targets of `numeric.deletion_verdicts`, in its order:
+    (is a vertex, edge indices spanning its motions, dropped block);
+    deleting the only inner vertex is skipped."""
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
     inner = sorted(g.inner, key=vkey)
     block = {v: i for i, v in enumerate(inner)}
     deleted = inner + sorted(g.pins, key=vkey) if include_pins else inner
-    # (is a vertex, edge indices spanning its motions, dropped block)
     targets = [(True, [j for j, e in enumerate(g.edges) if v in e], block.get(v))
                for v in deleted if len(inner) > 1 or v not in block]
-    targets += [(False, [j], None) for j in range(g.m)]
+    return targets + [(False, [j], None) for j in range(g.m)]
+
+
+def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
+    """(vertex, edge) deletion verdicts with one full GF(p) inverse per
+    sample: every target still fixed takes a random combination of its
+    columns of R^-1 at each of `trials` samples (a singular one uses up a
+    trial).  The inverse-per-sample route that `numeric.deletion_verdicts`
+    replaced."""
+    targets = _deletion_targets(g, include_pins)
     rng = random.Random(seed)
     for _ in range(trials):
         if not targets:
             break
         mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
-        inv = _solve(mat.rows, [[int(i == k) for k in range(g.m)] for i in range(g.m)])
+        inv = solve_reference(mat.rows, [[int(i == k) for k in range(g.m)]
+                                         for i in range(g.m)])
         if inv is None:
             continue
         cols = list(zip(*inv))
@@ -226,9 +235,116 @@ def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
     return True not in fixed, False not in fixed
 
 
+def rref_mod_reference(rows, p=PRIME):
+    """Reduced row echelon form (Gauss-Jordan) over GF(p), or over the
+    rationals when `p` is None (entries become Fractions): the dense loop
+    that the sparse `numeric._factor` replaced, kept as its reference.
+
+    Returns (pivot column list, reduced rows).  Columns left of the pivot
+    are already zero in the pivot row, so each update touches only the
+    pivot row's nonzero columns."""
+    rows = [list(r) if p else list(map(Fraction, r)) for r in rows]
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
+        nonzero = [k for k in range(c, ncols) if prow[k]]
+        for k in nonzero:
+            prow[k] = prow[k] * inv % p if p else prow[k] * inv
+        entries = [(k, prow[k]) for k in nonzero]
+        for i in range(m):
+            ri = rows[i]
+            f = ri[c]
+            if f and i != r:
+                if p:
+                    for k, b in entries:
+                        ri[k] = (ri[k] - f * b) % p
+                else:
+                    for k, b in entries:
+                        ri[k] -= f * b
+        pivots.append(c)
+        if len(pivots) == m:
+            break
+    return pivots, rows[:len(pivots)]
+
+
+def solve_reference(rows, rhs, p=PRIME):
+    """Rows of X with R X = B for the square dense R and B (one row of B per
+    row of R), or None when R is singular, read off the Gauss-Jordan
+    reduction of [R | B]."""
+    n = len(rows)
+    pivots, reduced = rref_mod_reference([list(r) + list(b) for r, b in zip(rows, rhs)], p)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in reduced]
+
+
+def kernel_reference(rows, ncols, p=PRIME):
+    """(pivot columns, kernel basis) read off `rref_mod_reference`: one
+    vector per free column, over GF(p) or, when `p` is None, over the
+    rationals."""
+    pivots, reduced = rref_mod_reference(rows, p)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f] % p if p else -reduced[r][f]
+        basis.append(vec)
+    return pivots, basis
+
+
+def deletion_verdicts_reference(g, seed=0, trials=8, include_pins=True):
+    """`numeric.deletion_verdicts` on dense rows through the Gauss-Jordan
+    reference: the same targets, random draws and witness hand-over, so
+    its verdicts are the same sample for sample.  Configurations come from
+    `numeric.random_configuration`, looked up at each call."""
+    targets = _deletion_targets(g, include_pins)
+    rng = random.Random(seed)
+
+    def sample():
+        config = numeric.random_configuration(g, rng)
+        return build_rigidity_matrix(g, config, field="mod").rows
+
+    n = g.m
+    identity = [[int(i == k) for k in range(n)] for i in range(n)]
+    shared = 0
+    while targets and shared < trials:
+        shared += 1
+        inv = solve_reference(sample(), identity)
+        if inv is not None:
+            cols = list(zip(*inv))
+            targets = [t for t in targets
+                       if not _moves([cols[j] for j in t[1]], rng, t[2])]
+            break
+    fixed = {kind: [t for t in targets if t[0] is kind] for kind in (True, False)}
+    count = dict.fromkeys(fixed, shared)
+    while active := [k for k in fixed if fixed[k] and count[k] < trials]:
+        rows = sample()
+        rhs = [[0] * len(active) for _ in range(n)]
+        for c, k in enumerate(active):
+            for j in fixed[k][0][1]:
+                rhs[j][c] = rng.randrange(1, PRIME)
+        x = solve_reference(rows, rhs)
+        for c, k in enumerate(active):
+            if x is not None and _all_move([row[c] for row in x], fixed[k][0][2]):
+                fixed[k].pop(0)
+                count[k] = shared
+            else:
+                count[k] += 1
+    return not fixed[True], not fixed[False]
+
+
 def rank_mod_reference(rows, p=PRIME):
     """Row echelon rank over GF(p) by forward elimination only, destroying
-    `rows`: the reference for the Gauss-Jordan loop `numeric._rref_mod`."""
+    `rows`: a second reference, next to `rref_mod_reference`."""
     if not rows or not rows[0]:
         return 0
     ncols = len(rows[0])

@@ -16,7 +16,7 @@ from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
 from pinrig.counting import circuit_oracle, pinned_conditions_oracle
 from pinrig.graphs import PinnedGraph, compose, contract_pins, vkey
-from pinrig.numeric import motion_space
+from pinrig.numeric import build_rigidity_matrix, matrix_rank, motion_space
 from pinrig.pebble import pinned_isostatic
 
 
@@ -344,7 +344,7 @@ def test_decompose_deep_dyad_chain(rng, levels):
     assert [c.level for c in scheme.components] == list(range(1, levels + 1))
 
 
-# -- deletion checks from one inverse, against the per-deletion route -----------
+# -- deletion checks from the first sample's inverse, against the references ---
 
 def _assert_deletions_match_oracle(g, seed, wrappers=False):
     # both verdicts from one sampling loop, as `is_assur` takes them
@@ -403,8 +403,8 @@ def test_deletions_match_oracle_on_stacks_and_edge_splits():
 
 def test_deletion_checks_eliminate_once_per_sample(monkeypatch):
     calls = []
-    real = numeric._rref_mod
-    monkeypatch.setattr(numeric, "_rref_mod", lambda *a: calls.append(1) or real(*a))
+    real = numeric._factor
+    monkeypatch.setattr(numeric, "_factor", lambda *a: calls.append(1) or real(*a))
     g = support.edge_split_assur(random.Random(3), 9)
     assert check_vertex_deletion(g, seed=2) and check_edge_deletion(g, seed=2)
     assert len(calls) == 2
@@ -474,6 +474,22 @@ def test_deletions_match_inverse_oracle_on_assur_graphs_and_compositions():
                     == expected, (size, g is assur, include_pins)
 
 
+def test_deletions_match_the_gauss_jordan_reference_sample_for_sample():
+    # the same algorithm on dense rows through `support.solve_reference`
+    rng = random.Random(59)
+    parts = (support.dyad, support.triad, support.basic_5)
+    for k in range(40):
+        chosen = [parts[rng.randrange(3)]() for _ in range(rng.randint(1, 6))]
+        if k % 4 == 0:
+            chosen.append(support.edge_split_assur(rng, rng.randint(0, 12)))
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        for include_pins in (True, False):
+            for trials in (1, 3, 8):
+                assert numeric.deletion_verdicts(g, k, trials, include_pins) \
+                    == support.deletion_verdicts_reference(g, k, trials, include_pins), \
+                    (k, include_pins, trials)
+
+
 def _fixed_at(h, config):
     """Some inner vertex of `h` stays still in every motion at `config`, in
     exact rationals."""
@@ -492,11 +508,11 @@ def _fixed_deletions(g, config):
             for hs in (vertices, edges)]
 
 
-def _hand_over_run(monkeypatch, g, special, trials):
-    """deletion_verdicts with the configurations `special` gives by sample
-    number (from 1); returns the verdicts, the samples drawn and the
-    right-hand sides solved per confirmation sample."""
-    real_config, real_rref = numeric.random_configuration, numeric._rref_mod
+def _hand_over_run(monkeypatch, g, special, trials, run=numeric.deletion_verdicts):
+    """deletion_verdicts (or `run`) with the configurations `special` gives
+    by sample number (from 1); returns the verdicts, the samples drawn and
+    the right-hand sides solved per confirmation sample."""
+    real_config, real_solve = numeric.random_configuration, numeric._solve
     samples, widths = [], []
 
     def configure(h, rng):
@@ -504,13 +520,13 @@ def _hand_over_run(monkeypatch, g, special, trials):
         return dict(special[len(samples)]) if len(samples) in special \
             else real_config(h, rng)
 
-    def counted(rows, *a):
-        widths.append(len(rows[0]) - len(rows))
-        return real_rref(rows, *a)
+    def counted(rows, rhs, *a):
+        widths.append(len(rhs))
+        return real_solve(rows, rhs, *a)
 
     monkeypatch.setattr(numeric, "random_configuration", configure)
-    monkeypatch.setattr(numeric, "_rref_mod", counted)
-    verdicts = numeric.deletion_verdicts(g, seed=5, trials=trials)
+    monkeypatch.setattr(numeric, "_solve", counted)
+    verdicts = run(g, seed=5, trials=trials)
     monkeypatch.undo()
     return verdicts, len(samples), widths[1:]
 
@@ -563,3 +579,33 @@ def test_singular_confirmation_sample_counts_for_both_witnesses(monkeypatch,
                                                    {2: collinear}, trials)
         assert verdicts == (False, False)
         assert samples == trials and widths == [2] * (trials - 1)
+
+
+def test_re_pivoted_confirmation_sample_matches_the_reference(monkeypatch, triad):
+    # sample 1 holds every deletion of the triad fixed and fixes the pivot
+    # order; sample 2 zeroes the entry that order pivots on first, while R
+    # stays invertible, so its solve is pivoted afresh, not taken as singular
+    first = numeric._sparse(build_rigidity_matrix(triad, TRIAD_SPECIAL, field="mod").rows)
+    _, order = numeric._solve(first, [{j: 1} for j in range(triad.m)])
+    r, c = order[0]
+    w = sorted(triad.inner, key=vkey)[c // 2]
+    other = next(x for x in triad.edges[r] if x != w)
+    second = support.generic_configuration(triad, seed=3)
+    second[w] = tuple(second[other][a] if a == c % 2 else second[w][a] for a in (0, 1))
+    mat = build_rigidity_matrix(triad, second, field="mod")
+    assert mat.rows[r][c] == 0 and matrix_rank(mat) == triad.m
+    special = {1: TRIAD_SPECIAL, 2: second}
+    real_solve = numeric._solve
+    solves = []
+
+    def spied(rows, rhs, replay=(), *a):
+        x, used = real_solve(rows, rhs, replay, *a)
+        solves.append((replay, used, x is not None))
+        return x, used
+
+    monkeypatch.setattr(numeric, "_solve", spied)
+    verdicts, samples, _ = _hand_over_run(monkeypatch, triad, special, 8)
+    assert solves[1][0] == order and solves[1][1] != order and solves[1][2]
+    expected, expected_samples, _ = _hand_over_run(
+        monkeypatch, triad, special, 8, run=support.deletion_verdicts_reference)
+    assert (verdicts, samples) == (expected, expected_samples) and verdicts == (True, True)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import support
 from pinrig.errors import ConditioningWarning, GraphError
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
-from pinrig.numeric import (all_inner_move, build_rigidity_matrix,
+from pinrig import numeric
+from pinrig.numeric import (PRIME, all_inner_move, build_rigidity_matrix,
                             generic_rank_randomized, matrix_kernel,
                             matrix_rank, motion_space, random_configuration)
 from pinrig.pebble import pebble_rank
@@ -106,6 +107,15 @@ class TestMotionSpace:
                         [("a", "q1"), ("a", "b"), ("b", "q2")])
         basis = motion_space(g, {"q1": (0, 0), "q2": (3, 0), "a": (1, 1), "b": (2, 1)})
         assert basis.dim == 1
+
+    def test_mod_field_refuses_float_coordinates(self, dyad):
+        with pytest.raises(GraphError, match="not integers"):
+            motion_space(dyad, {"v": (0.5, 1), "p1": (0, 0), "p2": (2, 0)}, field="mod")
+
+    def test_mod_field_refuses_fraction_coordinates(self, dyad):
+        with pytest.raises(GraphError, match="not integers"):
+            motion_space(dyad, {"v": (Fraction(1, 2), 1), "p1": (0, 0), "p2": (2, 0)},
+                         field="mod")
 
     def test_rational_field_refuses_nan_and_infinity(self, dyad):
         for bad in (float("nan"), float("inf")):
@@ -229,17 +239,20 @@ def test_motion_dimension_matches_combinatorial_pinned_dof():
 
 
 def test_gf_p_inverse_and_rref():
-    from pinrig.numeric import PRIME, _rref_mod, _solve
+    from pinrig.numeric import PRIME, _solve, _sparse
     rng = random.Random(61)
     for n in range(1, 9):
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        units = [{j: 1} for j in range(n)]
         rows = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(n)]
-        inv = _solve(rows, identity)
+        inv = [list(r) for r in zip(*_solve(_sparse(rows), units)[0])]
         assert [[sum(a * b for a, b in zip(row, col)) % PRIME for col in zip(*inv)]
                 for row in rows] == identity
+        assert inv == support.solve_reference(rows, identity)
         rows[-1] = [2 * x % PRIME for x in rows[0]] if n > 1 else [0]
-        assert _solve(rows, identity) is None
-        pivots, reduced = _rref_mod(rows)
+        assert _solve(_sparse(rows), units)[0] is None
+        assert support.solve_reference(rows, identity) is None
+        pivots, reduced = support.rref_mod_reference(rows)
         assert (len(pivots) == len(reduced)
                 == support.rank_mod_reference([list(r) for r in rows]) == n - 1)
 
@@ -272,3 +285,114 @@ def test_exact_kernel_vectors_annihilate_every_row():
         assert matrix_rank(build_rigidity_matrix(g, config, field="rational")) \
             == matrix_rank(mat)
         checked += 1
+
+
+# -- the sparse exact kernel against the Gauss-Jordan reference --------------
+
+def _entry(rng, p):
+    """A random entry, zero half the time: small ones over the rationals, so
+    that fill cancels now and then."""
+    if rng.random() < 0.5:
+        return 0
+    if p:
+        return rng.randrange(1, p) if rng.random() < 0.8 else rng.randint(1, 3)
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _columns(x):
+    """The columns of the dense X, as `numeric._solve` returns them."""
+    return None if x is None else [tuple(col) for col in zip(*x)]
+
+
+def _assert_kernel_matches_reference(rows, ncols, p):
+    factored = numeric._factor(numeric._sparse(rows, p), range(ncols), p)
+    pivots, expected = support.kernel_reference(rows, ncols, p)
+    assert [step[1] for step in factored] == pivots
+    kernel = numeric._exact_kernel(rows, ncols, p)
+    assert kernel == expected
+    # the types as well: the CLI prints a Fraction as a string and an int as a number
+    assert [list(map(type, v)) for v in kernel] == [list(map(type, v)) for v in expected]
+
+
+def _assert_solve_matches_reference(rows, p, rng):
+    n = len(rows)
+    width = rng.randint(1, 3)
+    dense = [[_entry(rng, p) for _ in range(width)] for _ in range(n)]
+    rhs = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(width)]
+    x, order = numeric._solve(numeric._sparse(rows, p), rhs, p=p)
+    assert x == _columns(support.solve_reference(rows, dense, p))
+    assert (len(order) == n) == (x is not None)
+
+
+@pytest.mark.parametrize("p", [PRIME, None])
+def test_sparse_kernel_matches_reference_on_seeded_matrices(p):
+    rng = random.Random(97 if p else 98)
+    shapes = [(n, n) for n in range(1, 9)] + [(2, 5), (5, 2), (3, 7), (7, 3), (4, 6), (6, 1)]
+    singular = 0
+    for k in range(300):
+        m, ncols = shapes[k % len(shapes)]
+        rows = [[_entry(rng, p) for _ in range(ncols)] for _ in range(m)]
+        if m == ncols > 1 and k % 3 == 0:
+            # a dependent row: a multiple of one plus a multiple of another
+            a, b = rng.sample(range(m), 2)
+            s, t = _entry(rng, p) or 1, _entry(rng, p)
+            rows[k % m] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+            if p:
+                rows[k % m] = [x % p for x in rows[k % m]]
+        _assert_kernel_matches_reference(rows, ncols, p)
+        if m == ncols:
+            _assert_solve_matches_reference(rows, p, rng)
+            singular += support.solve_reference(rows, [[1]] * m, p) is None
+    assert singular > 20
+
+
+def test_sparse_kernel_matches_reference_on_all_small_pinned_graphs():
+    # at a random GF(p) configuration, and over the rationals on a 4 x 4
+    # grid, where many positions are special and much fill cancels
+    rng = random.Random(6)
+    checked = singular = 0
+    for n_inner in range(1, 7):
+        for n_pins in range(7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                mats = [(build_rigidity_matrix(g, random_configuration(g, rng), field="mod"),
+                         PRIME)]
+                grid = {v: (rng.randint(0, 3), rng.randint(0, 3)) for v in g.vertices}
+                if all(grid[u] != grid[v] for u, v in g.edges):
+                    mats.append((build_rigidity_matrix(g, grid, field="rational"), None))
+                    singular += matrix_rank(mats[1][0]) < g.m
+                for mat, p in mats:
+                    rows = [list(r) for r in mat.rows]
+                    _assert_kernel_matches_reference(rows, mat.shape[1], p)
+                    _assert_solve_matches_reference(rows, p, rng)
+                checked += len(mats)
+    assert checked > 12000 and singular > 3000
+
+
+def _order_breaks(order, replayed):
+    """The step at which a replay left `order`, or None if it followed it."""
+    return next((k for k, (a, b) in enumerate(zip(order, replayed)) if a != b),
+                None if len(replayed) == len(order) else len(replayed))
+
+
+def test_a_replayed_order_meeting_a_zero_pivot_is_pivoted_afresh():
+    # configurations on a 3 x 3 grid make replayed pivots cancel to zero
+    # while R stays invertible: those solves must pivot the rest afresh
+    rng = random.Random(12)
+    g, _ = support.stack(rng, [support.triad(), support.basic_5(), support.dyad()],
+                         ["G0", "G1", "G2"])
+    first = build_rigidity_matrix(g, support.generic_configuration(g), field="mod")
+    _, order = numeric._solve(numeric._sparse(first.rows), [{0: 1}])
+    assert len(order) == g.m
+    breaks = set()
+    for _ in range(400):
+        grid = {v: (rng.randint(0, 2), rng.randint(0, 2)) for v in g.vertices}
+        if any(grid[u] == grid[v] for u, v in g.edges):
+            continue
+        rows = build_rigidity_matrix(g, grid, field="mod").rows
+        b = [rng.randrange(1, PRIME) for _ in rows]
+        x, replayed = numeric._solve(numeric._sparse(rows), [dict(enumerate(b))], order)
+        assert x == _columns(support.solve_reference(rows, [[y] for y in b]))
+        if x is not None and (k := _order_breaks(order, replayed)) is not None:
+            breaks.add(k > 0)
+    # a zero at the first replayed pivot and one that fill cancelled later
+    assert breaks == {False, True}

@@ -13,7 +13,7 @@ and then calls the other checks' bodies.  The two deletion checks share
 their random samples: the inverse of the pinned rigidity matrix at the
 first invertible sample answers every deletion, and each check's first
 deletion still fixed, its witness, is confirmed by one sparse solve per
-later sample, in the pivot order of the first (`numeric.deletion_verdicts`).
+later sample (`numeric.deletion_verdicts`).
 
 The decomposition and the minimality check come from one orientation: the
 (2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
@@ -111,8 +111,8 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
     pins are deleted too; `include_pins=False` restricts to inner vertices.
     Every deletion is read off the inverse of the pinned rigidity matrix at
     the first invertible sample, and the first vertex whose deletion stays
-    fixed, the witness, is solved for again at each later random sample,
-    replaying the first sample's pivot order (`numeric.deletion_verdicts`).
+    fixed, the witness, is solved for again at each later random sample
+    (`numeric.deletion_verdicts`).
     True is certain.  False means the witness stayed fixed at `trials`
     samples, and is wrong with probability at most about (2|I|/p)^trials
     (p = 2^61 - 1).
@@ -127,8 +127,8 @@ def check_edge_deletion(g: PinnedGraph, seed: int = 0,
 
     Every deletion is read off the inverse of the pinned rigidity matrix at
     the first invertible sample, and the first edge whose deletion stays
-    fixed, the witness, is solved for again at each later random sample,
-    replaying the first sample's pivot order (`numeric.deletion_verdicts`).
+    fixed, the witness, is solved for again at each later random sample
+    (`numeric.deletion_verdicts`).
     True is certain.  False means the witness stayed fixed at `trials`
     samples, and is wrong with probability at most about (2|I|/p)^trials
     (p = 2^61 - 1).

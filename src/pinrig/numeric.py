@@ -20,20 +20,20 @@ Three coordinate domains are supported:
                   a ConditioningWarning instead of silently deciding.
 
 Over GF(p) and the rationals every exact answer comes from one sparse
-elimination, `_factor`: rows are dicts {column: nonzero entry}, elimination
-runs forward only (never above a pivot), and every pivot is a nonzero value,
-since entries that cancel are deleted.  Ranks are its pivot counts; kernels
-and `_solve` back-substitute through its steps.  Ranks and kernels pivot in
-natural column order, so the pivot columns, and with them the kernel basis,
-are those of the reduced row echelon form; a square solve takes the columns
-with fewest nonzeros first (after Markowitz, Management Sci. 3, 1957), which
-keeps the factors of a rigidity matrix sparse.
+elimination, `_factor`, on the matrix's dict rows {column: nonzero entry}:
+elimination runs forward only (never above a pivot), and every pivot is a
+nonzero value, since entries that cancel are deleted.  Ranks are its pivot
+counts; kernels and `_solve` back-substitute through its steps.  Ranks and
+kernels pivot in natural column order, so the pivot columns, and with them
+the kernel basis, are those of the reduced row echelon form; a square solve
+takes the columns with fewest nonzeros first (after Markowitz, Management
+Sci. 3, 1957), which keeps the factors of a rigidity matrix sparse.
 
 The vertex- and edge-deletion checks of the Assur characterization read
 every deletion off the inverse of the square pinned rigidity matrix at the
 first invertible sample; a target still fixed is then confirmed on its own,
-one witness per check, by solving for its motion at each later sample, with
-the pivot order of the first sample replayed (`deletion_verdicts`).
+one witness per check, by solving for its motion at each later sample
+(`deletion_verdicts`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import mul
 
@@ -61,19 +62,31 @@ Configuration = dict
 class RigidityMatrix:
     """Edge-by-coordinate matrix of the first-order length constraints.
 
-    `columns` lists the vertices owning columns (two consecutive columns per
-    vertex, x then y); pinned input graphs contribute columns for inner
-    vertices only.  `field` is one of ``mod``, ``rational``, ``float``.
+    `entries` holds one dict {column: nonzero entry} per edge; `rows` is
+    the same matrix as dense tuples.  `columns` lists the vertices owning
+    columns (two consecutive columns per vertex, x then y); pinned input
+    graphs contribute columns for inner vertices only.  `field` is one of
+    ``mod``, ``rational``, ``float``.
     """
 
-    rows: tuple
+    entries: tuple
     edges: tuple
     columns: tuple
     field: str
 
     @property
     def shape(self):
-        return (len(self.rows), 2 * len(self.columns))
+        return (len(self.entries), 2 * len(self.columns))
+
+    @cached_property
+    def rows(self):
+        dense = []
+        for entry in self.entries:
+            row = [0] * self.shape[1]
+            for c, x in entry.items():
+                row[c] = x
+            dense.append(tuple(row))
+        return tuple(dense)
 
     def as_lists(self):
         return [list(r) for r in self.rows]
@@ -139,8 +152,7 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
 
     pos = {v: coords(v) for v in g.vertices}
     col_of = {v: 2 * i for i, v in enumerate(col_vertices)}
-    ncols = 2 * len(col_vertices)
-    rows = []
+    entries = []
     for u, v in g.edges:
         (xu, yu), (xv, yv) = pos[u], pos[v]
         dx, dy = xu - xv, yu - yv
@@ -150,56 +162,50 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
             raise GraphError(f"edge {u!r}-{v!r} has a non-finite rigidity row")
         if dx == 0 and dy == 0:
             raise GraphError(f"adjacent vertices {u!r}, {v!r} share a location")
-        row = [0] * ncols
-        if u in col_of:
-            row[col_of[u]], row[col_of[u] + 1] = dx, dy
-        if v in col_of:
-            ndx, ndy = -dx, -dy
-            if field == "mod":
-                ndx, ndy = ndx % PRIME, ndy % PRIME
-            row[col_of[v]], row[col_of[v] + 1] = ndx, ndy
-        rows.append(tuple(row))
-    return RigidityMatrix(rows=tuple(rows), edges=tuple(g.edges),
+        entry = {}
+        for w, a, b in ((u, dx, dy), (v, -dx, -dy)):
+            if w in col_of:
+                if field == "mod":
+                    a, b = a % PRIME, b % PRIME
+                if a:
+                    entry[col_of[w]] = a
+                if b:
+                    entry[col_of[w] + 1] = b
+        entries.append(entry)
+    return RigidityMatrix(entries=tuple(entries), edges=tuple(g.edges),
                           columns=tuple(col_vertices), field=field)
 
 
 # -- the exact elimination kernel -------------------------------------------
 
-def _sparse(rows, p=PRIME):
-    """Dict rows {column: nonzero entry} of the dense `rows`, reduced mod p,
-    or as Fractions when `p` is None."""
-    if p:
-        return [{k: y for k, x in enumerate(r) if (y := x % p)} for r in rows]
-    return [{k: Fraction(x) for k, x in enumerate(r) if x} for r in rows]
-
-
-def _factor(rows, cols, p=PRIME, order=()):
+def _factor(rows, cols, p=PRIME):
     """Forward elimination, in place, of the dict rows `rows` (column ->
     nonzero entry) over GF(p), or over the rationals when `p` is None.
 
     Pivots lie in the columns `cols`, taken in that order: each pivots on
     the sparsest live row that is nonzero there, and a column zero in every
-    live row is skipped.  The (row, column) pairs of `order` are replayed
-    first, up to the first whose entry is zero; the columns left are then
-    pivoted afresh.  An entry that cancels is deleted, so a pivot is always
-    a nonzero value, never a merely structural one.  A live row is updated
-    on the pivot row's entries only, and a row that has pivoted is never
-    touched again.  Columns outside `cols` (right-hand sides) ride along.
-    Returns the steps (row, column, inverse of the pivot, pivot row without
-    its pivot entry)."""
-    live = list(range(len(rows)))
+    live row is skipped.  An entry that cancels is deleted, so a pivot is
+    always a nonzero value, never a merely structural one.  A live row is
+    updated on the pivot row's entries only, and a row that has pivoted is
+    never touched again.  Columns outside `cols` (right-hand sides) ride
+    along.  Returns the steps (row, column, inverse of the pivot, pivot row
+    without its pivot entry)."""
+    live = set(range(len(rows)))
     steps = []
-
-    def eliminate(r, c):
-        prow = rows[r]
+    for c in cols:
+        hits = [i for i in live if c in rows[i]]
+        if not hits:
+            continue
+        r = min(hits, key=lambda i: (len(rows[i]), i))
         live.remove(r)
+        prow = rows[r]
         inv = pow(prow.pop(c), -1, p) if p else 1 / prow.pop(c)
         entries = list(prow.items())
-        for i in live:
-            ri = rows[i]
-            f = ri.pop(c, 0)
-            if not f:
+        for i in hits:
+            if i == r:
                 continue
+            ri = rows[i]
+            f = ri.pop(c)
             if p:
                 f = f * inv % p
                 for k, b in entries:
@@ -215,15 +221,6 @@ def _factor(rows, cols, p=PRIME, order=()):
                     else:
                         del ri[k]
         steps.append((r, c, inv, prow))
-
-    for r, c in order:
-        if c not in rows[r]:
-            break
-        eliminate(r, c)
-    done = {step[1] for step in steps}
-    for c in cols:
-        if c not in done and (hits := [i for i in live if c in rows[i]]):
-            eliminate(min(hits, key=lambda i: len(rows[i])), c)
     return steps
 
 
@@ -244,26 +241,23 @@ def _back_substitute(steps, right, p=PRIME):
     return solved
 
 
-def _solve(rows, rhs, order=(), p=PRIME):
+def _solve(rows, rhs, p=PRIME):
     """Columns of X with R X = B, for the square R given by the dict rows
     `rows` (eliminated in place) and B by the dict columns `rhs` (row ->
-    nonzero entry), or None when R is singular; with the pivot order
-    [(row, column)] that `_factor` took, to replay at another R of the same
-    pattern.  Columns are tried by fewest nonzeros, and R is invertible
-    exactly when every one pivots."""
+    nonzero entry), or None when R is singular.  Columns are tried by
+    fewest nonzeros, and R is invertible exactly when every one pivots."""
     n = len(rows)
     count = Counter(k for r in rows for k in r)
     for j, col in enumerate(rhs, n):
         for i, x in col.items():
             rows[i][j] = x
-    steps = _factor(rows, sorted(range(n), key=count.__getitem__), p, order)
-    order = [step[:2] for step in steps]
+    steps = _factor(rows, sorted(range(n), key=count.__getitem__), p)
     if len(steps) < n:
-        return None, order
+        return None
     js = range(n, n + len(rhs))
     right = {r: [prow.get(j, 0) for j in js] for r, _, _, prow in steps}
     solved = _back_substitute(steps, right, p)
-    return list(zip(*(solved[c] for c in range(n)))), order
+    return list(zip(*(solved[c] for c in range(n))))
 
 
 def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
@@ -314,29 +308,37 @@ def _kernel_basis(solved, free, ncols, p):
 
 
 def _exact_kernel(rows, ncols, p=PRIME):
-    """Kernel basis of the dense `rows` over GF(p), or over the rationals
-    when `p` is None: `_factor` in natural column order, whose pivot
-    columns are those of the RREF, then back substitution at the free
-    columns."""
-    steps = _factor(_sparse(rows, p), range(ncols), p)
+    """Kernel basis of the dict rows `rows` (eliminated in place) over
+    GF(p), or over the rationals when `p` is None: `_factor` in natural
+    column order, whose pivot columns are those of the RREF, then back
+    substitution at the free columns."""
+    steps = _factor(rows, range(ncols), p)
     pivots = {step[1] for step in steps}
     free = [f for f in range(ncols) if f not in pivots]
     right = {r: [prow.get(f, 0) for f in free] for r, _, _, prow in steps}
     return _kernel_basis(_back_substitute(steps, right, p), free, ncols, p)
 
 
+def _exact_rows(mat):
+    """Copies of the dict rows of the ``mod`` or ``rational`` matrix `mat`,
+    for `_factor` to eliminate, and the prime of its field (None for the
+    rationals)."""
+    return [dict(r) for r in mat.entries], PRIME if mat.field == "mod" else None
+
+
 def matrix_rank(mat: RigidityMatrix) -> int:
     if mat.field == "float":
         return len(_rref_float(mat.as_lists())[0])
-    p = PRIME if mat.field == "mod" else None
-    return len(_factor(_sparse(mat.rows, p), range(mat.shape[1]), p))
+    rows, p = _exact_rows(mat)
+    return len(_factor(rows, range(mat.shape[1]), p))
 
 
 def matrix_kernel(mat: RigidityMatrix):
     """Kernel basis vectors as flat coordinate lists."""
     ncols = mat.shape[1]
     if mat.field != "float":
-        return _exact_kernel(mat.rows, ncols, PRIME if mat.field == "mod" else None)
+        rows, p = _exact_rows(mat)
+        return _exact_kernel(rows, ncols, p)
     pivots, rows = _rref_float(mat.as_lists())
     free = [f for f in range(ncols) if f not in pivots]
     solved = {c: [row[f] for f in free] for c, row in zip(pivots, rows)}
@@ -416,16 +418,13 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     coordinates from the span of its edges' columns.  A target moves at a
     sample when a random combination x of its columns moves every remaining
     inner 2x1 block.  Every target is tested up to the first invertible
-    sample, whose one `_solve` of [R | I] fixes a pivot order and yields the
-    columns of R^-1.  After it, each kind (vertex, edge) with a target still
-    fixed tests only its first one, its witness: one `_solve` per sample,
-    one column of B per kind, solves R x = b, with b a random combination of
-    the unit vectors of the witness's edges.  Every sample has the same rows
-    and columns, so each later one replays that order; where that meets a
-    zero pivot, the rest of the sample is pivoted afresh, so a sample is
-    singular exactly when R is.  A witness that moves is dropped and the
-    next fixed target of its kind takes over, with the samples it was tested
-    at so far (one, unless singular samples came first).  A target seen to
+    sample, whose one `_solve` of [R | I] yields the columns of R^-1.  After
+    it, each kind (vertex, edge) with a target still fixed tests only its
+    first one, its witness: one `_solve` per sample, one column of B per
+    kind, solves R x = b, with b a random combination of the unit vectors
+    of the witness's edges.  A witness that moves is dropped and the next
+    fixed target of its kind takes over, with the samples it was tested at
+    so far (one, unless singular samples came first).  A target seen to
     move once moves generically: at an invertible sample x is a rational
     function of the configuration that is nonzero there, so True is certain.
     A kind is False when its witness stayed fixed at `trials` samples; that
@@ -448,26 +447,16 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
                for v in deleted if len(inner) > 1 or v not in block]
     targets += [(False, [j], None) for j in range(g.m)]
     rng = random.Random(seed)
-    col_of = {v: 2 * i for i, v in enumerate(inner)}
-    # per edge (u, v), its (column, index into (xu-xv, yu-yv, xv-xu, yv-yu))
-    slots = [[(col_of[w] + a, 2 * s + a) for s, w in enumerate(e) if w in col_of
-              for a in (0, 1)] for e in g.edges]
 
     def sample():
         """Dict rows of the pinned rigidity matrix at a random configuration."""
-        config = random_configuration(g, rng)
-        rows = []
-        for (u, v), slot in zip(g.edges, slots):
-            (xu, yu), (xv, yv) = config[u], config[v]
-            d = (xu - xv, yu - yv, xv - xu, yv - yu)
-            rows.append({c: y for c, i in slot if (y := d[i] % PRIME)})
-        return rows
+        return _exact_rows(build_rigidity_matrix(g, random_configuration(g, rng), "mod"))[0]
 
     identity = [{j: 1} for j in range(g.m)]
     shared = 0  # samples that tested every target
     while targets and shared < trials:
         shared += 1
-        cols, order = _solve(sample(), identity)
+        cols = _solve(sample(), identity)
         if cols is not None:
             targets = [t for t in targets
                        if not _moves([cols[j] for j in t[1]], rng, t[2])]
@@ -477,7 +466,7 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     while active := [k for k in fixed if fixed[k] and count[k] < trials]:
         rows = sample()
         rhs = [{j: rng.randrange(1, PRIME) for j in fixed[k][0][1]} for k in active]
-        x, _ = _solve(rows, rhs, order)
+        x = _solve(rows, rhs)
         for c, k in enumerate(active):
             if x is not None and _all_move(x[c], fixed[k][0][2]):
                 fixed[k].pop(0)

@@ -235,6 +235,14 @@ def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
     return True not in fixed, False not in fixed
 
 
+def sparse_rows(rows, p=PRIME):
+    """Dict rows {column: nonzero entry} of the dense `rows`, reduced mod p,
+    or as Fractions when `p` is None: the input of `numeric._factor`."""
+    if p:
+        return [{k: y for k, x in enumerate(r) if (y := x % p)} for r in rows]
+    return [{k: Fraction(x) for k, x in enumerate(r) if x} for r in rows]
+
+
 def rref_mod_reference(rows, p=PRIME):
     """Reduced row echelon form (Gauss-Jordan) over GF(p), or over the
     rationals when `p` is None (entries become Fractions): the dense loop

@@ -16,7 +16,7 @@ from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
 from pinrig.counting import circuit_oracle, pinned_conditions_oracle
 from pinrig.graphs import PinnedGraph, compose, contract_pins, vkey
-from pinrig.numeric import build_rigidity_matrix, matrix_rank, motion_space
+from pinrig.numeric import motion_space
 from pinrig.pebble import pinned_isostatic
 
 
@@ -579,33 +579,3 @@ def test_singular_confirmation_sample_counts_for_both_witnesses(monkeypatch,
                                                    {2: collinear}, trials)
         assert verdicts == (False, False)
         assert samples == trials and widths == [2] * (trials - 1)
-
-
-def test_re_pivoted_confirmation_sample_matches_the_reference(monkeypatch, triad):
-    # sample 1 holds every deletion of the triad fixed and fixes the pivot
-    # order; sample 2 zeroes the entry that order pivots on first, while R
-    # stays invertible, so its solve is pivoted afresh, not taken as singular
-    first = numeric._sparse(build_rigidity_matrix(triad, TRIAD_SPECIAL, field="mod").rows)
-    _, order = numeric._solve(first, [{j: 1} for j in range(triad.m)])
-    r, c = order[0]
-    w = sorted(triad.inner, key=vkey)[c // 2]
-    other = next(x for x in triad.edges[r] if x != w)
-    second = support.generic_configuration(triad, seed=3)
-    second[w] = tuple(second[other][a] if a == c % 2 else second[w][a] for a in (0, 1))
-    mat = build_rigidity_matrix(triad, second, field="mod")
-    assert mat.rows[r][c] == 0 and matrix_rank(mat) == triad.m
-    special = {1: TRIAD_SPECIAL, 2: second}
-    real_solve = numeric._solve
-    solves = []
-
-    def spied(rows, rhs, replay=(), *a):
-        x, used = real_solve(rows, rhs, replay, *a)
-        solves.append((replay, used, x is not None))
-        return x, used
-
-    monkeypatch.setattr(numeric, "_solve", spied)
-    verdicts, samples, _ = _hand_over_run(monkeypatch, triad, special, 8)
-    assert solves[1][0] == order and solves[1][1] != order and solves[1][2]
-    expected, expected_samples, _ = _hand_over_run(
-        monkeypatch, triad, special, 8, run=support.deletion_verdicts_reference)
-    assert (verdicts, samples) == (expected, expected_samples) and verdicts == (True, True)

@@ -1,6 +1,6 @@
 """Combinatorial rigidity analysis of pinned bar-and-joint graphs."""
 
-from .canon import canonical_code, canonical_form, canonical_relabel
+from .canon import canonical_code, canonical_form
 from .errors import (CertificateError, ConditioningWarning, GraphError,
                      NotIsostaticError, PinrigError, PinrigWarning,
                      SizeLimitError)
@@ -18,7 +18,6 @@ __all__ = [
     "split_contracted_vertex",
     "canonical_code",
     "canonical_form",
-    "canonical_relabel",
     "PinrigError",
     "GraphError",
     "SizeLimitError",

@@ -3,17 +3,14 @@ isostatic graphs into a partially ordered scheme of Assur components.
 
 A pinned isostatic graph is Assur when it is minimal as such; equivalently its
 pin contraction is a rigidity circuit; equivalently deleting any vertex (or
-any edge) leaves a motion of all remaining inner vertices.  The four checks
-are implemented separately and `is_assur` runs any subset of them, flagging
-disagreement (which, the equivalence being a theorem, signals a bug or an
-unlucky random sample rather than a property of the graph).  `is_assur`
-validates its input once, through `assur_gate`, whose game on the pin
-contraction decides the circuit check (and is the state `certify` reduces),
-and then calls the other checks' bodies.  The two deletion checks share
-their random samples: the inverse of the pinned rigidity matrix at the
-first invertible sample answers every deletion, and each check's first
-deletion still fixed, its witness, is confirmed by one sparse solve per
-later sample (`numeric.deletion_verdicts`).
+any edge) leaves a motion of all remaining inner vertices.  `is_assur` runs
+any subset of the four checks and flags disagreement (which, the equivalence
+being a theorem, signals a bug or an unlucky random sample rather than a
+property of the graph).  It validates its input once, through `assur_gate`,
+whose game on the pin contraction decides the circuit check (and is the
+state `certify` reduces).  The two deletion checks share their samples in
+`numeric.deletion_verdicts`.  Each `check_*` function is `is_assur` run on
+its one method, through the same gate.
 
 The decomposition and the minimality check come from one orientation: the
 (2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
@@ -22,9 +19,9 @@ components (Shai, Sljoka & Whiteley, "Directed graphs, decompositions, and
 spatial linkages", Discrete Appl. Math. 161, 2013).  The graph is minimal
 exactly when there is one component and no pin is isolated.
 
-Graphs with an isolated pinned vertex are refused by `is_assur`: the
-contraction erases such pins, so the combinatorial and motion checks stop
-talking about the same object.
+Graphs with an isolated pinned vertex fail every check: the contraction
+erases such pins, so the combinatorial and motion checks stop talking about
+the same object.
 """
 
 from __future__ import annotations
@@ -36,23 +33,14 @@ from typing import Optional
 from .errors import GraphError, NotIsostaticError
 from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, deletion_verdicts
-from .pebble import circuit_state, is_circuit, pinned_game, pinned_orientation
-
-
-def _require_isostatic(g: PinnedGraph, message: str):
-    """Raise NotIsostaticError, with the pinned DOF, unless `g` is pinned
-    isostatic: no pinned DOF and no rejected edge in one scaffolded game."""
-    if len(g.pins) < 2:
-        raise GraphError("pinned isostatic test needs at least two pins")
-    dof, witness = pinned_game(g)
-    if dof or witness:
-        raise NotIsostaticError(message, dof=dof)
+# `pinned_game` is bound here too, so a patch that counts games can reach it
+from .pebble import circuit_state, pinned_game, pinned_gate, pinned_orientation  # noqa: F401
 
 
 def check_minimality(g: PinnedGraph) -> bool:
     """No proper pinned subgraph is itself isostatic: the decomposition has
     one component and no pin is isolated."""
-    return minimality_violation(g) is None
+    return _check(g, "minimality")
 
 
 def minimality_violation(g: PinnedGraph, scheme: Optional["AssurScheme"] = None):
@@ -73,76 +61,48 @@ def minimality_violation(g: PinnedGraph, scheme: Optional["AssurScheme"] = None)
 
 
 def check_circuit_condition(g: PinnedGraph) -> bool:
-    """The pin contraction is a rigidity circuit (one pebble game).
-
-    Isolated pins fail the check: they vanish under contraction, so no
-    circuit splitting can recover them.
-    """
-    _require_isostatic(g, "circuit condition requires a pinned isostatic graph")
-    return not g.isolated_pins() and is_circuit(contract_pins(g))
-
-
-def assur_gate(g: PinnedGraph):
-    """(reason, pinned DOF, held): the checks every Assur test starts with.
-
-    `reason` says why `g` cannot be Assur before any circuit is sought:
-    fewer than two pins, not pinned isostatic (one scaffolded game, whose
-    DOF is returned), or isolated pins.  Otherwise `held` is
-    `pebble.circuit_state` of the pin contraction: its live game when the
-    contraction is a circuit, which `certify` goes on to reduce, else None.
-    """
-    if len(g.pins) < 2:
-        return "fewer than two pins", None, None
-    dof, witness = pinned_game(g)
-    if dof or witness:
-        return f"not pinned isostatic (pinned DOF {dof})", dof, None
-    if g.isolated_pins():
-        pins = sorted(g.isolated_pins(), key=vkey)
-        return f"isolated pinned vertices {pins!r}", None, None
-    return None, None, circuit_state(contract_pins(g))
+    """The pin contraction is a rigidity circuit (one pebble game)."""
+    return _check(g, "circuit")
 
 
 def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
-                          trials: int = DEFAULT_TRIALS,
-                          include_pins: bool = True) -> bool:
-    """Deleting any vertex leaves a motion of all remaining inner vertices.
-
-    The single-inner-vertex-of-degree-2 graph passes outright.  By default
-    pins are deleted too; `include_pins=False` restricts to inner vertices.
-    Every deletion is read off the inverse of the pinned rigidity matrix at
-    the first invertible sample, and the first vertex whose deletion stays
-    fixed, the witness, is solved for again at each later random sample
-    (`numeric.deletion_verdicts`).
-    True is certain.  False means the witness stayed fixed at `trials`
-    samples, and is wrong with probability at most about (2|I|/p)^trials
-    (p = 2^61 - 1).
-    """
-    _require_isostatic(g, "vertex deletion check requires a pinned isostatic graph")
-    return _deletion_checks(g, seed, trials, include_pins)[0]
+                          trials: int = DEFAULT_TRIALS) -> bool:
+    """Deleting any vertex, inner or pinned, leaves a motion of all remaining
+    inner vertices.  True is certain; False is wrong with probability at
+    most about (2|I|/p)^trials (`numeric.deletion_verdicts` says how)."""
+    return _check(g, "vertex_deletion", seed, trials)
 
 
 def check_edge_deletion(g: PinnedGraph, seed: int = 0,
                         trials: int = DEFAULT_TRIALS) -> bool:
-    """Deleting any edge leaves a motion of all inner vertices.
+    """Deleting any edge leaves a motion of all inner vertices.  True is
+    certain; False is wrong with probability at most about (2|I|/p)^trials
+    (`numeric.deletion_verdicts` says how)."""
+    return _check(g, "edge_deletion", seed, trials)
 
-    Every deletion is read off the inverse of the pinned rigidity matrix at
-    the first invertible sample, and the first edge whose deletion stays
-    fixed, the witness, is solved for again at each later random sample
-    (`numeric.deletion_verdicts`).
-    True is certain.  False means the witness stayed fixed at `trials`
-    samples, and is wrong with probability at most about (2|I|/p)^trials
-    (p = 2^61 - 1).
+
+def _check(g, method, seed=0, trials=DEFAULT_TRIALS) -> bool:
+    """`is_assur`'s value for `method` alone: input that is not pinned
+    isostatic raises NotIsostaticError, with the pinned DOF, and isolated
+    pins fail."""
+    return bool(getattr(_verdict(g, (method,), seed, trials), method))
+
+
+def assur_gate(g: PinnedGraph):
+    """(reason, held): the checks every Assur test starts with.
+
+    Input that is not pinned isostatic raises the NotIsostaticError of
+    `pebble.pinned_gate`.  `reason` says why a pinned isostatic `g` cannot
+    be Assur before any circuit is sought: isolated pins.  Otherwise `held`
+    is `pebble.circuit_state` of the pin contraction: its live game when the
+    contraction is a circuit, which `certify` goes on to reduce, else None.
     """
-    _require_isostatic(g, "edge deletion check requires a pinned isostatic graph")
-    return _deletion_checks(g, seed, trials)[1]
-
-
-def _deletion_checks(g, seed, trials, include_pins=True):
-    """(vertex, edge) deletion verdicts of a pinned isostatic graph; a single
-    inner vertex of degree 2 passes vertex deletion outright."""
-    vertex, edge = deletion_verdicts(g, seed=seed, trials=trials,
-                                     include_pins=include_pins)
-    return vertex or (len(g.inner) == 1 and g.degree(next(iter(g.inner))) == 2), edge
+    if refusal := pinned_gate(g):
+        raise refusal
+    if g.isolated_pins():
+        pins = sorted(g.isolated_pins(), key=vkey)
+        return f"isolated pinned vertices {pins!r}", None
+    return None, circuit_state(contract_pins(g))
 
 
 _METHOD_ALIASES = {
@@ -195,16 +155,26 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
     input (or an isolated pin) yields overall False with a reason instead of
     an error.
     """
+    try:
+        return _verdict(g, methods, seed, trials)
+    except NotIsostaticError as exc:
+        return AssurVerdict(None, None, None, None, overall=False,
+                            disagreement=False, reason=str(exc), pinned_dof=exc.dof)
+
+
+def _verdict(g, methods, seed, trials):
+    """`is_assur` on input that passes `pebble.pinned_gate`; raises its
+    NotIsostaticError otherwise."""
     chosen = set()
     for m in methods:
         try:
             chosen.add(_METHOD_ALIASES[m])
         except KeyError:
             raise GraphError(f"unknown method {m!r}") from None
-    reason, dof, held = assur_gate(g)
+    reason, held = assur_gate(g)
     if reason:
         return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False, reason=reason, pinned_dof=dof)
+                            disagreement=False, reason=reason)
     results = {"circuit": held is not None}
     scheme = None
     if "minimality" in chosen or not results["circuit"]:
@@ -213,7 +183,7 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
         results["minimality"] = minimality_violation(g, scheme) is None
     motion_checks = ("vertex_deletion", "edge_deletion")
     if chosen.intersection(motion_checks):
-        verdicts = zip(motion_checks, _deletion_checks(g, seed, trials))
+        verdicts = zip(motion_checks, deletion_verdicts(g, seed=seed, trials=trials))
         results.update((name, ok) for name, ok in verdicts if name in chosen)
     values = set(results.values())
     return AssurVerdict(
@@ -381,10 +351,11 @@ def decompose(g: PinnedGraph, seed: Optional[int] = None) -> AssurScheme:
     Math. 161, 2013).  A component's level is one more than the highest
     level among its pins, ground pins having level 0.  `seed` shuffles edge
     insertion order (the components and their order do not depend on it).
+    Input that is not pinned isostatic raises the NotIsostaticError of
+    `pebble.pinned_gate`.
     """
-    if len(g.pins) < 2:
-        raise NotIsostaticError("decomposition needs at least two pins")
-    _require_isostatic(g, "decomposition is undefined for non-isostatic input")
+    if refusal := pinned_gate(g):
+        raise refusal
     return _decompose(g, seed)
 
 

@@ -186,10 +186,3 @@ def canonical_code(g, max_vertices: int = DEFAULT_MAX_VERTICES) -> CanonicalCode
     """Isomorphism-invariant code; equal codes iff graphs are isomorphic
     respecting vertex kinds and edge multiplicities."""
     return canonical_form(g, max_vertices)[0]
-
-
-def canonical_relabel(g, max_vertices: int = DEFAULT_MAX_VERTICES):
-    """The graph relabeled onto 0..n-1 in canonical order (a stable
-    representative of its isomorphism class)."""
-    _, lab = canonical_form(g, max_vertices)
-    return g.relabeled(lab)

@@ -84,23 +84,21 @@ def _check_laman(g):
 
 
 def _check_pinned(g):
-    if len(g.pins) < 2:
-        return False, {"mode": "pinned", "isostatic": False,
-                       "reason": "fewer than two pins"}
-    dof, witness = pebble.pinned_game(g)
-    ok = not dof and witness is None
-    doc = {"mode": "pinned", "isostatic": ok}
-    if not ok:
-        doc["pinned_dof"] = dof
+    refusal = pebble.pinned_gate(g)
+    doc = {"mode": "pinned", "isostatic": refusal is None}
+    if refusal and refusal.dof is None:
+        doc["reason"] = str(refusal)
+    elif refusal:
+        doc["pinned_dof"] = refusal.dof
         if g.m != 2 * len(g.inner):
             doc["witness_count"] = {"edges": g.m, "required": 2 * len(g.inner)}
         else:
-            sub_i, sub_p = witness
+            sub_i, sub_p = refusal.witness
             bound = 2 * len(sub_i) - (0 if len(sub_p) >= 2 else 1 if sub_p else 3)
             doc["witness_subgraph"] = {"inner": list(sub_i), "pins": list(sub_p),
                                        "edges": g.induced(sub_i, sub_p).m,
                                        "bound": bound}
-    return ok, doc
+    return refusal is None, doc
 
 
 def _assur_witness(scheme, doc):

@@ -139,13 +139,6 @@ def remove_drivers(schema: LinkageSchema) -> LinkageSchema:
                          drivers=frozenset())
 
 
-def bar_joint_dof(g: Multigraph) -> int:
-    """Naive count 2|V| - 3 - |E| (may be negative; not the generic DOF)."""
-    if g.n == 0:
-        raise GraphError("empty graph")
-    return 2 * g.n - 3 - g.m
-
-
 def _edge_masks(vertices, edges):
     index = {v: i for i, v in enumerate(vertices)}
     return [(1 << index[u]) | (1 << index[v]) for u, v in edges]
@@ -170,24 +163,6 @@ def laman_independent_oracle(g: Multigraph) -> bool:
         raise SizeLimitError(f"laman oracle bound exceeded: {g.n} vertices")
     verts = sorted(g.vertices, key=vkey)
     return _laman_masks(len(verts), _edge_masks(verts, g.edges))
-
-
-def laman_violation(g: Multigraph):
-    """A violating vertex subset (smallest found) or None if independent."""
-    if g.n > ORACLE_MAX_VERTICES:
-        raise SizeLimitError(f"laman oracle bound exceeded: {g.n} vertices")
-    verts = sorted(g.vertices, key=vkey)
-    emasks = _edge_masks(verts, g.edges)
-    best = None
-    for mask in range(3, 1 << len(verts)):
-        k = mask.bit_count()
-        if k < 2 or (best is not None and k >= len(best)):
-            continue
-        induced = sum(1 for em in emasks if em & mask == em)
-        if induced > 2 * k - 3:
-            sub = tuple(verts[i] for i in range(len(verts)) if mask >> i & 1)
-            best = sub
-    return best
 
 
 def circuit_oracle(g: Multigraph) -> bool:

@@ -14,11 +14,16 @@ class SizeLimitError(PinrigError):
 
 
 class NotIsostaticError(PinrigError):
-    """Operation is only defined for pinned isostatic graphs."""
+    """Operation is only defined for pinned isostatic graphs.
 
-    def __init__(self, message, dof=None):
+    `dof` and `witness` are those of the pinned game that refused the input
+    (`pebble.pinned_game`), or None when no game was played.
+    """
+
+    def __init__(self, message, dof=None, witness=None):
         super().__init__(message)
         self.dof = dof
+        self.witness = witness
 
 
 class CertificateError(PinrigError):

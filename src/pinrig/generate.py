@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .assur import assur_gate
 from .canon import canonical_code, canonical_form
-from .errors import CertificateError, GraphError, PinrigWarning
+from .errors import CertificateError, GraphError, NotIsostaticError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
                      contraction_star, fresh_id, norm_edge, rename_apart,
                      split_contracted_vertex, vkey)
@@ -225,11 +225,6 @@ def circuit_classes(n_max: int) -> dict:
 def circuit_catalog(n_max: int) -> dict:
     """{vertex count: tuple of the `circuit_classes` representatives}."""
     return {n: tuple(reps.values()) for n, reps in circuit_classes(n_max).items()}
-
-
-def enumerate_circuits(n_max: int) -> frozenset:
-    """Canonical codes of every circuit class reachable within n_max vertices."""
-    return frozenset(code for reps in circuit_classes(n_max).values() for code in reps)
 
 
 def _dyad() -> PinnedGraph:
@@ -547,7 +542,10 @@ def certify(g: PinnedGraph) -> Certificate:
     pin-split step rebuilds the pinned graph.  Raises GraphError when `g`
     is not Assur; there is no search that could give up.
     """
-    reason, _, held = assur_gate(g)
+    try:
+        reason, held = assur_gate(g)
+    except NotIsostaticError as exc:
+        reason, held = str(exc), None
     if held is None:
         raise GraphError(f"certify requires an Assur graph ({reason or 'circuit condition fails'})")
     claimed = _code(g)

@@ -29,11 +29,8 @@ the kernel basis, are those of the reduced row echelon form; a square solve
 takes the columns with fewest nonzeros first (after Markowitz, Management
 Sci. 3, 1957), which keeps the factors of a rigidity matrix sparse.
 
-The vertex- and edge-deletion checks of the Assur characterization read
-every deletion off the inverse of the square pinned rigidity matrix at the
-first invertible sample; a target still fixed is then confirmed on its own,
-one witness per check, by solving for its motion at each later sample
-(`deletion_verdicts`).
+`deletion_verdicts` decides the vertex- and edge-deletion checks of the
+Assur characterization; its docstring gives the whole algorithm.
 """
 
 from __future__ import annotations
@@ -406,8 +403,7 @@ def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) 
     return False
 
 
-def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS,
-                      include_pins: bool = True):
+def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS):
     """Whether deleting any vertex, and any edge, of a graph with 2|I| edges
     leaves a motion of every remaining inner vertex.
 
@@ -431,9 +427,9 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     is wrong only if the witness moves generically, with probability at most
     about (2|I|/p)^trials for a given target (Schwartz-Zippel, p =
     2^61 - 1).  A singular sample counts as a fixed sample for every target
-    it tests.  Deleting the only inner vertex leaves nothing to move and is
-    skipped.  `include_pins=False` deletes inner vertices only.  Returns
-    (vertex verdict, edge verdict).
+    it tests.  Every vertex is deleted, inner and pinned; deleting the only
+    inner vertex leaves nothing to move and is skipped.  Returns (vertex
+    verdict, edge verdict).
     """
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
@@ -441,10 +437,10 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
         raise GraphError("trials must be >= 1")
     inner = sorted(g.inner, key=vkey)
     block = {v: i for i, v in enumerate(inner)}
-    deleted = inner + sorted(g.pins, key=vkey) if include_pins else inner
     # (is a vertex, edge indices spanning its motions, dropped block)
     targets = [(True, [j for j, e in enumerate(g.edges) if v in e], block.get(v))
-               for v in deleted if len(inner) > 1 or v not in block]
+               for v in inner + sorted(g.pins, key=vkey)
+               if len(inner) > 1 or v not in block]
     targets += [(False, [j], None) for j in range(g.m)]
     rng = random.Random(seed)
 

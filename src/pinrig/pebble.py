@@ -1,8 +1,10 @@
-"""The (2,3)-pebble game: rank, independence, isostatic tests, circuits.
+"""The (2,3)-pebble game: rank, independence, pinned isostatic tests, circuits.
 
 Every query plays one game on one `_PebbleState`: `pebble_rank`,
 `circuit_state` (whose live state `certify` goes on to edit), `pinned_game`
 (the pin scaffold, then the graph) and `pinned_orientation` (below).
+`pinned_gate` owns the pinned isostatic rule that every Assur test, the
+decomposition and `check --mode pinned` start with.
 
 Each vertex starts with two pebbles.  An edge is accepted when four pebbles
 can be gathered on its endpoints (two each); accepting orients the edge away
@@ -33,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import GraphError
+from .errors import GraphError, NotIsostaticError
 from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
 
 
@@ -138,10 +140,6 @@ class RankReport:
     reach: dict = field(repr=False)
 
     @property
-    def independent_edges(self) -> tuple:
-        return tuple(self.graph.edges[i] for i in self.independent)
-
-    @property
     def rejected_edges(self) -> tuple:
         return tuple(self.graph.edges[i] for i in self.rejected)
 
@@ -209,11 +207,6 @@ def fundamental_circuit(m: Multigraph, report: RankReport, e) -> Multigraph:
     return Multigraph(verts, edges)
 
 
-def is_isostatic(m: Multigraph) -> bool:
-    """Minimally rigid: |E| = 2|V| - 3 and full rank."""
-    return m.m == 2 * m.n - 3 and pebble_rank(m).rank == m.m
-
-
 def circuit_state(m: Multigraph):
     """One (2,3) game over the edges of `m` in order: (state, r) when the
     edges form a rigidity circuit, else None.
@@ -242,13 +235,6 @@ def circuit_state(m: Multigraph):
 def is_circuit(m: Multigraph) -> bool:
     """The edges of `m` form a rigidity circuit on their support."""
     return circuit_state(m) is not None
-
-
-def generic_dof(m: Multigraph) -> int:
-    """Generic degrees of freedom 2|V| - 3 - rank (0 for graphs on < 2 vertices)."""
-    if m.n < 2:
-        return 0
-    return 2 * m.n - 3 - pebble_rank(m).rank
 
 
 def _scaffold(pins, apex):
@@ -285,27 +271,29 @@ def pinned_game(g: PinnedGraph):
                  tuple(sorted(reach & g.pins, key=vkey)))
 
 
-def pinned_isostatic(g: PinnedGraph) -> bool:
-    """True iff |E| = 2|I| and the pin-scaffolded graph is generically rigid.
+def pinned_gate(g: PinnedGraph) -> Optional[NotIsostaticError]:
+    """Why `g` is not pinned isostatic, as the error to raise, or None.
 
-    Requires at least two pins.  The scaffold (pin path plus apex) is itself
-    isostatic, so full rank of the union exactly captures rigidity of the
-    pinned framework.
+    The one test of the rule: at least two pins, and one `pinned_game` with
+    DOF 0 and no rejected edge, so |E| = 2|I| and the pin-scaffolded graph
+    is generically rigid (the scaffold is itself isostatic).  The error
+    carries that game's DOF and witness, both None for fewer than two pins.
     """
     if len(g.pins) < 2:
+        return NotIsostaticError("fewer than two pins")
+    dof, witness = pinned_game(g)
+    if dof or witness:
+        return NotIsostaticError(f"not pinned isostatic (pinned DOF {dof})",
+                                 dof=dof, witness=witness)
+    return None
+
+
+def pinned_isostatic(g: PinnedGraph) -> bool:
+    """`g` passes `pinned_gate`; GraphError for fewer than two pins."""
+    refusal = pinned_gate(g)
+    if refusal and refusal.dof is None:
         raise GraphError("pinned isostatic test needs at least two pins")
-    return g.m == 2 * len(g.inner) and pinned_dof(g) == 0
-
-
-def pinned_dof(g: PinnedGraph) -> int:
-    """Generic motions of the pinned framework: 2|I| minus the pinned rank.
-
-    A single pin leaves the rotation about it free, which this count
-    reflects.
-    """
-    if not g.pins:
-        raise GraphError("pinned DOF needs at least one pin")
-    return pinned_game(g)[0]
+    return refusal is None
 
 
 def pinned_orientation(g: PinnedGraph, edges):

@@ -175,22 +175,16 @@ def subset_joint_sum(joints, subset):
     return sum(max(len(j & subset) - 1, 0) for j in joints)
 
 
-def deletion_oracle(g, seed=0, trials=8, include_pins=True):
+def deletion_oracle(g, seed=0, trials=8):
     """(vertex, edge) deletion verdicts one deletion at a time: build the
     graph without each vertex (inner first, then pins) or each edge and ask
     `all_inner_move` of it with a seed drawn from `seed`.  Deleting the only
-    inner vertex is skipped, and a single inner vertex of degree 2 passes the
-    vertex check outright."""
+    inner vertex is skipped."""
     rng = random.Random(seed)
-    if len(g.inner) == 1 and g.degree(next(iter(g.inner))) == 2:
-        vertex = True
-    else:
-        deleted = sorted(g.inner, key=vkey)
-        if include_pins:
-            deleted += sorted(g.pins, key=vkey)
-        vertex = all(not h.inner
-                     or all_inner_move(h, seed=rng.randrange(2 ** 32), trials=trials)
-                     for h in map(g.without_vertex, deleted))
+    deleted = sorted(g.inner, key=vkey) + sorted(g.pins, key=vkey)
+    vertex = all(not h.inner
+                 or all_inner_move(h, seed=rng.randrange(2 ** 32), trials=trials)
+                 for h in map(g.without_vertex, deleted))
     rng = random.Random(seed)
     edge = all(all_inner_move(g.without_edge(u, v), seed=rng.randrange(2 ** 32),
                               trials=trials)
@@ -198,7 +192,7 @@ def deletion_oracle(g, seed=0, trials=8, include_pins=True):
     return vertex, edge
 
 
-def _deletion_targets(g, include_pins):
+def _deletion_targets(g):
     """The deletion targets of `numeric.deletion_verdicts`, in its order:
     (is a vertex, edge indices spanning its motions, dropped block);
     deleting the only inner vertex is skipped."""
@@ -206,19 +200,19 @@ def _deletion_targets(g, include_pins):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
     inner = sorted(g.inner, key=vkey)
     block = {v: i for i, v in enumerate(inner)}
-    deleted = inner + sorted(g.pins, key=vkey) if include_pins else inner
     targets = [(True, [j for j, e in enumerate(g.edges) if v in e], block.get(v))
-               for v in deleted if len(inner) > 1 or v not in block]
+               for v in inner + sorted(g.pins, key=vkey)
+               if len(inner) > 1 or v not in block]
     return targets + [(False, [j], None) for j in range(g.m)]
 
 
-def deletion_inverse_oracle(g, seed=0, trials=8, include_pins=True):
+def deletion_inverse_oracle(g, seed=0, trials=8):
     """(vertex, edge) deletion verdicts with one full GF(p) inverse per
     sample: every target still fixed takes a random combination of its
     columns of R^-1 at each of `trials` samples (a singular one uses up a
     trial).  The inverse-per-sample route that `numeric.deletion_verdicts`
     replaced."""
-    targets = _deletion_targets(g, include_pins)
+    targets = _deletion_targets(g)
     rng = random.Random(seed)
     for _ in range(trials):
         if not targets:
@@ -309,12 +303,12 @@ def kernel_reference(rows, ncols, p=PRIME):
     return pivots, basis
 
 
-def deletion_verdicts_reference(g, seed=0, trials=8, include_pins=True):
+def deletion_verdicts_reference(g, seed=0, trials=8):
     """`numeric.deletion_verdicts` on dense rows through the Gauss-Jordan
     reference: the same targets, random draws and witness hand-over, so
     its verdicts are the same sample for sample.  Configurations come from
     `numeric.random_configuration`, looked up at each call."""
-    targets = _deletion_targets(g, include_pins)
+    targets = _deletion_targets(g)
     rng = random.Random(seed)
 
     def sample():

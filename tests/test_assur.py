@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import support
 from pinrig import numeric
-from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, _deletion_checks,
-                          assur_gate, check_circuit_condition, check_edge_deletion,
+from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, assur_gate,
+                          check_circuit_condition, check_edge_deletion,
                           check_minimality, check_vertex_deletion, decompose,
                           is_assur, minimality_violation, recompose)
 from pinrig.canon import canonical_code
@@ -53,8 +53,13 @@ class TestChecks:
         with pytest.raises(NotIsostaticError):
             check_edge_deletion(pendulum, seed=0)
 
-    def test_vertex_deletion_inner_only_flag(self, triad):
-        assert check_vertex_deletion(triad, seed=0, include_pins=False)
+    @pytest.mark.parametrize("entry", [check_minimality, check_circuit_condition,
+                                       check_vertex_deletion, check_edge_deletion,
+                                       decompose])
+    def test_fewer_than_two_pins_is_not_isostatic(self, entry):
+        one_pin = PinnedGraph({"v"}, {"p"}, [("v", "p")])
+        with pytest.raises(NotIsostaticError, match="fewer than two pins"):
+            entry(one_pin)
 
 
 class TestVerdict:
@@ -348,33 +353,43 @@ def test_decompose_deep_dyad_chain(rng, levels):
 
 def _assert_deletions_match_oracle(g, seed, wrappers=False):
     # both verdicts from one sampling loop, as `is_assur` takes them
-    for include_pins in (True, False):
-        expected = support.deletion_oracle(g, seed=seed, include_pins=include_pins)
-        assert _deletion_checks(g, seed, 8, include_pins) == expected, (g, include_pins)
-        if wrappers:
-            assert check_vertex_deletion(g, seed=seed, include_pins=include_pins) \
-                == expected[0]
-            assert check_edge_deletion(g, seed=seed) == expected[1]
+    expected = support.deletion_oracle(g, seed=seed)
+    assert numeric.deletion_verdicts(g, seed=seed) == expected, g
+    if wrappers:
+        # through `is_assur`'s gate, which fails isolated pins
+        gated = not g.isolated_pins()
+        assert check_vertex_deletion(g, seed=seed) == (gated and expected[0])
+        assert check_edge_deletion(g, seed=seed) == (gated and expected[1])
 
 
 def test_assur_gate_matches_the_oracles_on_all_small_pinned_graphs():
-    """A reason exactly for fewer than two pins, failed pinned counts or an
-    isolated pin; otherwise a held game exactly when the pin contraction is
-    a circuit."""
+    """NotIsostaticError exactly for fewer than two pins or failed pinned
+    counts, else a reason exactly for an isolated pin; otherwise a held game
+    exactly when the pin contraction is a circuit.  On every graph the gate
+    lets through, the four checks agree with `is_assur`."""
     seen = Counter()
+    checks = (check_minimality, check_circuit_condition,
+              check_vertex_deletion, check_edge_deletion)
     for n_inner in range(1, 7):
         for n_pins in range(7 - n_inner):
             for g in support.all_pinned_graphs(n_inner, n_pins):
-                reason, _, held = assur_gate(g)
-                refused = (len(g.pins) < 2 or not pinned_conditions_oracle(g)
-                           or bool(g.isolated_pins()))
-                assert (reason is not None) == refused, g
-                if refused:
+                isostatic = len(g.pins) >= 2 and pinned_conditions_oracle(g)
+                try:
+                    reason, held = assur_gate(g)
+                except NotIsostaticError:
+                    assert not isostatic, g
+                    seen["not isostatic"] += 1
+                    continue
+                assert isostatic and (reason is not None) == bool(g.isolated_pins()), g
+                if reason:
                     assert held is None, g
                 else:
                     assert (held is not None) == circuit_oracle(contract_pins(g)), g
+                overall = is_assur(g).overall
+                assert [check(g) for check in checks] == [overall] * 4, g
                 seen[reason is None, held is not None] += 1
     assert seen[True, True] and seen[True, False] and seen[False, False]
+    assert seen["not isostatic"]
 
 
 def test_deletions_match_oracle_on_all_small_pinned_graphs():
@@ -466,12 +481,9 @@ def test_deletions_match_inverse_oracle_on_assur_graphs_and_compositions():
         composed, _ = support.stack(rng, parts, ["G0", "G1"])
         assert len(assur.inner) == len(composed.inner) == size and len(parts) > 1
         for g in (assur, composed):
-            for include_pins in (True, False):
-                expected = support.deletion_inverse_oracle(g, seed=k,
-                                                           include_pins=include_pins)
-                assert expected == ((True, True) if g is assur else (False, False))
-                assert numeric.deletion_verdicts(g, seed=k, include_pins=include_pins) \
-                    == expected, (size, g is assur, include_pins)
+            expected = support.deletion_inverse_oracle(g, seed=k)
+            assert expected == ((True, True) if g is assur else (False, False))
+            assert numeric.deletion_verdicts(g, seed=k) == expected, (size, g is assur)
 
 
 def test_deletions_match_the_gauss_jordan_reference_sample_for_sample():
@@ -483,11 +495,9 @@ def test_deletions_match_the_gauss_jordan_reference_sample_for_sample():
         if k % 4 == 0:
             chosen.append(support.edge_split_assur(rng, rng.randint(0, 12)))
         g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
-        for include_pins in (True, False):
-            for trials in (1, 3, 8):
-                assert numeric.deletion_verdicts(g, k, trials, include_pins) \
-                    == support.deletion_verdicts_reference(g, k, trials, include_pins), \
-                    (k, include_pins, trials)
+        for trials in (1, 3, 8):
+            assert numeric.deletion_verdicts(g, k, trials) \
+                == support.deletion_verdicts_reference(g, k, trials), (k, trials)
 
 
 def _fixed_at(h, config):

@@ -278,7 +278,8 @@ class TestGenerate:
         monkeypatch.setattr(generate, "canonical_form", counted)
         golden = json.loads(Path(__file__).with_name("canon_codes_8.json").read_text())
         for flag, catalog, enumerate_codes in (
-                ("--circuits", generate.circuit_catalog, generate.enumerate_circuits),
+                ("--circuits", generate.circuit_catalog,
+                 lambda n: {c for reps in generate.circuit_classes(n).values() for c in reps}),
                 ("--assur", generate.assur_catalog, generate.enumerate_assur)):
             calls.clear()
             catalog(7)

@@ -85,8 +85,8 @@ class TestGenericRank:
             g = support.random_multigraph(rng, n, rng.randint(1, 2 * n))
             rank = generic_rank_randomized(g, seed=17)
             assert 2 * g.n - rank >= 3
-            from pinrig.pebble import generic_dof
-            assert (2 * g.n - rank == 3) == (generic_dof(g) == 0)
+            from pinrig.pebble import pebble_rank
+            assert (2 * g.n - rank == 3) == (pebble_rank(g).rank == 2 * g.n - 3)
 
 
 class TestMotionSpace:
@@ -221,7 +221,7 @@ def test_matrix_rank_and_kernel_are_consistent():
 def test_motion_dimension_matches_combinatorial_pinned_dof():
     # two independent routes: pin-scaffold pebble count vs kernel of the
     # columns-removed matrix at a random generic configuration
-    from pinrig.pebble import pinned_dof
+    from pinrig.pebble import pinned_game
     rng = random.Random(2718)
     checked = 0
     for _ in range(120):
@@ -233,7 +233,7 @@ def test_motion_dimension_matches_combinatorial_pinned_dof():
         m = rng.randint(1, len(pairs))
         g = PinnedGraph(inner, pins, rng.sample(pairs, m))
         basis = motion_space(g, random_configuration(g, rng), field="mod")
-        assert basis.dim == pinned_dof(g), g
+        assert basis.dim == pinned_game(g)[0], g
         checked += 1
     assert checked == 120
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from pinrig.canon import canonical_code
+from pinrig.canon import canonical_code, canonical_form
 from pinrig.errors import SizeLimitError
 from pinrig.generate import assur_catalog, circuit_catalog
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
@@ -81,6 +81,16 @@ def test_symmetric_circuit_takes_at_most_one_leaf_per_vertex(depth, monkeypatch)
     canonical_code(g, max_vertices=g.n)
     assert 1 <= counts["leaves"] <= g.n
     assert counts["nodes"] <= 2 * g.n
+
+
+def test_canonical_relabel_is_stable():
+    # relabeling by the canonical labeling gives a fixed representative
+    g = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    code, lab = canonical_form(g)
+    rel = g.relabeled(lab)
+    assert rel.vertices == frozenset(range(4))
+    assert canonical_code(rel) == code
+    assert rel.relabeled(canonical_form(rel)[1]) == rel
 
 
 @settings(max_examples=80, deadline=None)

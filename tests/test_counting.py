@@ -13,7 +13,7 @@ from pinrig.counting import (LinkageSchema, circuit_oracle, grubler_dof,
 from pinrig.errors import GraphError, SizeLimitError
 from pinrig.fileio import load_linkage
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
-from pinrig.pebble import pebble_rank
+from pinrig.pebble import fundamental_circuit, pebble_rank
 
 
 @pytest.fixture
@@ -122,6 +122,18 @@ class TestRemoveDrivers:
 
 
 class TestBarJointDof:
+    def test_small_counts(self):
+        triangle = Multigraph(edges=[(0, 1), (1, 2), (0, 2)])
+        square = Multigraph(edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert grubler_dof(support.bar_schema_from_graph(triangle)).dof == 0
+        assert grubler_dof(support.bar_schema_from_graph(complete_graph(4))).dof == -1
+        assert grubler_dof(support.bar_schema_from_graph(square)).dof == 1
+
+    def test_empty_graph_rejected(self):
+        # a linkage without links has no ground to count against
+        with pytest.raises(GraphError):
+            LinkageSchema(links=frozenset(), joints=(), ground="e0")
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0))
     def test_matches_grubler_on_binary_bar_schemas(self, seed):
@@ -144,6 +156,16 @@ class TestLamanOracle:
 
     def test_doubled_edge_dependent(self):
         assert not laman_independent_oracle(support.doubled_edge())
+
+    def test_violation_witness(self):
+        # the fundamental circuit of a rejected edge is a smallest violating
+        # subset: all of K4, with 6 > 2 * 4 - 3 edges
+        k4 = complete_graph(4)
+        rep = pebble_rank(k4)
+        w = fundamental_circuit(k4, rep, rep.rejected[0])
+        assert w.n == 4 and w.m > 2 * w.n - 3
+        assert not laman_independent_oracle(w)
+        assert not pebble_rank(Multigraph(edges=[(0, 1)])).rejected
 
     def test_size_bound(self):
         with pytest.raises(SizeLimitError):

@@ -217,7 +217,7 @@ class TestEnumeration:
                 assert circuit_oracle(g)
                 assert g.m % 2 == 0, "circuits have an even number of edges"
 
-    def test_circuit_classes_on_five_vertices(self):
+    def test_enumerate_circuits_codes(self):
         classes = circuit_classes(5)
         assert sum(map(len, classes.values())) == 2  # K4 and the wheel
 

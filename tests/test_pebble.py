@@ -133,6 +133,14 @@ class TestFundamentalCircuit:
 
 
 class TestIsostatic:
+    def test_examples(self):
+        # isostatic: a full-rank game on exactly 2|V| - 3 edges
+        triangle = Multigraph(edges=[(0, 1), (1, 2), (0, 2)])
+        square = Multigraph(edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert pebble_rank(triangle).rank == triangle.m == 2 * triangle.n - 3
+        assert pebble_rank(complete_graph(4)).rejected
+        assert pebble_rank(square).rank == square.m < 2 * square.n - 3
+
     def test_is_circuit(self):
         assert is_circuit(complete_graph(4))
         assert is_circuit(support.doubled_edge())
@@ -178,6 +186,14 @@ class TestPinned:
 
 
 class TestDof:
+    def test_square_has_one_dof(self):
+        square = Multigraph(edges=[(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert 2 * square.n - 3 - pebble_rank(square).rank == 1
+
+    def test_k4_rigid_overbraced(self):
+        rep = pebble_rank(complete_graph(4))
+        assert 2 * 4 - 3 - rep.rank == 0 and len(rep.rejected) == 1
+
     def test_contracted_chain_dof_is_circuits_minus_one(self, stacked_dyads):
         m = contract_pins(stacked_dyads)
         rep = pebble_rank(m)

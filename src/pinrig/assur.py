@@ -68,7 +68,8 @@ def check_circuit_condition(g: PinnedGraph) -> bool:
 def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
                           trials: int = DEFAULT_TRIALS) -> bool:
     """Deleting any vertex, inner or pinned, leaves a motion of all remaining
-    inner vertices.  True is certain; False is wrong with probability at
+    inner vertices.  True is certain, and False is certain when certified
+    by a rigid block; an uncertified False is wrong with probability at
     most about (2|I|/p)^trials (`numeric.deletion_verdicts` says how)."""
     return _check(g, "vertex_deletion", seed, trials)
 
@@ -76,8 +77,9 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
 def check_edge_deletion(g: PinnedGraph, seed: int = 0,
                         trials: int = DEFAULT_TRIALS) -> bool:
     """Deleting any edge leaves a motion of all inner vertices.  True is
-    certain; False is wrong with probability at most about (2|I|/p)^trials
-    (`numeric.deletion_verdicts` says how)."""
+    certain, and False is certain when certified by a rigid block; an
+    uncertified False is wrong with probability at most about
+    (2|I|/p)^trials (`numeric.deletion_verdicts` says how)."""
     return _check(g, "edge_deletion", seed, trials)
 
 
@@ -123,8 +125,7 @@ class AssurVerdict:
     check; the motion-based conditions are randomized witnesses.  When
     `disagreement` is False all evaluated booleans are equal.  `pinned_dof`
     is set when the input is not pinned isostatic.  `scheme` is the
-    decomposition, kept when minimality was evaluated or the circuit
-    condition failed.
+    decomposition, kept when minimality was evaluated.
     """
 
     minimality: Optional[bool]
@@ -176,10 +177,8 @@ def _verdict(g, methods, seed, trials):
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False, reason=reason)
     results = {"circuit": held is not None}
-    scheme = None
-    if "minimality" in chosen or not results["circuit"]:
-        scheme = _decompose(g)  # a failing verdict's witness comes from it too
-    if "minimality" in chosen:
+    scheme = _decompose(g) if "minimality" in chosen else None
+    if scheme is not None:
         results["minimality"] = minimality_violation(g, scheme) is None
     motion_checks = ("vertex_deletion", "edge_deletion")
     if chosen.intersection(motion_checks):

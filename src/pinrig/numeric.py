@@ -30,7 +30,9 @@ takes the columns with fewest nonzeros first (after Markowitz, Management
 Sci. 3, 1957), which keeps the factors of a rigidity matrix sparse.
 
 `deletion_verdicts` decides the vertex- and edge-deletion checks of the
-Assur characterization; its docstring gives the whole algorithm.
+Assur characterization from one inverse per sample, and makes a False
+certain with a rigid block of the matrix; its docstring gives the whole
+algorithm.
 """
 
 from __future__ import annotations
@@ -398,7 +400,7 @@ def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) 
     rng = random.Random(seed)
     for _ in range(trials):
         mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
-        if _moves(matrix_kernel(mat), rng):
+        if not _still(_combine(matrix_kernel(mat), rng, mat.shape[1])):
             return True
     return False
 
@@ -407,29 +409,35 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     """Whether deleting any vertex, and any edge, of a graph with 2|I| edges
     leaves a motion of every remaining inner vertex.
 
-    Each sample draws a random GF(p) configuration and its square pinned
-    rigidity matrix R.  Deleting edge j leaves the motions spanned by column
-    j of R^-1; deleting a pin removes only the rows of its edges, so their
-    columns span what is left; deleting inner vertex v also drops v's two
-    coordinates from the span of its edges' columns.  A target moves at a
-    sample when a random combination x of its columns moves every remaining
-    inner 2x1 block.  Every target is tested up to the first invertible
-    sample, whose one `_solve` of [R | I] yields the columns of R^-1.  After
-    it, each kind (vertex, edge) with a target still fixed tests only its
-    first one, its witness: one `_solve` per sample, one column of B per
-    kind, solves R x = b, with b a random combination of the unit vectors
-    of the witness's edges.  A witness that moves is dropped and the next
-    fixed target of its kind takes over, with the samples it was tested at
-    so far (one, unless singular samples came first).  A target seen to
-    move once moves generically: at an invertible sample x is a rational
-    function of the configuration that is nonzero there, so True is certain.
-    A kind is False when its witness stayed fixed at `trials` samples; that
-    is wrong only if the witness moves generically, with probability at most
-    about (2|I|/p)^trials for a given target (Schwartz-Zippel, p =
-    2^61 - 1).  A singular sample counts as a fixed sample for every target
-    it tests.  Every vertex is deleted, inner and pinned; deleting the only
-    inner vertex leaves nothing to move and is skipped.  Returns (vertex
-    verdict, edge verdict).
+    Each sample draws a random GF(p) configuration and inverts its square
+    pinned rigidity matrix R with one `_solve` of [R | I].  Deleting edge j
+    leaves the motions spanned by column j of R^-1; deleting a pin removes
+    only the rows of its edges, so their columns span what is left;
+    deleting inner vertex v also drops v's two coordinates from the span of
+    its edges' columns.  Each target takes a random combination x of its
+    columns; x leaves an inner 2x1 block still where every motion left
+    does, but for an accident of probability about 2|I|/p (Schwartz-Zippel,
+    p = 2^61 - 1).
+
+    When x moves every remaining block, the target moves generically: x is
+    a rational function of the configuration that is nonzero here, so True
+    is certain.  Otherwise let Z be the blocks x leaves still.  When the
+    bars whose inner ends all lie in Z number 2|Z|, the target's kind is
+    False with certainty: at an invertible R at most 2|Z| rows are
+    supported on Z's columns, so those bars are all of them, R is block
+    triangular with the square block R_Z, and det R_Z is nonzero here and
+    so generically.  None of those bars is the target's: R x is nonzero at
+    each of the target's bars and zero at every other, and at those bars it
+    is R_Z x_Z = 0.  So they remain once the target is gone and hold Z
+    still (a rigid pinned subgraph survives the deletion; Shai, Sljoka &
+    Whiteley, Discrete Appl. Math. 161, 2013).  Another sample is drawn
+    only while some still target is uncertified, which a generic sample
+    leaves only after an accidental zero; a singular sample uses up a trial
+    and tests nothing.  A kind with a still target left uncertified after
+    `trials` samples is False, wrong with probability at most about
+    (2|I|/p)^trials for a given target.  Every vertex is deleted, inner and
+    pinned; deleting the only inner vertex leaves nothing to move and is
+    skipped.  Returns (vertex verdict, edge verdict).
     """
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
@@ -442,48 +450,52 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
                for v in inner + sorted(g.pins, key=vkey)
                if len(inner) > 1 or v not in block]
     targets += [(False, [j], None) for j in range(g.m)]
-    rng = random.Random(seed)
-
-    def sample():
-        """Dict rows of the pinned rigidity matrix at a random configuration."""
-        return _exact_rows(build_rigidity_matrix(g, random_configuration(g, rng), "mod"))[0]
-
+    ends = [{block[w] for w in e if w in block} for e in g.edges]
     identity = [{j: 1} for j in range(g.m)]
-    shared = 0  # samples that tested every target
-    while targets and shared < trials:
-        shared += 1
-        cols = _solve(sample(), identity)
-        if cols is not None:
-            targets = [t for t in targets
-                       if not _moves([cols[j] for j in t[1]], rng, t[2])]
-            break
-    fixed = {kind: [t for t in targets if t[0] is kind] for kind in (True, False)}
-    count = dict.fromkeys(fixed, shared)
-    while active := [k for k in fixed if fixed[k] and count[k] < trials]:
-        rows = sample()
-        rhs = [{j: rng.randrange(1, PRIME) for j in fixed[k][0][1]} for k in active]
-        x = _solve(rows, rhs)
-        for c, k in enumerate(active):
-            if x is not None and _all_move(x[c], fixed[k][0][2]):
-                fixed[k].pop(0)
-                count[k] = shared
+    rng = random.Random(seed)
+    held = set()  # kinds certified False
+    for _ in range(trials):
+        mat = build_rigidity_matrix(g, random_configuration(g, rng), "mod")
+        cols = _solve(_exact_rows(mat)[0], identity)
+        if cols is None:
+            continue
+        still = []
+        for kind, own, dropped in targets:
+            if kind in held:
+                continue
+            z = _still(_combine([cols[j] for j in own], rng, g.m), dropped)
+            if not z:
+                continue  # it moves
+            if _rigid_block(ends, z):
+                held.add(kind)
             else:
-                count[k] += 1
-    return not fixed[True], not fixed[False]
+                still.append((kind, own, dropped))
+        targets = [t for t in still if t[0] not in held]
+        if not targets:
+            break
+    fixed = held | {t[0] for t in targets}
+    return True not in fixed, False not in fixed
 
 
-def _moves(vectors, rng, dropped=None):
-    """A random combination of `vectors` moves every inner 2x1 block except
-    block `dropped` (no vectors, no motion)."""
+def _combine(vectors, rng, size):
+    """A random GF(p) combination of `vectors`, each of length `size`; the
+    zero vector when there are none.  A lone vector is returned as it is:
+    a nonzero multiple is zero where it is."""
     lams = [rng.randrange(1, PRIME) for _ in vectors]
-    if len(vectors) == 1:  # a nonzero multiple moves what its vector moves
-        return _all_move(vectors[0], dropped)
-    return _all_move([sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)],
-                     dropped)
+    if len(vectors) == 1:
+        return vectors[0]
+    return [sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)] or [0] * size
 
 
-def _all_move(vec, dropped=None):
-    """`vec` moves every inner 2x1 block except block `dropped` (an empty
-    vector does not move)."""
-    return bool(vec) and all(vec[2 * i] or vec[2 * i + 1]
-                             for i in range(len(vec) // 2) if i != dropped)
+def _still(vec, dropped=None):
+    """The inner 2x1 blocks that `vec` leaves at zero, block `dropped`
+    excepted."""
+    return {i for i in range(len(vec) // 2)
+            if i != dropped and not (vec[2 * i] or vec[2 * i + 1])}
+
+
+def _rigid_block(ends, blocks):
+    """The bars whose inner ends (`ends[j]`, a set of blocks) all lie in
+    `blocks` number twice the blocks: at an invertible sample they are a
+    square invertible block of R, generically too."""
+    return sum(e <= blocks for e in ends) == 2 * len(blocks)

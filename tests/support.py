@@ -15,7 +15,7 @@ from pinrig.errors import GraphError
 from pinrig.generate import edge_split, step
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
 from pinrig import numeric
-from pinrig.numeric import (PRIME, _all_move, _moves, all_inner_move,
+from pinrig.numeric import (PRIME, _combine, _still, all_inner_move,
                             build_rigidity_matrix, random_configuration)
 from pinrig.pebble import is_circuit
 
@@ -224,7 +224,7 @@ def deletion_inverse_oracle(g, seed=0, trials=8):
             continue
         cols = list(zip(*inv))
         targets = [t for t in targets
-                   if not _moves([cols[j] for j in t[1]], rng, t[2])]
+                   if _still(_combine([cols[j] for j in t[1]], rng, g.m), t[2])]
     fixed = {t[0] for t in targets}
     return True not in fixed, False not in fixed
 
@@ -305,43 +305,35 @@ def kernel_reference(rows, ncols, p=PRIME):
 
 def deletion_verdicts_reference(g, seed=0, trials=8):
     """`numeric.deletion_verdicts` on dense rows through the Gauss-Jordan
-    reference: the same targets, random draws and witness hand-over, so
-    its verdicts are the same sample for sample.  Configurations come from
-    `numeric.random_configuration`, looked up at each call."""
+    reference: the same targets, random draws and rigid-block certificates,
+    so its verdicts are the same sample for sample.  Configurations come
+    from `numeric.random_configuration`, looked up at each call."""
     targets = _deletion_targets(g)
+    inner = sorted(g.inner, key=vkey)
+    identity = [[int(i == k) for k in range(g.m)] for i in range(g.m)]
     rng = random.Random(seed)
-
-    def sample():
+    held = set()
+    for _ in range(trials):
         config = numeric.random_configuration(g, rng)
-        return build_rigidity_matrix(g, config, field="mod").rows
-
-    n = g.m
-    identity = [[int(i == k) for k in range(n)] for i in range(n)]
-    shared = 0
-    while targets and shared < trials:
-        shared += 1
-        inv = solve_reference(sample(), identity)
-        if inv is not None:
-            cols = list(zip(*inv))
-            targets = [t for t in targets
-                       if not _moves([cols[j] for j in t[1]], rng, t[2])]
+        inv = solve_reference(build_rigidity_matrix(g, config, field="mod").rows, identity)
+        if inv is None:
+            continue
+        cols = list(zip(*inv))
+        still = []
+        for kind, own, dropped in targets:
+            if kind not in held:
+                z = _still(_combine([cols[j] for j in own], rng, g.m), dropped)
+                in_z = [e for e in g.edges
+                        if all(w in g.pins or inner.index(w) in z for w in e)]
+                if z and len(in_z) == 2 * len(z):
+                    held.add(kind)
+                elif z:
+                    still.append((kind, own, dropped))
+        targets = [t for t in still if t[0] not in held]
+        if not targets:
             break
-    fixed = {kind: [t for t in targets if t[0] is kind] for kind in (True, False)}
-    count = dict.fromkeys(fixed, shared)
-    while active := [k for k in fixed if fixed[k] and count[k] < trials]:
-        rows = sample()
-        rhs = [[0] * len(active) for _ in range(n)]
-        for c, k in enumerate(active):
-            for j in fixed[k][0][1]:
-                rhs[j][c] = rng.randrange(1, PRIME)
-        x = solve_reference(rows, rhs)
-        for c, k in enumerate(active):
-            if x is not None and _all_move([row[c] for row in x], fixed[k][0][2]):
-                fixed[k].pop(0)
-                count[k] = shared
-            else:
-                count[k] += 1
-    return not fixed[True], not fixed[False]
+    fixed = held | {t[0] for t in targets}
+    return True not in fixed, False not in fixed
 
 
 def rank_mod_reference(rows, p=PRIME):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from pinrig import assur as assur_mod
 from pinrig import numeric
 from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, assur_gate,
                           check_circuit_condition, check_edge_deletion,
@@ -428,7 +429,17 @@ def test_deletion_checks_eliminate_once_per_sample(monkeypatch):
                                ["G0", "G1", "G2"])
     verdict = is_assur(stacked, seed=2, trials=5)
     assert verdict.evaluated() == dict.fromkeys(ALL_METHODS, False)
-    assert len(calls) == 5
+    assert len(calls) == 1  # a rigid block certifies both kinds at one sample
+
+
+def test_only_minimality_decomposes(monkeypatch, stacked_dyads):
+    # a failing circuit condition does not ask for the decomposition
+    calls = []
+    real = assur_mod._decompose
+    monkeypatch.setattr(assur_mod, "_decompose", lambda *a: calls.append(1) or real(*a))
+    assert not check_vertex_deletion(stacked_dyads) and not check_edge_deletion(stacked_dyads)
+    assert not check_circuit_condition(stacked_dyads) and calls == []
+    assert not check_minimality(stacked_dyads) and calls == [1]
 
 
 def test_singular_sample_counts_as_a_trial(monkeypatch, triad, stacked_dyads):
@@ -518,74 +529,145 @@ def _fixed_deletions(g, config):
             for hs in (vertices, edges)]
 
 
-def _hand_over_run(monkeypatch, g, special, trials, run=numeric.deletion_verdicts):
-    """deletion_verdicts (or `run`) with the configurations `special` gives
-    by sample number (from 1); returns the verdicts, the samples drawn and
-    the right-hand sides solved per confirmation sample."""
+def _run_at(monkeypatch, g, special, trials, seed=5):
+    """deletion_verdicts with the configurations `special` gives by sample
+    number (from 1); returns the verdicts, the samples drawn and, per target
+    found still, (sample, its bars, still blocks, certified).  A target's
+    bars are the columns of R^-1 its combination took."""
     real_config, real_solve = numeric.random_configuration, numeric._solve
-    samples, widths = [], []
+    real_combine, real_block = numeric._combine, numeric._rigid_block
+    samples, cols, bars, still = [], {}, [], []
 
     def configure(h, rng):
         samples.append(h)
         return dict(special[len(samples)]) if len(samples) in special \
             else real_config(h, rng)
 
-    def counted(rows, rhs, *a):
-        widths.append(len(rhs))
-        return real_solve(rows, rhs, *a)
+    def solve(rows, rhs):
+        x = real_solve(rows, rhs)
+        cols.clear()
+        cols.update((id(c), j) for j, c in enumerate(x or ()))
+        return x
 
-    monkeypatch.setattr(numeric, "random_configuration", configure)
-    monkeypatch.setattr(numeric, "_solve", counted)
-    verdicts = run(g, seed=5, trials=trials)
+    def combine(vectors, rng, size):
+        bars[:] = [cols[id(v)] for v in vectors]
+        return real_combine(vectors, rng, size)
+
+    def recorded(ends, blocks):
+        ok = real_block(ends, blocks)
+        still.append((len(samples), tuple(bars), frozenset(blocks), ok))
+        return ok
+
+    for name, fake in (("random_configuration", configure), ("_solve", solve),
+                       ("_combine", combine), ("_rigid_block", recorded)):
+        monkeypatch.setattr(numeric, name, fake)
+    verdicts = numeric.deletion_verdicts(g, seed=seed, trials=trials)
     monkeypatch.undo()
-    return verdicts, len(samples), widths[1:]
+    return verdicts, len(samples), still
 
 
 TRIAD_SPECIAL = {"b": (0, 0), "c": (1, 0), "q3": (2, 0), "a": (0, 1),
                  "q1": (-1, 3), "q2": (1, -2)}
 
 
-def test_witness_hand_over_ends_true_when_every_witness_moves(monkeypatch, triad):
+def test_accidental_still_vertex_is_not_certified(monkeypatch, triad):
     # b, c and q3 collinear: the bar c-q3 points at b, so deletions that leave
     # the triangle on the bars b-q2 and c-q3 hold b still at this position only
     assert motion_space(triad, TRIAD_SPECIAL).dim == 0
     fixed = _fixed_deletions(triad, TRIAD_SPECIAL)
     assert all(fixed) and _fixed_deletions(triad, support.generic_configuration(triad)) \
         == [[], []]
-    # each witness moves at its first confirmation sample and hands over
-    verdicts, samples, widths = _hand_over_run(monkeypatch, triad, {1: TRIAD_SPECIAL}, 8)
-    assert verdicts == (True, True)
-    assert samples == 1 + max(map(len, fixed))
-    assert widths == [2] * min(map(len, fixed)) + [1] * abs(len(fixed[0]) - len(fixed[1]))
+    b = sorted(triad.inner, key=vkey).index("b")
+    for trials in (1, 2, 8):
+        verdicts, samples, still = _run_at(monkeypatch, triad, {1: TRIAD_SPECIAL}, trials)
+        # b carries one bar to the ground, b-q2, not the two a certificate
+        # needs, so every still target is left open and the next sample
+        # (when there is one) sees all of them move
+        assert len(still) == sum(map(len, fixed))
+        assert all(k == 1 and b in blocks and not ok for k, _, blocks, ok in still)
+        assert verdicts == ((False, False) if trials == 1 else (True, True))
+        assert samples == min(trials, 2)
 
 
-def test_witness_hand_over_restarts_the_count_of_the_next_witness(monkeypatch, triad):
+def test_rigid_block_certifies_false_at_the_first_sample(monkeypatch, triad):
     # a dyad z on the triad's vertex a and pin q1: deleting z, or one of its
-    # bars, leaves the triad rigid, so those targets are fixed generically
+    # bars, leaves the triad rigid on its 6 bars, so those targets are fixed
+    # generically; at TRIAD_SPECIAL b is also still, by accident
     g = PinnedGraph(triad.inner | {"z"}, triad.pins,
                     list(triad.edges) + [("z", "a"), ("z", "q1")])
     special = dict(TRIAD_SPECIAL, z=(3, 4))
     assert motion_space(g, special).dim == 0
-    fixed = _fixed_deletions(g, special)
-    generic = _fixed_deletions(g, support.generic_configuration(g))
-    # per kind, the witnesses that move before the first generically fixed one
-    moving = [fx.index(gn[0]) for fx, gn in zip(fixed, generic)]
-    assert all(moving) and all(set(gn) <= set(fx) for fx, gn in zip(fixed, generic))
-    for trials in (2, 3, 5, 8):
-        # each moving witness takes one sample; the first fixed one has been
-        # fixed at one sample when it takes over and needs trials - 1 more
-        per_kind = [k + trials - 1 for k in moving]
-        verdicts, samples, widths = _hand_over_run(monkeypatch, g, {1: special}, trials)
-        assert verdicts == (False, False)
-        assert samples == 1 + max(per_kind)
-        assert widths == [2] * min(per_kind) + [1] * abs(per_kind[0] - per_kind[1])
+    inner = sorted(g.inner, key=vkey)
+    held = frozenset(inner.index(v) for v in triad.inner)
+    by_z = tuple(j for j, e in enumerate(g.edges) if "z" in e)
+    b = inner.index("b")
+    for trials in (1, 2, 8):
+        for at in ({1: special}, {}):
+            verdicts, samples, still = _run_at(monkeypatch, g, at, trials)
+            assert verdicts == (False, False) and samples == 1
+            certified = [(own, blocks) for _, own, blocks, ok in still if ok]
+            # one certificate per kind: deleting z, then its bar to a
+            assert certified == [(by_z, held), (by_z[:1], held)]
+            assert all(b in blocks for _, _, blocks, ok in still if not ok)
+            if not at:  # a generic sample leaves no accidental zero
+                assert [ok for *_, ok in still] == [True, True]
 
 
-def test_singular_confirmation_sample_counts_for_both_witnesses(monkeypatch,
-                                                                stacked_dyads):
+def test_singular_sample_uses_up_a_trial(monkeypatch, stacked_dyads):
     collinear = {v: (k, 0) for k, v in enumerate(sorted(stacked_dyads.vertices, key=vkey))}
-    for trials in (3, 5):
-        verdicts, samples, widths = _hand_over_run(monkeypatch, stacked_dyads,
-                                                   {2: collinear}, trials)
+    for trials in (1, 3, 5):
+        verdicts, samples, still = _run_at(monkeypatch, stacked_dyads,
+                                           {1: collinear}, trials)
+        # the singular first sample tests nothing; the second certifies both
+        # kinds, and trials=1 leaves both False uncertified
         assert verdicts == (False, False)
-        assert samples == trials and widths == [2] * (trials - 1)
+        assert samples == min(trials, 2)
+        assert [(k, ok) for k, _, _, ok in still] == ([] if trials == 1
+                                                      else [(2, True), (2, True)])
+
+
+def _deleted(g, own):
+    """`g` without the bars `own`: every inner vertex other than a deleted
+    one keeps the motions that deleting the whole target leaves it."""
+    return PinnedGraph(g.inner, g.pins, [e for j, e in enumerate(g.edges) if j not in own])
+
+
+def _assert_certificates_hold(monkeypatch, g, seed):
+    """Every vector of the exact rational motion space of `g` minus a
+    certified target is zero on the certified blocks; returns the number of
+    certificates and the verdicts."""
+    verdicts, _, still = _run_at(monkeypatch, g, {}, numeric.DEFAULT_TRIALS, seed)
+    found = [(own, blocks) for _, own, blocks, ok in still if ok]
+    inner = sorted(g.inner, key=vkey)
+    config = support.generic_configuration(g, seed)
+    for own, blocks in found:
+        basis = motion_space(_deleted(g, own), config)
+        assert all(vec[inner[i]] == (0, 0) for vec in basis.vectors for i in blocks), \
+            (g, own, blocks)
+    return len(found), verdicts
+
+
+def test_rigid_block_certificates_hold_on_all_small_pinned_graphs(monkeypatch):
+    checked = certified = 0
+    for n_inner in range(1, 5):
+        for n_pins in range(2, 7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                if pinned_isostatic(g):
+                    found, verdicts = _assert_certificates_hold(monkeypatch, g, checked)
+                    # a certificate per failing kind, none for a kind that holds
+                    assert found == list(verdicts).count(False), g
+                    certified += found
+                    checked += 1
+    assert checked == 2756 and certified > 0
+
+
+def test_rigid_block_certificates_hold_on_compositions(monkeypatch):
+    rng = random.Random(61)
+    parts = (support.dyad, support.triad, support.basic_5)
+    for k in range(200):
+        chosen = [parts[rng.randrange(3)]() for _ in range(rng.randint(2, 5))]
+        if k % 4 == 0:
+            chosen.append(support.edge_split_assur(rng, rng.randint(0, 8)))
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        found, verdicts = _assert_certificates_hold(monkeypatch, g, k)
+        assert verdicts == (False, False) and found == 2, k

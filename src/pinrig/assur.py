@@ -70,7 +70,8 @@ def check_vertex_deletion(g: PinnedGraph, seed: int = 0,
     """Deleting any vertex, inner or pinned, leaves a motion of all remaining
     inner vertices.  True is certain, and False is certain when certified
     by a rigid block; an uncertified False is wrong with probability at
-    most about (2|I|/p)^trials (`numeric.deletion_verdicts` says how)."""
+    most about ((2|I| + 1)/p)^trials (`numeric.deletion_verdicts` says
+    how)."""
     return _check(g, "vertex_deletion", seed, trials)
 
 
@@ -79,7 +80,7 @@ def check_edge_deletion(g: PinnedGraph, seed: int = 0,
     """Deleting any edge leaves a motion of all inner vertices.  True is
     certain, and False is certain when certified by a rigid block; an
     uncertified False is wrong with probability at most about
-    (2|I|/p)^trials (`numeric.deletion_verdicts` says how)."""
+    ((2|I| + 1)/p)^trials (`numeric.deletion_verdicts` says how)."""
     return _check(g, "edge_deletion", seed, trials)
 
 

@@ -30,9 +30,9 @@ takes the columns with fewest nonzeros first (after Markowitz, Management
 Sci. 3, 1957), which keeps the factors of a rigidity matrix sparse.
 
 `deletion_verdicts` decides the vertex- and edge-deletion checks of the
-Assur characterization from one inverse per sample, and makes a False
-certain with a rigid block of the matrix; its docstring gives the whole
-algorithm.
+Assur characterization from one solve of the transposed matrix per sample,
+with one right-hand side per inner vertex, and makes a False certain with a
+rigid block of the matrix; its docstring gives the whole algorithm.
 """
 
 from __future__ import annotations
@@ -409,35 +409,39 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
     """Whether deleting any vertex, and any edge, of a graph with 2|I| edges
     leaves a motion of every remaining inner vertex.
 
-    Each sample draws a random GF(p) configuration and inverts its square
-    pinned rigidity matrix R with one `_solve` of [R | I].  Deleting edge j
-    leaves the motions spanned by column j of R^-1; deleting a pin removes
-    only the rows of its edges, so their columns span what is left;
-    deleting inner vertex v also drops v's two coordinates from the span of
-    its edges' columns.  Each target takes a random combination x of its
-    columns; x leaves an inner 2x1 block still where every motion left
-    does, but for an accident of probability about 2|I|/p (Schwartz-Zippel,
-    p = 2^61 - 1).
+    At a random GF(p) configuration the square pinned rigidity matrix R is
+    invertible.  Deleting edge j leaves the motions spanned by column j of
+    R^-1; deleting a pin removes only the rows of its edges, so their
+    columns span what is left; deleting inner vertex v also drops v's two
+    coordinates from the span of its edges' columns.  So a target leaves
+    inner 2x1 block i still exactly when block (i, j) of R^-1 is zero for
+    each of its bars j.  Each sample reads every such block off one `_solve`
+    of R^T with one right-hand side per inner block i, a_i e_2i + b_i e_2i+1
+    for a_i, b_i uniform in [1, p): its solution y_i = a_i (row 2i of R^-1)
+    + b_i (row 2i+1) is zero at edge j where block (i, j) is, but for an
+    accident of probability at most 1/p (p = 2^61 - 1).  Edge j leaves still
+    the blocks Z zero at j; a vertex, those zero at every one of its bars,
+    its own block excepted (every block, when it has no bars).
 
-    When x moves every remaining block, the target moves generically: x is
-    a rational function of the configuration that is nonzero here, so True
-    is certain.  Otherwise let Z be the blocks x leaves still.  When the
-    bars whose inner ends all lie in Z number 2|Z|, the target's kind is
+    A target whose Z is empty moves generically: each block is nonzero in
+    the column of R^-1 of one of its bars at this sample, so generically
+    too, and a generic combination of those columns moves every block; True
+    is certain.  Otherwise, when the bars whose inner ends all lie in Z
+    number 2|Z|, and none of them is the target's, the target's kind is
     False with certainty: at an invertible R at most 2|Z| rows are
     supported on Z's columns, so those bars are all of them, R is block
     triangular with the square block R_Z, and det R_Z is nonzero here and
-    so generically.  None of those bars is the target's: R x is nonzero at
-    each of the target's bars and zero at every other, and at those bars it
-    is R_Z x_Z = 0.  So they remain once the target is gone and hold Z
-    still (a rigid pinned subgraph survives the deletion; Shai, Sljoka &
-    Whiteley, Discrete Appl. Math. 161, 2013).  Another sample is drawn
-    only while some still target is uncertified, which a generic sample
-    leaves only after an accidental zero; a singular sample uses up a trial
-    and tests nothing.  A kind with a still target left uncertified after
-    `trials` samples is False, wrong with probability at most about
-    (2|I|/p)^trials for a given target.  Every vertex is deleted, inner and
-    pinned; deleting the only inner vertex leaves nothing to move and is
-    skipped.  Returns (vertex verdict, edge verdict).
+    so generically.  Those bars remain once the target is gone and hold
+    Z still (a rigid pinned subgraph survives the deletion; Shai, Sljoka &
+    Whiteley, Discrete Appl. Math. 161, 2013), however Z was read.  Another
+    sample is drawn only while some still target is uncertified, which a
+    generic sample leaves only after an accidental zero; a singular sample
+    uses up a trial and tests nothing.  A kind with a still target left
+    uncertified after `trials` samples is False, wrong with probability at
+    most about ((2|I| + 1)/p)^trials for a given target (Schwartz-Zippel).
+    Every vertex is deleted, inner and pinned; deleting the only inner
+    vertex leaves nothing to move and is skipped.  Returns (vertex verdict,
+    edge verdict).
     """
     if not g.inner or g.m != 2 * len(g.inner):
         raise GraphError("deletion checks need inner vertices and 2|I| edges")
@@ -445,28 +449,35 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
         raise GraphError("trials must be >= 1")
     inner = sorted(g.inner, key=vkey)
     block = {v: i for i, v in enumerate(inner)}
-    # (is a vertex, edge indices spanning its motions, dropped block)
+    # (is a vertex, its bars, dropped block)
     targets = [(True, [j for j, e in enumerate(g.edges) if v in e], block.get(v))
                for v in inner + sorted(g.pins, key=vkey)
                if len(inner) > 1 or v not in block]
     targets += [(False, [j], None) for j in range(g.m)]
     ends = [{block[w] for w in e if w in block} for e in g.edges]
-    identity = [{j: 1} for j in range(g.m)]
     rng = random.Random(seed)
     held = set()  # kinds certified False
     for _ in range(trials):
         mat = build_rigidity_matrix(g, random_configuration(g, rng), "mod")
-        cols = _solve(_exact_rows(mat)[0], identity)
-        if cols is None:
+        transposed = [{} for _ in range(g.m)]
+        for j, entry in enumerate(mat.entries):
+            for c, x in entry.items():
+                transposed[c][j] = x
+        rhs = [{2 * i: rng.randrange(1, PRIME), 2 * i + 1: rng.randrange(1, PRIME)}
+               for i in range(len(inner))]
+        ys = _solve(transposed, rhs)
+        if ys is None:
             continue
+        zero = [{i for i, y in enumerate(at) if not y} for at in zip(*ys)]
         still = []
         for kind, own, dropped in targets:
             if kind in held:
                 continue
-            z = _still(_combine([cols[j] for j in own], rng, g.m), dropped)
+            z = set.intersection(*(zero[j] for j in own)) if own else set(range(len(inner)))
+            z.discard(dropped)
             if not z:
                 continue  # it moves
-            if _rigid_block(ends, z):
+            if _rigid_block(ends, z, own):
                 held.add(kind)
             else:
                 still.append((kind, own, dropped))
@@ -487,15 +498,15 @@ def _combine(vectors, rng, size):
     return [sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)] or [0] * size
 
 
-def _still(vec, dropped=None):
-    """The inner 2x1 blocks that `vec` leaves at zero, block `dropped`
-    excepted."""
-    return {i for i in range(len(vec) // 2)
-            if i != dropped and not (vec[2 * i] or vec[2 * i + 1])}
+def _still(vec):
+    """The inner 2x1 blocks that `vec` leaves at zero."""
+    return {i for i in range(len(vec) // 2) if not (vec[2 * i] or vec[2 * i + 1])}
 
 
-def _rigid_block(ends, blocks):
+def _rigid_block(ends, blocks, own):
     """The bars whose inner ends (`ends[j]`, a set of blocks) all lie in
-    `blocks` number twice the blocks: at an invertible sample they are a
-    square invertible block of R, generically too."""
-    return sum(e <= blocks for e in ends) == 2 * len(blocks)
+    `blocks` number twice the blocks, and none of them is among the bars
+    `own` of the deleted target: at an invertible sample they are a square
+    invertible block of R, generically too, and the deletion leaves them."""
+    inside = [j for j, e in enumerate(ends) if e <= blocks]
+    return len(inside) == 2 * len(blocks) and not set(own).intersection(inside)

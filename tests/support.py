@@ -224,7 +224,7 @@ def deletion_inverse_oracle(g, seed=0, trials=8):
             continue
         cols = list(zip(*inv))
         targets = [t for t in targets
-                   if _still(_combine([cols[j] for j in t[1]], rng, g.m), t[2])]
+                   if _still(_combine([cols[j] for j in t[1]], rng, g.m)) - {t[2]}]
     fixed = {t[0] for t in targets}
     return True not in fixed, False not in fixed
 
@@ -305,27 +305,31 @@ def kernel_reference(rows, ncols, p=PRIME):
 
 def deletion_verdicts_reference(g, seed=0, trials=8):
     """`numeric.deletion_verdicts` on dense rows through the Gauss-Jordan
-    reference: the same targets, random draws and rigid-block certificates,
-    so its verdicts are the same sample for sample.  Configurations come
-    from `numeric.random_configuration`, looked up at each call."""
+    reference: the same targets, random draws, transposed block solves and
+    rigid-block certificates, so its verdicts are the same sample for
+    sample.  Configurations come from `numeric.random_configuration`,
+    looked up at each call."""
     targets = _deletion_targets(g)
     inner = sorted(g.inner, key=vkey)
-    identity = [[int(i == k) for k in range(g.m)] for i in range(g.m)]
     rng = random.Random(seed)
     held = set()
     for _ in range(trials):
         config = numeric.random_configuration(g, rng)
-        inv = solve_reference(build_rigidity_matrix(g, config, field="mod").rows, identity)
-        if inv is None:
+        transposed = list(zip(*build_rigidity_matrix(g, config, field="mod").rows))
+        draws = [(rng.randrange(1, PRIME), rng.randrange(1, PRIME)) for _ in inner]
+        rhs = [[draws[i][c % 2] if c // 2 == i else 0 for i in range(len(inner))]
+               for c in range(g.m)]
+        y = solve_reference(transposed, rhs)
+        if y is None:
             continue
-        cols = list(zip(*inv))
         still = []
         for kind, own, dropped in targets:
             if kind not in held:
-                z = _still(_combine([cols[j] for j in own], rng, g.m), dropped)
-                in_z = [e for e in g.edges
+                z = {i for i in range(len(inner))
+                     if i != dropped and all(y[j][i] == 0 for j in own)}
+                in_z = [j for j, e in enumerate(g.edges)
                         if all(w in g.pins or inner.index(w) in z for w in e)]
-                if z and len(in_z) == 2 * len(z):
+                if z and len(in_z) == 2 * len(z) and not set(own) & set(in_z):
                     held.add(kind)
                 elif z:
                     still.append((kind, own, dropped))

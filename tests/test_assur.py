@@ -532,34 +532,22 @@ def _fixed_deletions(g, config):
 def _run_at(monkeypatch, g, special, trials, seed=5):
     """deletion_verdicts with the configurations `special` gives by sample
     number (from 1); returns the verdicts, the samples drawn and, per target
-    found still, (sample, its bars, still blocks, certified).  A target's
-    bars are the columns of R^-1 its combination took."""
-    real_config, real_solve = numeric.random_configuration, numeric._solve
-    real_combine, real_block = numeric._combine, numeric._rigid_block
-    samples, cols, bars, still = [], {}, [], []
+    found still, (sample, its bars, still blocks, certified), as
+    `_rigid_block` is handed them."""
+    real_config, real_block = numeric.random_configuration, numeric._rigid_block
+    samples, still = [], []
 
     def configure(h, rng):
         samples.append(h)
         return dict(special[len(samples)]) if len(samples) in special \
             else real_config(h, rng)
 
-    def solve(rows, rhs):
-        x = real_solve(rows, rhs)
-        cols.clear()
-        cols.update((id(c), j) for j, c in enumerate(x or ()))
-        return x
-
-    def combine(vectors, rng, size):
-        bars[:] = [cols[id(v)] for v in vectors]
-        return real_combine(vectors, rng, size)
-
-    def recorded(ends, blocks):
-        ok = real_block(ends, blocks)
-        still.append((len(samples), tuple(bars), frozenset(blocks), ok))
+    def recorded(ends, blocks, own):
+        ok = real_block(ends, blocks, own)
+        still.append((len(samples), tuple(own), frozenset(blocks), ok))
         return ok
 
-    for name, fake in (("random_configuration", configure), ("_solve", solve),
-                       ("_combine", combine), ("_rigid_block", recorded)):
+    for name, fake in (("random_configuration", configure), ("_rigid_block", recorded)):
         monkeypatch.setattr(numeric, name, fake)
     verdicts = numeric.deletion_verdicts(g, seed=seed, trials=trials)
     monkeypatch.undo()
@@ -624,6 +612,34 @@ def test_singular_sample_uses_up_a_trial(monkeypatch, stacked_dyads):
         assert samples == min(trials, 2)
         assert [(k, ok) for k, _, _, ok in still] == ([] if trials == 1
                                                       else [(2, True), (2, True)])
+
+
+def test_forged_zero_on_a_targets_own_bar_is_not_certified(monkeypatch, dyad):
+    # the first sample reads block v as zero at bar 0 in every solution, so
+    # the bar v-p1 and the pin p1 find v still; the bars on v, bar 0 among
+    # them, number 2, but bar 0 is the target's, so neither is certified
+    real_solve, solved = numeric._solve, []
+
+    def solve(rows, rhs):
+        ys = real_solve(rows, rhs)
+        solved.append(ys)
+        if len(solved) == 1:
+            ys = [(0,) + tuple(y[1:]) for y in ys]
+        return ys
+
+    monkeypatch.setattr(numeric, "_solve", solve)
+    verdicts, samples, still = _run_at(monkeypatch, dyad, {}, 8)
+    assert [(k, own, ok) for k, own, _, ok in still] == [(1, (0,), False), (1, (0,), False)]
+    assert samples == len(solved) == 2 and verdicts == (True, True)
+
+
+def test_isolated_pin_holds_every_block_still():
+    # deleting the isolated pin p3 leaves the dyad rigid: a target with no
+    # bars leaves every inner block still, and its kind fails
+    g = PinnedGraph({"v"}, {"p1", "p2", "p3"}, [("v", "p1"), ("v", "p2")])
+    for seed in range(3):
+        assert numeric.deletion_verdicts(g, seed) == (False, True) \
+            == support.deletion_inverse_oracle(g, seed)
 
 
 def _deleted(g, own):

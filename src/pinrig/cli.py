@@ -221,20 +221,11 @@ def cmd_motion(args):
         doc.update({"source": source, "field": basis.field, "dim": basis.dim,
                     "basis": [{str(v): [_pretty(x), _pretty(y)]
                                for v, (x, y) in vec.items()} for vec in basis.vectors]})
-    moving = sorted((v for v in g.inner
-                     if any(_nonzero(vec[v]) for vec in basis.vectors)), key=vkey)
-    doc["moving"] = moving
-    doc["fixed"] = sorted(set(g.inner) - set(moving), key=vkey)
+    doc["moving"] = sorted(basis.moving, key=vkey)
+    doc["fixed"] = sorted(set(g.inner) - basis.moving, key=vkey)
     doc["rigid"] = basis.dim == 0
     _emit(doc)
     return PASS
-
-
-def _nonzero(pair):
-    x, y = pair
-    if isinstance(x, float) or isinstance(y, float):
-        return abs(x) > 1e-9 or abs(y) > 1e-9
-    return bool(x) or bool(y)
 
 
 def _pretty(x):

@@ -15,19 +15,24 @@ Three coordinate domains are supported:
                   are involved);
 * ``rational`` -- exact Fraction arithmetic for user-supplied int/rational
                   geometry, through the same elimination as ``mod``;
-* ``float``    -- elimination with a relative pivot threshold of 1e-9 for
-                  binary-float geometry.  Pivots close to the threshold raise
-                  a ConditioningWarning instead of silently deciding.
+* ``float``    -- binary-float geometry, each row scaled to unit length, so
+                  that the zero threshold of 1e-9 compares the directions of
+                  bars, not their lengths (at a dyad it bounds the sine of
+                  the angle between its two bars).  A decision within three
+                  decades of the threshold raises a ConditioningWarning
+                  instead of silently deciding.
 
-Over GF(p) and the rationals every exact answer comes from one sparse
-elimination, `_factor`, on the matrix's dict rows {column: nonzero entry}:
-elimination runs forward only (never above a pivot), and every pivot is a
-nonzero value, since entries that cancel are deleted.  Ranks are its pivot
-counts; kernels and `_solve` back-substitute through its steps.  Ranks and
-kernels pivot in natural column order, so the pivot columns, and with them
-the kernel basis, are those of the reduced row echelon form; a square solve
-takes the columns with fewest nonzeros first (after Markowitz, Management
-Sci. 3, 1957), which keeps the factors of a rigidity matrix sparse.
+Every rank and kernel, in every field, comes from one forward elimination
+of the matrix's dict rows {column: nonzero entry}: it never works above a
+pivot, and every pivot is a nonzero value, since entries that cancel are
+deleted.  `_factor` eliminates over GF(p) and the rationals, and
+`_factor_float` over floats, pivoting on the largest entry of each column;
+both return the same steps.  Ranks are their pivot counts; kernels and
+`_solve` back-substitute through the steps.  Ranks and kernels pivot in
+natural column order, so the pivot columns, and with them the kernel basis,
+are those of the reduced row echelon form; a square solve takes the columns
+with fewest nonzeros first (after Markowitz, Management Sci. 3, 1957),
+which keeps the factors of a rigidity matrix sparse.
 
 `deletion_verdicts` decides the vertex- and edge-deletion checks of the
 Assur characterization from one solve of the transposed matrix per sample,
@@ -44,7 +49,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from operator import mul
 
 from .errors import ConditioningWarning, GraphError
 from .graphs import PinnedGraph, vkey
@@ -87,15 +91,14 @@ class RigidityMatrix:
             dense.append(tuple(row))
         return tuple(dense)
 
-    def as_lists(self):
-        return [list(r) for r in self.rows]
-
 
 @dataclass(frozen=True)
 class MotionBasis:
     """Basis of the first-order motion space of a pinned framework.
 
     Each vector maps every inner vertex to a velocity pair; pins are fixed.
+    `moving` holds the inner vertices that some vector moves, reading a
+    float entry within FLOAT_PIVOT_RTOL of zero as 0.
     """
 
     vectors: tuple
@@ -104,6 +107,12 @@ class MotionBasis:
     @property
     def dim(self) -> int:
         return len(self.vectors)
+
+    @property
+    def moving(self):
+        tol = FLOAT_PIVOT_RTOL if self.field == "float" else 0
+        return {v for vec in self.vectors for v, xy in vec.items()
+                if max(map(abs, xy)) > tol}
 
 
 def _field_of(config, field):
@@ -179,7 +188,8 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
 
 def _factor(rows, cols, p=PRIME):
     """Forward elimination, in place, of the dict rows `rows` (column ->
-    nonzero entry) over GF(p), or over the rationals when `p` is None.
+    nonzero entry) over GF(p), or over the rationals when `p` is None
+    (floats go through `_factor_float`, which returns the same steps).
 
     Pivots lie in the columns `cols`, taken in that order: each pivots on
     the sparsest live row that is nonzero there, and a column zero in every
@@ -224,10 +234,11 @@ def _factor(rows, cols, p=PRIME):
 
 
 def _back_substitute(steps, right, p=PRIME):
-    """Back substitution through the steps of `_factor`: per pivot column c
-    of pivot row r, x_c = (right[r] - sum of a_k x_k) / pivot over the
-    row's entries a_k at pivot columns k, where `right[r]` lists what the
-    row holds at the other columns wanted (right-hand sides, or free
+    """Back substitution through the steps of `_factor` or `_factor_float`,
+    over GF(p), or over the rationals or floats when `p` is None: per pivot
+    column c of pivot row r, x_c = (right[r] - sum of a_k x_k) / pivot over
+    the row's entries a_k at pivot columns k, where `right[r]` lists what
+    the row holds at the other columns wanted (right-hand sides, or free
     columns).  It runs from the last step back: a pivot row's other pivot
     columns all pivoted after it."""
     solved = {}
@@ -259,89 +270,85 @@ def _solve(rows, rhs, p=PRIME):
     return list(zip(*(solved[c] for c in range(n))))
 
 
-def _rref_float(rows, rtol=FLOAT_PIVOT_RTOL):
-    rows = [list(map(float, r)) for r in rows]
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    scale = max((abs(x) for r in rows for x in r), default=0.0) or 1.0
-    cutoff = rtol * scale
-    gray = FLOAT_WARN_RTOL * scale
-    pivots = []
-    r = 0
+def _factor_float(entries, ncols):
+    """Forward elimination of copies of the float dict rows `entries`, in
+    natural column order, in `_factor`'s step format.
+
+    Each row is first scaled to unit length (by its largest entry first, so
+    that its length cannot overflow).  Column c pivots on the live row
+    whose entry there is largest, and is skipped when that entry is at most
+    FLOAT_PIVOT_RTOL.  A largest entry within three decades of that cutoff
+    either way, in (FLOAT_PIVOT_RTOL**2 / FLOAT_WARN_RTOL, FLOAT_WARN_RTOL),
+    raises a ConditioningWarning at the caller of `motion_space`."""
+    rows = []
+    for entry in entries:
+        big = max(map(abs, entry.values()), default=1.0)
+        length = math.hypot(*(x / big for x in entry.values()))
+        rows.append({k: x / big / length for k, x in entry.items()})
+    live = set(range(len(rows)))
+    steps = []
     for c in range(ncols):
-        piv = max(range(r, m), key=lambda i: abs(rows[i][c]), default=None)
-        if piv is None or abs(rows[piv][c]) <= cutoff:
+        hits = [i for i in live if c in rows[i]]
+        if not hits:
             continue
-        if abs(rows[piv][c]) < gray:
-            warnings.warn(
-                f"pivot {rows[piv][c]:.3e} is close to the zero threshold; "
-                f"rank decisions may be unreliable", ConditioningWarning,
-                stacklevel=4)
-        rows[r], rows[piv] = rows[piv], rows[r]
+        r = max(hits, key=lambda i: (abs(rows[i][c]), -i))
+        best = abs(rows[r][c])
+        if FLOAT_PIVOT_RTOL ** 2 / FLOAT_WARN_RTOL < best < FLOAT_WARN_RTOL:
+            warnings.warn(f"pivot {best:.3e} is close to the zero threshold; rank decisions "
+                          "may be unreliable", ConditioningWarning, stacklevel=5)
+        if best <= FLOAT_PIVOT_RTOL:
+            continue
+        live.remove(r)
         prow = rows[r]
-        fac = 1.0 / prow[c]
-        rows[r] = prow = [fac * x for x in prow]
-        for i in range(m):
-            if i != r and rows[i][c] != 0.0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots, rows[:r]
+        inv = 1 / prow.pop(c)
+        for i in hits:
+            if i != r:
+                ri = rows[i]
+                f = ri.pop(c) * inv
+                for k, b in prow.items():
+                    if x := ri.get(k, 0) - f * b:
+                        ri[k] = x
+                    else:
+                        del ri[k]
+        steps.append((r, c, inv, prow))
+    return steps
 
 
-def _kernel_basis(solved, free, ncols, p):
+def _kernel(steps, ncols, p=PRIME):
     """Kernel basis over GF(p), or over the rationals or floats when `p` is
-    None, from the reduced rows: `solved[c]` lists the entries of pivot
-    column c's row at the `free` columns.  One vector per free column."""
-    basis = []
-    for i, f in enumerate(free):
-        vec = [0] * ncols
-        vec[f] = 1
-        for c, row in solved.items():
-            vec[c] = -row[i] % p if p else -row[i]
-        basis.append(vec)
-    return basis
-
-
-def _exact_kernel(rows, ncols, p=PRIME):
-    """Kernel basis of the dict rows `rows` (eliminated in place) over
-    GF(p), or over the rationals when `p` is None: `_factor` in natural
-    column order, whose pivot columns are those of the RREF, then back
-    substitution at the free columns."""
-    steps = _factor(rows, range(ncols), p)
+    None, from the `steps` of a forward elimination of `ncols` columns in
+    natural order, whose pivot columns are those of the RREF: one vector
+    per free column f, 1 at f and 0 at the other free columns, the pivot
+    columns by back substitution."""
     pivots = {step[1] for step in steps}
     free = [f for f in range(ncols) if f not in pivots]
     right = {r: [prow.get(f, 0) for f in free] for r, _, _, prow in steps}
-    return _kernel_basis(_back_substitute(steps, right, p), free, ncols, p)
+    solved = _back_substitute(steps, right, p)
+    basis = [[int(k == f) for k in range(ncols)] for f in free]
+    for c, row in solved.items():
+        for vec, x in zip(basis, row):
+            vec[c] = -x % p if p else -x
+    return basis
 
 
-def _exact_rows(mat):
-    """Copies of the dict rows of the ``mod`` or ``rational`` matrix `mat`,
-    for `_factor` to eliminate, and the prime of its field (None for the
-    rationals)."""
-    return [dict(r) for r in mat.entries], PRIME if mat.field == "mod" else None
+def _eliminate(mat):
+    """The steps of the forward elimination of `mat` in natural column
+    order, on copies of its dict rows, and the prime of its field (None for
+    the rationals and floats)."""
+    if mat.field == "float":
+        return _factor_float(mat.entries, mat.shape[1]), None
+    p = PRIME if mat.field == "mod" else None
+    return _factor([dict(r) for r in mat.entries], range(mat.shape[1]), p), p
 
 
 def matrix_rank(mat: RigidityMatrix) -> int:
-    if mat.field == "float":
-        return len(_rref_float(mat.as_lists())[0])
-    rows, p = _exact_rows(mat)
-    return len(_factor(rows, range(mat.shape[1]), p))
+    return len(_eliminate(mat)[0])
 
 
 def matrix_kernel(mat: RigidityMatrix):
     """Kernel basis vectors as flat coordinate lists."""
-    ncols = mat.shape[1]
-    if mat.field != "float":
-        rows, p = _exact_rows(mat)
-        return _exact_kernel(rows, ncols, p)
-    pivots, rows = _rref_float(mat.as_lists())
-    free = [f for f in range(ncols) if f not in pivots]
-    solved = {c: [row[f] for f in free] for c, row in zip(pivots, rows)}
-    return _kernel_basis(solved, free, ncols, None)
+    steps, p = _eliminate(mat)
+    return _kernel(steps, mat.shape[1], p)
 
 
 # -- randomized generic queries ---------------------------------------------
@@ -387,22 +394,21 @@ def motion_space(g: PinnedGraph, config: Configuration, field: str = "auto") -> 
 def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) -> bool:
     """Decide whether some first-order motion moves every inner vertex.
 
-    Samples random prime-field configurations and a random combination of the
-    motion basis per trial; True as soon as one combination moves all inner
-    vertices (which then holds generically).  False after all trials means
-    some inner vertex is generically fixed, or there is no motion at all, up
-    to the sampling error bound.
+    Samples random prime-field configurations; True as soon as every inner
+    vertex is in the `moving` set of the motion basis there.  Each vertex
+    is then moved by some basis vector, so a generic combination of the
+    basis moves them all, and the sample's motions are the generic ones but
+    with probability at most degree/p.  False after all trials means some
+    inner vertex is generically fixed, or there is no motion at all, up to
+    the sampling error bound.
     """
     if not g.inner:
         raise GraphError("graph has no inner vertices")
     if trials < 1:
         raise GraphError("trials must be >= 1")
     rng = random.Random(seed)
-    for _ in range(trials):
-        mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
-        if not _still(_combine(matrix_kernel(mat), rng, mat.shape[1])):
-            return True
-    return False
+    return any(len(motion_space(g, random_configuration(g, rng), "mod").moving) == len(g.inner)
+               for _ in range(trials))
 
 
 def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS):
@@ -486,21 +492,6 @@ def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIAL
             break
     fixed = held | {t[0] for t in targets}
     return True not in fixed, False not in fixed
-
-
-def _combine(vectors, rng, size):
-    """A random GF(p) combination of `vectors`, each of length `size`; the
-    zero vector when there are none.  A lone vector is returned as it is:
-    a nonzero multiple is zero where it is."""
-    lams = [rng.randrange(1, PRIME) for _ in vectors]
-    if len(vectors) == 1:
-        return vectors[0]
-    return [sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)] or [0] * size
-
-
-def _still(vec):
-    """The inner 2x1 blocks that `vec` leaves at zero."""
-    return {i for i in range(len(vec) // 2) if not (vec[2 * i] or vec[2 * i + 1])}
 
 
 def _rigid_block(ends, blocks, own):

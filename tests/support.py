@@ -10,13 +10,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import mul
 
 from pinrig.errors import GraphError
 from pinrig.generate import edge_split, step
 from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
 from pinrig import numeric
-from pinrig.numeric import (PRIME, _combine, _still, all_inner_move,
-                            build_rigidity_matrix, random_configuration)
+from pinrig.numeric import (PRIME, all_inner_move, build_rigidity_matrix,
+                            random_configuration)
 from pinrig.pebble import is_circuit
 
 # -- fixtures ----------------------------------------------------------------
@@ -204,6 +205,21 @@ def _deletion_targets(g):
                for v in inner + sorted(g.pins, key=vkey)
                if len(inner) > 1 or v not in block]
     return targets + [(False, [j], None) for j in range(g.m)]
+
+
+def _combine(vectors, rng, size):
+    """A random GF(p) combination of `vectors`, each of length `size`; the
+    zero vector when there are none.  A lone vector is returned as it is:
+    a nonzero multiple is zero where it is."""
+    lams = [rng.randrange(1, PRIME) for _ in vectors]
+    if len(vectors) == 1:
+        return vectors[0]
+    return [sum(map(mul, lams, row)) % PRIME for row in zip(*vectors)] or [0] * size
+
+
+def _still(vec):
+    """The inner 2x1 blocks that `vec` leaves at zero."""
+    return {i for i in range(len(vec) // 2) if not (vec[2 * i] or vec[2 * i + 1])}
 
 
 def deletion_inverse_oracle(g, seed=0, trials=8):

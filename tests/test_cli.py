@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,21 @@ class TestMotion:
         code, _, err = run(capsys, "motion", str(SAMPLES / "dyad.json"),
                            "--remove-edge", "v,zzz")
         assert code == 2 and err
+
+    @pytest.mark.parametrize("far", [1e7, 1e6])
+    def test_far_pin_leaves_a_dyad_rigid_without_a_warning(self, tmp_path, capsys, far):
+        # the bars meet at 45 degrees; only their lengths differ by 10 decades
+        config = {"a": (0.001, 0.001), "p": (0.0, 0.0), "q": (far, 0.0)}
+        g = support.dyad().relabeled({"v": "a", "p1": "p", "p2": "q"})
+        path = _write_json(tmp_path, "g.json", graph_to_dict(g, config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "motion", path)
+        doc = json.loads(out)
+        assert code == 0 and doc["field"] == "float"
+        assert doc["rigid"] is True and doc["dim"] == 0 and doc["fixed"] == ["a"]
+        exact = {v: tuple(map(Fraction, xy)) for v, xy in config.items()}
+        assert motion_space(g, exact).dim == 0
 
 
 class TestGenerate:

@@ -10,12 +10,12 @@ from pinrig.canon import canonical_code
 from pinrig.counting import (ORACLE_MAX_VERTICES, circuit_oracle,
                              laman_independent_oracle)
 from pinrig.errors import GraphError, PinrigWarning
-from pinrig.generate import (Certificate, ConstructionStep, assur_catalog, certify,
+from pinrig.generate import (STEPS, Certificate, ConstructionStep, assur_catalog, certify,
                              circuit_catalog, circuit_classes, edge_split,
                              pin_rearrangement, replay_certificate, step,
                              two_sum, verify_certificate, vertex_addition,
                              vertex_split)
-from pinrig.graphs import (Multigraph, complete_graph, contract_pins, norm_edge,
+from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins, norm_edge,
                            split_contracted_vertex, vkey)
 from pinrig.pebble import pebble_rank
 
@@ -473,3 +473,119 @@ def test_every_reduction_step_matches_the_oracle(monkeypatch):
         assert verify_certificate(Certificate("k4", base, tuple(steps),
                                               canonical_code(c, max_vertices=nv)))
     assert taken["none"] >= 24 and taken["edge-split"] >= 700
+
+
+def _random_step(rng, g, kind, fresh):
+    """A `kind` step with parameters drawn from the graph `g` it extends:
+    mostly well formed, now and then not (a repeated vertex, one pin
+    label), so that the replay has something to refuse."""
+    verts = sorted(g.vertices, key=vkey)
+    pins = g.pins if isinstance(g, PinnedGraph) else ()
+    u, w = rng.choice(g.edges)[::rng.choice((1, -1))]
+    new = rng.choice(verts) if rng.random() < 0.05 else fresh
+    labels = [f"P{i}" for i in range(rng.choice((1, 2, 3, 3)))]
+    v = rng.choice(verts)
+    nbrs = sorted((y if x == v else x for x, y in g.edges if v in (x, y)), key=vkey)
+    if kind == "vertex-addition":
+        return step(kind, u=rng.choice(verts), w=rng.choice(verts), v=new)
+    if kind == "edge-split":
+        return step(kind, u=u, w=w, x=rng.choice(verts), v=new)
+    if kind == "vertex-split":
+        shared = nbrs.pop(rng.randrange(len(nbrs)))
+        moved = tuple(x for x in nbrs if rng.random() < 0.5)
+        return step(kind, v=v, shared=shared, moved=moved, v2=new)
+    if kind == "two-sum":
+        operand = Certificate("k4", (u, w, f"{fresh}a", f"{fresh}b"), (), "")
+        if rng.random() < 0.5:
+            operand = replace(operand, steps=(step("edge-split", u=u, w=w, x=f"{fresh}a",
+                                                   v=f"{fresh}c"),))
+        claimed = canonical_code(replay_certificate(operand), max_vertices=8)
+        return step(kind, a=u, b=w, other=replace(operand, claimed=claimed))
+    if kind == "pin-split":
+        return step(kind, vertex=v, assignment=tuple((x, rng.choice(labels)) for x in nbrs))
+    assert kind == "pin-rearrange"
+    return step(kind, assignment=tuple(
+        (y if x in pins else x, rng.choice(labels)) for x, y in g.edges
+        if x in pins or y in pins))
+
+
+def test_accepted_replays_are_sound():
+    """Short random certificates from the `k4`, `dyad` and `edge` bases,
+    each step of any kind, `pin-rearrange` and 2-sums with certified K4
+    operands among them: each replay that `replay_certificate` accepts is,
+    by the exhaustive oracles, a circuit (an independent graph from an
+    `edge` base) in the multigraph phase and an Assur graph (pinned
+    isostatic, with pins contracting to a circuit) in the pinned phase."""
+    from pinrig.counting import pinned_conditions_oracle
+    from pinrig.errors import CertificateError
+    rng = random.Random(16)
+    accepted = Counter()
+    for base, verts in [("k4", (0, 1, 2, 3)), ("edge", (0, 1)), ("dyad", (0, "P0", "P1"))] * 200:
+        cert = Certificate(base, verts, (), "")
+        g = replay_certificate(cert)
+        for k in range(10):
+            kind = rng.choice(sorted(STEPS))
+            st = _random_step(rng, g, kind, f"n{k}")
+            try:
+                h = replay_certificate(replace(cert, steps=cert.steps + (st,)))
+            except CertificateError:
+                continue
+            if h.n > 9:
+                break
+            if isinstance(h, PinnedGraph):
+                assert pinned_conditions_oracle(h) and circuit_oracle(contract_pins(h)), \
+                    (base, cert.steps, st)
+            elif base == "k4":
+                assert circuit_oracle(h), (base, cert.steps, st)
+            else:
+                assert laman_independent_oracle(h), (base, cert.steps, st)
+            accepted[base, isinstance(g, PinnedGraph), kind] += 1
+            cert, g = replace(cert, steps=cert.steps + (st,)), h
+    # every edge-split of the dyad has two pinned attachments, so the dyad
+    # base grows only by pin-rearrange; a pin-split from an edge base is refused
+    assert set(accepted) == {("k4", False, kind)
+                             for kind in ("edge-split", "vertex-split", "two-sum", "pin-split")
+                             } | {("k4", True, "edge-split"), ("k4", True, "pin-rearrange"),
+                                  ("edge", False, "vertex-addition"),
+                                  ("edge", False, "edge-split"),
+                                  ("dyad", True, "pin-rearrange")}
+    assert min(accepted.values()) >= 20, accepted
+
+
+def test_first_separating_pair_splits_a_circuit_into_two_circuits():
+    """At a 2-separation {a, b} of a rigidity circuit both sides plus the
+    edge ab are circuits (Berg & Jordan, J. Combin. Theory Ser. B 88, 2003),
+    so `_reverse_two_sum` never goes on past the first separating pair in
+    `combinations` order.  The sides are checked by the exhaustive oracle
+    up to its bound and by the pebble game above it."""
+    from itertools import combinations
+
+    from pinrig import generate
+    from pinrig.pebble import is_circuit
+    rng = random.Random(2003)
+    circuits = [support.nested_k4(depth) for depth in (1, 2, 3)]
+    for _ in range(120):
+        nv = rng.randint(8, 24)
+        circuits.append(support.random_circuit(rng, nv, rng.randint(1, (nv - 4) // 2)))
+    split = by_oracle = 0
+    for c in circuits:
+        adj = {x: c.neighbors(x) for x in c.vertices}
+        order = sorted(adj, key=vkey)
+        pair = next(((a, b) for a, b in combinations(order, 2)
+                     if generate._first_side(adj, order, a, b)), None)
+        if pair is None:
+            continue
+        a, b = pair
+        first = generate._first_side(adj, order, a, b)
+        for inside in (True, False):
+            side = [e for e in c.edges if (e[0] in first or e[1] in first) == inside]
+            m = Multigraph({a, b}.union(*side), side + [(a, b)])
+            if m.n <= ORACLE_MAX_VERTICES:
+                assert circuit_oracle(m), (c, pair)
+                by_oracle += 1
+            else:
+                assert is_circuit(m), (c, pair)
+        st = generate._reverse_two_sum(adj)[1]
+        assert (st.get("a"), st.get("b")) == pair
+        split += 1
+    assert split > 80 and by_oracle > 100

@@ -1,5 +1,8 @@
+import math
 import random
+import warnings
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,10 @@ import support
 from pinrig.errors import ConditioningWarning, GraphError
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
 from pinrig import numeric
-from pinrig.numeric import (PRIME, all_inner_move, build_rigidity_matrix,
-                            generic_rank_randomized, matrix_kernel,
-                            matrix_rank, motion_space, random_configuration)
+from pinrig.numeric import (PRIME, MotionBasis, all_inner_move,
+                            build_rigidity_matrix, generic_rank_randomized,
+                            matrix_kernel, matrix_rank, motion_space,
+                            random_configuration)
 from pinrig.pebble import pebble_rank
 
 
@@ -162,12 +166,63 @@ class TestMotionSpace:
         with pytest.warns(ConditioningWarning):
             motion_space(g, config)
 
+    def test_float_conditioning_warning_points_at_the_caller(self, dyad):
+        config = {"v": (1.0, 0.0), "p1": (0.0, 0.0), "p2": (0.0, -1e-8)}
+        with pytest.warns(ConditioningWarning) as caught:
+            motion_space(dyad, config)
+        assert caught[0].filename == __file__
+
+    def test_float_dyads_across_scales_match_the_rationals_or_warn(self):
+        """Dyad a on pins p (0, 0) and q (Q, 0): Q at 10^0..10^7, a's x at
+        10^-3..10^7 and its y at 10^-13..10^-1 of that, mantissas seeded.
+        Where the bars meet at sine >= 1e-9 the float answer is the rational
+        one; where the sine is in [1e-12, 1e-9) a ConditioningWarning is
+        raised."""
+        g = PinnedGraph({"a"}, {"p", "q"}, [("a", "p"), ("a", "q")])
+        rng = random.Random(2024)
+        decided = warned_band = 0
+        for kq, ka, kt in product(range(8), range(-3, 8), range(-13, 0)):
+            ax = rng.uniform(1, 10) * 10.0 ** ka
+            config = {"p": (0.0, 0.0), "q": (rng.uniform(1, 10) * 10.0 ** kq, 0.0),
+                      "a": (ax, ax * rng.uniform(1, 10) * 10.0 ** kt)}
+            exact = {v: tuple(map(Fraction, xy)) for v, xy in config.items()}
+            (ux, uy), (qx, _) = exact["a"], exact["q"]
+            sine = abs(float(uy * qx)) / (math.hypot(ux, uy) * math.hypot(ux - qx, uy))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                basis = motion_space(g, config)
+            if sine >= 1e-9:
+                want = motion_space(g, exact)
+                assert (basis.dim, basis.moving) == (want.dim, want.moving), config
+                decided += 1
+            elif sine >= 1e-12:
+                assert any(w.category is ConditioningWarning for w in caught), config
+                warned_band += 1
+        assert decided > 600 and warned_band > 200
+
+    def test_float_rows_too_long_for_a_float_still_count(self, stacked_dyads):
+        # the bar b-a spans 1.4e308, so its row's length, sqrt(2) times that,
+        # is beyond the largest float
+        config = {"a": (-7.0, 0.0), "b": (7.0, 0.0), "p1": (-7.0, 5.0),
+                  "p2": (7.0, 5.0), "p3": (7.0, -5.0)}
+        for scale in (1.0, 1e307):
+            huge = {v: (x * scale, y * scale) for v, (x, y) in config.items()}
+            assert motion_space(stacked_dyads, huge).dim == 0
+
     def test_collinear_pins_still_pin_an_isostatic_graph(self, triad):
         # any pin placement with two distinct locations works, even all on a line
         config = {"q1": (0, 0), "q2": (1, 0), "q3": (2, 0),
                   "a": (Fraction(1, 3), 2), "b": (Fraction(5, 3), 1),
                   "c": (Fraction(6, 7), 3)}
         assert motion_space(triad, config).dim == 0
+
+
+def test_moving_reads_float_entries_within_the_threshold_as_zero():
+    vec = {"a": (1e-10, -1e-9), "b": (0.0, -2e-9), "c": (0.0, 0.0)}
+    assert MotionBasis((vec,), "float").moving == {"b"}
+    exact = {v: tuple(map(Fraction, xy)) for v, xy in vec.items()}
+    assert MotionBasis((exact,), "rational").moving == {"a", "b"}
+    assert MotionBasis((), "mod").moving == set()
 
 
 class TestAllInnerMove:
@@ -188,6 +243,14 @@ class TestAllInnerMove:
     def test_triad_minus_any_edge_moves_everything(self, triad):
         for u, v in triad.edges:
             assert all_inner_move(triad.without_edge(u, v), seed=0)
+
+    def test_vertices_moved_by_different_basis_vectors_all_move(self):
+        # two pendulums: each basis vector swings one, a combination both
+        g = PinnedGraph({"a", "b"}, {"p1", "p2"}, [("a", "p1"), ("b", "p2")])
+        basis = motion_space(g, random_configuration(g, random.Random(0)), field="mod")
+        assert basis.moving == {"a", "b"}
+        assert [sum(map(any, vec.values())) for vec in basis.vectors] == [1, 1]
+        assert all_inner_move(g, seed=0)
 
     def test_no_inner_vertices_rejected(self):
         g = PinnedGraph((), {"p1", "p2"}, [])
@@ -308,7 +371,7 @@ def _assert_kernel_matches_reference(rows, ncols, p):
     factored = numeric._factor(support.sparse_rows(rows, p), range(ncols), p)
     pivots, expected = support.kernel_reference(rows, ncols, p)
     assert [step[1] for step in factored] == pivots
-    kernel = numeric._exact_kernel(support.sparse_rows(rows, p), ncols, p)
+    kernel = numeric._kernel(factored, ncols, p)
     assert kernel == expected
     # the types as well: the CLI prints a Fraction as a string and an int as a number
     assert [list(map(type, v)) for v in kernel] == [list(map(type, v)) for v in expected]

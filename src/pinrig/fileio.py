@@ -138,10 +138,11 @@ def graph_to_dict(g: PinnedGraph, positions=None) -> dict:
 
 
 def write_json(doc, path):
-    """Write `doc` to `path` as indented JSON and a final newline."""
+    """Write `doc` to `path` as indented JSON and a final newline, encoded
+    whole and written at once (`json.dump` writes each encoder chunk)."""
+    text = json.dumps(doc, indent=2, default=str) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=str)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_graph(path):

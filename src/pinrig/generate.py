@@ -12,10 +12,15 @@ A certificate records a construction path from a base (dyad or K4) to a
 target graph.  `certify` reduces backwards with reverse edge-splits and
 reverse 2-sums, never backtracking, on one pebble state that holds the current
 circuit minus one rejected edge: the state of the game that found the
-circuit (`pebble.circuit_state`), one game per side of a reverse 2-sum.
+circuit (`pebble.circuit_state`), one game per side of a reverse 2-sum.  A
+reverse 2-sum splits at the first separating pair {a, b}, found as the first
+cut vertex b of M - a with one depth-first search per vertex a.
 `verify_certificate` replays forward and compares canonical codes, of the
 result and of every 2-sum operand, enforcing a step grammar so that a passing
-certificate with a dyad/K4 base really does witness the Assur property.
+certificate with a dyad/K4 base really does witness the Assur property.  The
+replay edits one draft (vertex set, pins, edge multiset) in place with the
+same rule that each public operation runs on a copy, and builds a graph only
+where a step reads a whole graph, per 2-sum operand and at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from .assur import assur_gate
 from .canon import canonical_code, canonical_form
@@ -38,16 +43,128 @@ ENUM_MAX_VERTICES = 10
 
 # -- Henneberg and circuit operations ----------------------------------------
 
-def vertex_addition(g: Multigraph, u, w, new_vertex=None) -> Multigraph:
-    """Attach a new 2-valent vertex to u and w (preserves independence)."""
+class _Draft:
+    """A graph under construction, edited in place by the step rules below.
+
+    It holds a vertex set, the pins (None for a multigraph) and the edges in
+    construction order, each under an increasing token, so removing one copy
+    of an edge keeps the order of the rest.  It offers the read-only view
+    (`vertices`, `pins`, `inner`, `edges`, `neighbors`) that
+    `split_contracted_vertex` and `pin_rearrangement` read, and `build`
+    makes the immutable graph.
+    """
+
+    __slots__ = ("vertices", "pins", "_edges", "_at", "_tokens")
+
+    def __init__(self, vertices, edges, pins=None):
+        self.vertices = set(vertices)
+        self.pins = pins
+        self._edges = {}                           # token -> edge
+        self._at = {x: {} for x in self.vertices}  # vertex -> {token: neighbour}
+        self._tokens = count()
+        for u, w in edges:
+            self.add_edge(u, w)
+
+    @classmethod
+    def of(cls, g):
+        """`g` itself when it is a draft, else a draft copy of the graph `g`."""
+        if isinstance(g, _Draft):
+            return g
+        return cls(g.vertices, g.edges, g.pins if isinstance(g, PinnedGraph) else None)
+
+    @property
+    def inner(self):
+        return self.vertices - self.pins
+
+    @property
+    def edges(self):
+        return tuple(self._edges.values())
+
+    @property
+    def n(self):
+        return len(self.vertices)
+
+    @property
+    def m(self):
+        return len(self._edges)
+
+    def neighbors(self, v) -> Counter:
+        return Counter(self._at[v].values())
+
+    def has_edge(self, u, w) -> bool:
+        return w in self._at.get(u, {}).values()
+
+    def add_vertex(self, v):
+        self.vertices.add(v)
+        self._at[v] = {}
+
+    def add_edge(self, u, w):
+        u, w = norm_edge(u, w)
+        t = next(self._tokens)
+        self._edges[t] = (u, w)
+        self._at[u][t] = w
+        self._at[w][t] = u
+
+    def remove_edge(self, u, w) -> bool:
+        """Remove the first copy of the edge uw; False when there is none."""
+        for t, y in self._at.get(u, {}).items():
+            if y == w:
+                del self._edges[t], self._at[u][t], self._at[w][t]
+                return True
+        return False
+
+    def remove_edges_at(self, v):
+        for t, y in self._at[v].items():
+            del self._edges[t], self._at[y][t]
+        self._at[v] = {}
+
+    def build(self):
+        if self.pins is None:
+            return Multigraph(self.vertices, self._edges.values())
+        return PinnedGraph(self.vertices - self.pins, self.pins, self._edges.values())
+
+
+# Each rule below edits a draft in place and returns it; the public
+# operations run the same rule on a copy and build the result.
+
+def _add_vertex(d, u, w, v=None):
     if u == w:
         raise GraphError("attachment vertices must be distinct")
-    if u not in g.vertices or w not in g.vertices:
+    if u not in d.vertices or w not in d.vertices:
         raise GraphError("attachment vertices must exist")
-    v = fresh_id(g.vertices, "v") if new_vertex is None else new_vertex
-    if v in g.vertices:
+    v = fresh_id(d.vertices, "v") if v is None else v
+    if v in d.vertices:
         raise GraphError(f"new vertex {v!r} already present")
-    return Multigraph(g.vertices | {v}, g.edges + ((u, v), (v, w)))
+    d.add_vertex(v)
+    d.add_edge(u, v)
+    d.add_edge(v, w)
+    return d
+
+
+def vertex_addition(g: Multigraph, u, w, new_vertex=None) -> Multigraph:
+    """Attach a new 2-valent vertex to u and w (preserves independence)."""
+    return _add_vertex(_Draft(g.vertices, g.edges), u, w, new_vertex).build()
+
+
+def _split_edge(d, u, w, x, v=None):
+    u, w = norm_edge(u, w)
+    if x == u or x == w:
+        raise GraphError("third attachment must differ from the split edge's endpoints")
+    if x not in d.vertices:
+        raise GraphError(f"third attachment {x!r} must exist")
+    v = fresh_id(d.vertices, "v") if v is None else v
+    if v in d.vertices:
+        raise GraphError(f"new vertex {v!r} already present")
+    # two pinned attachments would collapse to a doubled edge under pin
+    # contraction, so no circuit-level split corresponds to them
+    if d.pins is not None and sum(1 for t in (u, w, x) if t in d.pins) > 1:
+        raise GraphError("at most one of the three attachments may be pinned")
+    if not d.remove_edge(u, w):
+        raise GraphError(f"edge {(u, w)!r} not present")
+    d.add_vertex(v)
+    for t in (u, w, x):
+        d.add_edge(v, t)
+    return d
 
 
 def edge_split(g, e, x, new_vertex=None):
@@ -57,29 +174,33 @@ def edge_split(g, e, x, new_vertex=None):
     Takes independent sets to independent sets, circuits to circuits, and
     Assur graphs on at least four vertices to Assur graphs.
     """
-    u, w = norm_edge(*e)
-    if x == u or x == w:
-        raise GraphError("third attachment must differ from the split edge's endpoints")
-    if x not in g.vertices:
-        raise GraphError(f"third attachment {x!r} must exist")
-    v = fresh_id(g.vertices, "v") if new_vertex is None else new_vertex
-    if v in g.vertices:
-        raise GraphError(f"new vertex {v!r} already present")
-    if isinstance(g, PinnedGraph):
-        # two pinned attachments would collapse to a doubled edge under pin
-        # contraction, so no circuit-level split corresponds to them
-        if sum(1 for t in (u, w, x) if t in g.pins) > 1:
-            raise GraphError("at most one of the three attachments may be pinned")
-    # one copy of (u, w) out, three new edges in, and a single graph built
-    edges = list(g.edges)
-    try:
-        edges.remove((u, w))
-    except ValueError:
-        raise GraphError(f"edge {(u, w)!r} not present") from None
-    edges += [(v, u), (v, w), (v, x)]
-    if isinstance(g, PinnedGraph):
-        return PinnedGraph(g.inner | {v}, g.pins, edges)
-    return Multigraph(g.vertices | {v}, edges)
+    return _split_edge(_Draft.of(g), *e, x, new_vertex).build()
+
+
+def _two_sum(d, c2, e1, e2, flip=False):
+    e1 = norm_edge(*e1)
+    if not d.has_edge(*e1):
+        raise GraphError(f"glue edge {e1!r} is not in the first graph")
+    e2n = norm_edge(*e2)
+    if e2n not in c2.edges:
+        raise GraphError(f"glue edge {e2!r} is not in the second graph")
+    for name, c in (("first", d), ("second", c2)):
+        if c.m != 2 * c.n - 2:
+            # stack level 3: the caller of `two_sum` or of `_two_sum_step`
+            warnings.warn(f"{name} 2-sum operand has {c.m} edges on {c.n} vertices, "
+                          f"not a rigidity circuit count", PinrigWarning, stacklevel=3)
+    a, b = e1
+    cc, dd = e2n if not flip else (e2n[1], e2n[0])
+    amap = {cc: a, dd: b, **rename_apart(c2.vertices - {cc, dd}, d.vertices)}
+    d.remove_edge(a, b)
+    edges2 = list(c2.edges)
+    edges2.remove(e2n)
+    for x in amap.values():
+        if x not in d.vertices:
+            d.add_vertex(x)
+    for u, v in edges2:
+        d.add_edge(amap[u], amap[v])
+    return d
 
 
 def two_sum(c1: Multigraph, c2: Multigraph, e1, e2, flip: bool = False) -> Multigraph:
@@ -91,38 +212,13 @@ def two_sum(c1: Multigraph, c2: Multigraph, e1, e2, flip: bool = False) -> Multi
     |E1|+|E2|-2 edges; non-circuit inputs only get a warning (the operation is
     still performed for experimentation).
     """
-    e1 = norm_edge(*e1)
-    if e1 not in c1.edges:
-        raise GraphError(f"glue edge {e1!r} is not in the first graph")
-    e2n = norm_edge(*e2)
-    if e2n not in c2.edges:
-        raise GraphError(f"glue edge {e2!r} is not in the second graph")
-    for name, c in (("first", c1), ("second", c2)):
-        if c.m != 2 * c.n - 2:
-            warnings.warn(f"{name} 2-sum operand has {c.m} edges on {c.n} vertices, "
-                          f"not a rigidity circuit count", PinrigWarning, stacklevel=2)
-    a, b = e1
-    cc, dd = e2n if not flip else (e2n[1], e2n[0])
-    amap = {cc: a, dd: b, **rename_apart(c2.vertices - {cc, dd}, c1.vertices)}
-    edges1 = list(c1.edges)
-    edges1.remove(e1)
-    edges2 = list(c2.edges)
-    edges2.remove(e2n)
-    mapped = [(amap[u], amap[v]) for u, v in edges2]
-    return Multigraph(c1.vertices | set(amap.values()), edges1 + mapped)
+    return _two_sum(_Draft(c1.vertices, c1.edges), c2, e1, e2, flip).build()
 
 
-def vertex_split(c: Multigraph, v, shared, moved, new_vertex=None) -> Multigraph:
-    """Split v into two adjacent vertices, both of degree at least three.
-
-    `shared` names the one neighbor joined to both halves; `moved` lists the
-    neighbors (with multiplicity) handed to the new half, the rest staying
-    with v.  Adds the connecting edge and the duplicated shared edge, so a
-    circuit stays a circuit and an Assur graph grows to a larger one.
-    """
-    if v not in c.vertices:
+def _split_vertex(d, v, shared, moved, v2=None):
+    if v not in d.vertices:
         raise GraphError(f"vertex {v!r} not present")
-    nbrs = c.neighbors(v)
+    nbrs = d.neighbors(v)
     if not nbrs[shared]:
         raise GraphError(f"shared neighbor {shared!r} is not adjacent to {v!r}")
     moved = list(moved)
@@ -138,16 +234,30 @@ def vertex_split(c: Multigraph, v, shared, moved, new_vertex=None) -> Multigraph
     keep_count = rest_count - moved_count
     if not moved_count or not keep_count:
         raise GraphError("each side of the split must keep at least one non-shared edge")
-    v2 = fresh_id(c.vertices, "v") if new_vertex is None else new_vertex
-    if v2 in c.vertices:
+    v2 = fresh_id(d.vertices, "v") if v2 is None else v2
+    if v2 in d.vertices:
         raise GraphError(f"new vertex {v2!r} already present")
-    edges = [e for e in c.edges if v not in e]
-    edges.extend((v, x) for x in sorted(keep_count.elements(), key=vkey))
-    edges.extend((v2, x) for x in sorted(moved_count.elements(), key=vkey))
-    edges.append((v, shared))
-    edges.append((v2, shared))
-    edges.append((v, v2))
-    return Multigraph(c.vertices | {v2}, edges)
+    d.remove_edges_at(v)
+    d.add_vertex(v2)
+    for x in sorted(keep_count.elements(), key=vkey):
+        d.add_edge(v, x)
+    for x in sorted(moved_count.elements(), key=vkey):
+        d.add_edge(v2, x)
+    d.add_edge(v, shared)
+    d.add_edge(v2, shared)
+    d.add_edge(v, v2)
+    return d
+
+
+def vertex_split(c: Multigraph, v, shared, moved, new_vertex=None) -> Multigraph:
+    """Split v into two adjacent vertices, both of degree at least three.
+
+    `shared` names the one neighbor joined to both halves; `moved` lists the
+    neighbors (with multiplicity) handed to the new half, the rest staying
+    with v.  Adds the connecting edge and the duplicated shared edge, so a
+    circuit stays a circuit and an Assur graph grows to a larger one.
+    """
+    return _split_vertex(_Draft(c.vertices, c.edges), v, shared, moved, new_vertex).build()
 
 
 def pin_rearrangement(g: PinnedGraph, assignment) -> PinnedGraph:
@@ -313,45 +423,40 @@ _MULTI_STEPS = {"edge": ("vertex-addition", "edge-split"),
 _PINNED_STEPS = ("edge-split", "pin-rearrange")
 
 
-def _base_graph(cert: Certificate):
+def _base_graph(cert: Certificate) -> _Draft:
     vs = cert.base_vertices
     if cert.base_kind == "k4":
         if len(set(vs)) != 4:
             raise CertificateError("k4 base needs four distinct vertices")
-        return complete_graph(vs)
+        return _Draft(vs, combinations(vs, 2))
     if cert.base_kind == "edge":
         if len(set(vs)) != 2:
             raise CertificateError("edge base needs two distinct vertices")
-        return Multigraph(vs, [tuple(vs)])
+        return _Draft(vs, [tuple(vs)])
     if cert.base_kind == "dyad":
         if len(set(vs)) != 3:
             raise CertificateError("dyad base needs three distinct vertices")
         inner, p1, p2 = vs
-        return PinnedGraph({inner}, {p1, p2}, [(inner, p1), (inner, p2)])
+        return _Draft(vs, [(inner, p1), (inner, p2)], frozenset({p1, p2}))
     raise CertificateError(f"unknown base kind {cert.base_kind!r}")
 
 
-def _edge_split_step(g, u, w, x, v):
-    if isinstance(g, PinnedGraph) and g.n < 4:
-        raise CertificateError("pinned edge-split needs at least four vertices")
-    return edge_split(g, (u, w), x, new_vertex=v)
-
-
-def _two_sum_step(g, a, b, claim):
+def _two_sum_step(d, a, b, claim):
     if not isinstance(claim, Certificate):
         raise CertificateError("two-sum operand must be a certificate")
     other = replay_certificate(claim)
     if not isinstance(other, Multigraph) or _code(other) != claim.claimed:
         raise CertificateError("two-sum operand must build the multigraph it claims")
-    return two_sum(g, other, (a, b), (a, b), flip=False)
+    return _two_sum(d, other, (a, b), (a, b))
 
 
-# step kind -> (parameter names, builder taking the graph and their values)
+# step kind -> (parameter names, rule taking a draft and their values); a
+# rule returns the draft it edited, or the graph it built from it
 STEPS = {
-    "vertex-addition": (("u", "w", "v"), vertex_addition),
-    "edge-split": (("u", "w", "x", "v"), _edge_split_step),
+    "vertex-addition": (("u", "w", "v"), _add_vertex),
+    "edge-split": (("u", "w", "x", "v"), _split_edge),
     "two-sum": (("a", "b", "other"), _two_sum_step),
-    "vertex-split": (("v", "shared", "moved", "v2"), vertex_split),
+    "vertex-split": (("v", "shared", "moved", "v2"), _split_vertex),
     "pin-split": (("vertex", "assignment"), split_contracted_vertex),
     "pin-rearrange": (("assignment",), pin_rearrangement),
 }
@@ -360,8 +465,8 @@ STEPS = {
 def _apply_step(g, st: ConstructionStep):
     if st.kind not in STEPS:
         raise CertificateError(f"unknown step kind {st.kind!r}")
-    names, build = STEPS[st.kind]
-    return build(g, *map(st.get, names))
+    names, rule = STEPS[st.kind]
+    return rule(_Draft.of(g), *map(st.get, names))
 
 
 def replay_certificate(cert: Certificate):
@@ -372,6 +477,11 @@ def replay_certificate(cert: Certificate):
     from a ``k4`` base moves to the pinned phase (a split independent graph
     need not be pinned isostatic), after which only Assur-preserving pinned
     steps are allowed, and each 2-sum operand must build the code it claims.
+
+    The steps edit one draft in place.  A graph is built only by a step that
+    reads a whole graph (``pin-split``, ``pin-rearrange``), by each 2-sum
+    operand, and at the end when the last step left a draft, so no step
+    costs a rebuild of the whole graph.
     """
     g = _base_graph(cert)
     pinned = cert.base_kind == "dyad"
@@ -388,7 +498,7 @@ def replay_certificate(cert: Certificate):
             g = _apply_step(g, st)
         except GraphError as exc:
             raise CertificateError(f"step {st.kind!r} failed: {exc}") from None
-    return g
+    return g.build() if isinstance(g, _Draft) else g
 
 
 def _code(g):
@@ -405,10 +515,62 @@ def verify_certificate(cert: Certificate) -> bool:
         return False
 
 
-def _first_side(adj, order, a, b):
-    """The component of m - {a, b} that holds its first vertex in `order`,
-    or None when m - {a, b} is connected."""
-    start = next(x for x in order if x != a and x != b)
+def _cut_vertices(adj, a, root):
+    """The cut vertices of the connected graph `adj` minus the vertex a,
+    from one depth-first search at `root` (Hopcroft & Tarjan, "Algorithm
+    447", Comm. ACM 16, 1973): a vertex p other than the root is one
+    exactly when some child subtree of p reaches no vertex discovered
+    before p, and the root exactly when it has two children."""
+    num = {root: 0}  # discovery order
+    low = {root: 0}  # least number the subtree reaches by one back edge
+    cuts = set()
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        x, nbrs = stack[-1]
+        for y in nbrs:
+            if y == a:
+                continue
+            if y not in num:
+                num[y] = low[y] = len(num)
+                stack.append((y, iter(adj[y])))
+                break
+            if num[y] < low[x]:
+                low[x] = num[y]
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[x] < low[p]:
+                    low[p] = low[x]
+                if p == root:
+                    root_children += 1
+                elif low[x] >= num[p]:
+                    cuts.add(p)
+    if root_children > 1:
+        cuts.add(root)
+    return cuts
+
+
+def _separating_pair(adj, order):
+    """The first pair (a, b) of `order`, in `combinations` order, whose
+    removal disconnects the 2-connected graph `adj`, or None.
+
+    {a, b} separates exactly when b is a cut vertex of the graph minus a,
+    so one search per a finds every b.  A pair whose b comes before a would
+    have been found at b's own turn, so the first cut vertex in `order` is
+    the pair's b.
+    """
+    rank = {x: i for i, x in enumerate(order)}
+    for a in order[:-1]:
+        cuts = _cut_vertices(adj, a, order[0] if a != order[0] else order[1])
+        if cuts:
+            return a, min(cuts, key=rank.__getitem__)
+    return None
+
+
+def _component(adj, start, a, b):
+    """The vertices that `start` reaches in the graph `adj` minus a and b."""
     side = {start}
     stack = [start]
     while stack:
@@ -417,38 +579,41 @@ def _first_side(adj, order, a, b):
             if y != a and y != b and y not in side:
                 side.add(y)
                 stack.append(y)
-    return side if len(side) < len(order) - 2 else None
+    return side
 
 
 def _reverse_two_sum(adj):
-    """First reverse 2-sum of the circuit with adjacency `adj` at a
-    separating pair: (side one held as by `_circuit_state`, step).
+    """Reverse 2-sum of the circuit with adjacency `adj` at its first
+    separating pair {a, b}: (side one held as by `_circuit_state`, step), or
+    None when there is no such pair or a side is not a circuit.
 
-    Side one is the first component of M - {a, b} with its edges, side two
-    everything else; each side plus the edge ab must be a circuit, which one
-    game per side decides.  Side two is reduced on its own state into the
-    step's operand certificate.
+    Side one is the component of M - {a, b} that holds its first other
+    vertex, with its edges, side two everything else.  At a 2-separation of
+    a circuit both sides plus the edge ab are circuits (Berg & Jordan,
+    J. Combin. Theory Ser. B 88, 2003), which one game per side confirms.
+    Side two is reduced on its own state into the step's operand
+    certificate.
     """
     order = sorted(adj, key=vkey)
+    pair = _separating_pair(adj, order)
+    if pair is None:
+        return None
+    a, b = pair
+    first = _component(adj, next(x for x in order if x != a and x != b), a, b)
     edges = [(x, y) for x in adj for y in adj[x].elements() if vkey(x) < vkey(y)]
-    for a, b in combinations(order, 2):
-        first = _first_side(adj, order, a, b)
-        if first is None:
-            continue
-        sides = ([], [])
-        for e in edges:
-            sides[not (e[0] in first or e[1] in first)].append(e)
-        c1, c2 = (Multigraph({a, b} | {x for e in side for x in e}, side + [(a, b)])
-                  for side in sides)
-        held1 = _circuit_state(c1)
-        held2 = held1 and _circuit_state(c2)
-        if held2:
-            base2, steps2 = _reduce_circuit(held2)
-            other = Certificate(base_kind="k4", base_vertices=base2,
-                                steps=tuple(steps2),
-                                claimed=_code(c2))
-            return held1, step("two-sum", a=a, b=b, other=other)
-    return None
+    sides = ([], [])
+    for e in edges:
+        sides[not (e[0] in first or e[1] in first)].append(e)
+    c1, c2 = (Multigraph({a, b} | {x for e in side for x in e}, side + [(a, b)])
+              for side in sides)
+    held1 = _circuit_state(c1)
+    held2 = held1 and _circuit_state(c2)
+    if not held2:
+        return None
+    base2, steps2 = _reduce_circuit(held2)
+    other = Certificate(base_kind="k4", base_vertices=base2, steps=tuple(steps2),
+                        claimed=_code(c2))
+    return held1, step("two-sum", a=a, b=b, other=other)
 
 
 def _circuit_state(m: Multigraph):

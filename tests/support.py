@@ -12,9 +12,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from operator import mul
 
-from pinrig.errors import GraphError
-from pinrig.generate import edge_split, step
-from pinrig.graphs import Multigraph, PinnedGraph, norm_edge, vkey
+from pinrig import generate
+from pinrig.errors import CertificateError, GraphError
+from pinrig.generate import (Certificate, edge_split, pin_rearrangement, step,
+                             two_sum, vertex_addition, vertex_split)
+from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, norm_edge,
+                           split_contracted_vertex, vkey)
 from pinrig import numeric
 from pinrig.numeric import (PRIME, all_inner_move, build_rigidity_matrix,
                             random_configuration)
@@ -149,6 +152,89 @@ def reverse_edge_split_oracle(m):
                 third = next(x for x in nbrs if x not in (a, b))
                 return smaller, step("edge-split", u=a, w=b, x=third, v=v)
     return None
+
+
+def first_separating_pair_reference(adj):
+    """The pair scan that `generate._separating_pair` replaced: one graph
+    search of M - {a, b} per pair in `combinations` order.  ((a, b), the
+    component of M - {a, b} that holds its first other vertex) for the
+    first pair that disconnects M, or None."""
+    order = sorted(adj, key=vkey)
+    for a, b in combinations(order, 2):
+        start = next(x for x in order if x != a and x != b)
+        side = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y != a and y != b and y not in side:
+                    side.add(y)
+                    stack.append(y)
+        if len(side) < len(order) - 2:
+            return (a, b), side
+    return None
+
+
+def _reference_base(cert):
+    vs = cert.base_vertices
+    if cert.base_kind == "k4":
+        if len(set(vs)) != 4:
+            raise CertificateError("k4 base needs four distinct vertices")
+        return complete_graph(vs)
+    if cert.base_kind == "edge":
+        if len(set(vs)) != 2:
+            raise CertificateError("edge base needs two distinct vertices")
+        return Multigraph(vs, [tuple(vs)])
+    if cert.base_kind == "dyad":
+        if len(set(vs)) != 3:
+            raise CertificateError("dyad base needs three distinct vertices")
+        inner, p1, p2 = vs
+        return PinnedGraph({inner}, {p1, p2}, [(inner, p1), (inner, p2)])
+    raise CertificateError(f"unknown base kind {cert.base_kind!r}")
+
+
+def _reference_two_sum(g, a, b, claim):
+    if not isinstance(claim, Certificate):
+        raise CertificateError("two-sum operand must be a certificate")
+    other = replay_reference(claim)
+    if (not isinstance(other, Multigraph)
+            or generate._code(other) != claim.claimed):
+        raise CertificateError("two-sum operand must build the multigraph it claims")
+    return two_sum(g, other, (a, b), (a, b), flip=False)
+
+
+# step kind -> immutable operation taking the graph and the step's parameters
+_REFERENCE_MOVES = {
+    "vertex-addition": vertex_addition,
+    "edge-split": lambda g, u, w, x, v: edge_split(g, (u, w), x, new_vertex=v),
+    "two-sum": _reference_two_sum,
+    "vertex-split": vertex_split,
+    "pin-split": split_contracted_vertex,
+    "pin-rearrange": pin_rearrangement,
+}
+
+
+def replay_reference(cert):
+    """The per-step replay that `generate.replay_certificate` replaced: the
+    same step grammar, with every step building a whole new graph from the
+    last one through the immutable public operations."""
+    g = _reference_base(cert)
+    pinned = cert.base_kind == "dyad"
+    for st in cert.steps:
+        if pinned:
+            if st.kind not in generate._PINNED_STEPS:
+                raise CertificateError(f"step {st.kind!r} not allowed after pinning")
+        elif st.kind == "pin-split" and cert.base_kind == "k4":
+            pinned = True
+        elif st.kind not in generate._MULTI_STEPS[cert.base_kind]:
+            raise CertificateError(
+                f"step {st.kind!r} not allowed from base {cert.base_kind!r}")
+        build = _REFERENCE_MOVES[st.kind]
+        try:
+            g = build(g, *map(st.get, generate.STEPS[st.kind][0]))
+        except GraphError as exc:
+            raise CertificateError(f"step {st.kind!r} failed: {exc}") from None
+    return g
 
 
 def overbraced_oracle(schema):

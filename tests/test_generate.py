@@ -1,4 +1,5 @@
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -62,6 +63,12 @@ class TestEdgeSplit:
         tri = Multigraph(edges=[(0, 1), (1, 2), (0, 2)])
         g = edge_split(tri, (0, 1), 2, new_vertex=3)
         assert pebble_rank(g).rank == g.m == 2 * g.n - 3
+
+    def test_edges_keep_construction_order(self):
+        # the first copy of a doubled edge goes, the new edges come last
+        g = Multigraph(edges=[(0, 1), (1, 2), (1, 0), (0, 2)])
+        assert edge_split(g, (1, 0), 2, new_vertex=3).edges == (
+            (1, 2), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3))
 
     def test_endpoint_as_third_rejected(self):
         with pytest.raises(GraphError):
@@ -397,6 +404,17 @@ def test_verify_certificate_step_missing_parameter_is_false():
     assert verify_certificate(cert) is False
 
 
+def _pin_split(c, star, pins):
+    nbrs = sorted(c.neighbors(star).elements())
+    return split_contracted_vertex(c, star, [(x, f"P{i % pins}")
+                                             for i, x in enumerate(nbrs)])
+
+
+def _two_sum_operands(steps):
+    return sum(1 + _two_sum_operands(st.get("other").steps)
+               for st in steps if st.kind == "two-sum")
+
+
 def test_certify_builds_two_plus_two_pebble_states_per_two_sum(monkeypatch):
     """The gate's two games, the scaffolded one and the contraction's, whose
     state the reduction goes on to edit, then one game per side of each
@@ -409,15 +427,6 @@ def test_certify_builds_two_plus_two_pebble_states_per_two_sum(monkeypatch):
             built.append(1)
             super().__init__(pebbles)
 
-    def two_sums(steps):
-        return sum(1 + two_sums(st.get("other").steps)
-                   for st in steps if st.kind == "two-sum")
-
-    def pin_split(c, pins):
-        nbrs = sorted(c.neighbors(0).elements())
-        return split_contracted_vertex(c, 0, [(x, f"P{i % pins}")
-                                              for i, x in enumerate(nbrs)])
-
     monkeypatch.setattr(pebble, "_PebbleState", Counting)
     rng = random.Random(3)
     circuits = [support.nested_k4(2), support.nested_k4(3)]
@@ -425,8 +434,8 @@ def test_certify_builds_two_plus_two_pebble_states_per_two_sum(monkeypatch):
     counts = []
     for i, c in enumerate(circuits):
         built.clear()
-        cert = certify(pin_split(c, 2 + i % 2))
-        counts.append((two_sums(cert.steps), len(built)))
+        cert = certify(_pin_split(c, 0, 2 + i % 2))
+        counts.append((_two_sum_operands(cert.steps), len(built)))
     assert all(n == 2 + 2 * k for k, n in counts), counts
     # nested operands: more 2-sums than the top level holds
     assert counts[0][0] == 3 and max(k for k, _ in counts[2:]) > 0
@@ -555,11 +564,10 @@ def test_accepted_replays_are_sound():
 def test_first_separating_pair_splits_a_circuit_into_two_circuits():
     """At a 2-separation {a, b} of a rigidity circuit both sides plus the
     edge ab are circuits (Berg & Jordan, J. Combin. Theory Ser. B 88, 2003),
-    so `_reverse_two_sum` never goes on past the first separating pair in
-    `combinations` order.  The sides are checked by the exhaustive oracle
-    up to its bound and by the pebble game above it."""
-    from itertools import combinations
-
+    so `_reverse_two_sum` takes the first separating pair in `combinations`
+    order.  The pair scan it replaced, kept as the test reference, finds the
+    same pair (or none) on every circuit; the sides are checked by the
+    exhaustive oracle up to its bound and by the pebble game above it."""
     from pinrig import generate
     from pinrig.pebble import is_circuit
     rng = random.Random(2003)
@@ -567,16 +575,17 @@ def test_first_separating_pair_splits_a_circuit_into_two_circuits():
     for _ in range(120):
         nv = rng.randint(8, 24)
         circuits.append(support.random_circuit(rng, nv, rng.randint(1, (nv - 4) // 2)))
-    split = by_oracle = 0
+    same = split = by_oracle = 0
     for c in circuits:
         adj = {x: c.neighbors(x) for x in c.vertices}
-        order = sorted(adj, key=vkey)
-        pair = next(((a, b) for a, b in combinations(order, 2)
-                     if generate._first_side(adj, order, a, b)), None)
+        found = support.first_separating_pair_reference(adj)
+        pair = found and found[0]
+        assert generate._separating_pair(adj, sorted(adj, key=vkey)) == pair, c
+        same += 1
         if pair is None:
             continue
         a, b = pair
-        first = generate._first_side(adj, order, a, b)
+        first = found[1]
         for inside in (True, False):
             side = [e for e in c.edges if (e[0] in first or e[1] in first) == inside]
             m = Multigraph({a, b}.union(*side), side + [(a, b)])
@@ -585,7 +594,129 @@ def test_first_separating_pair_splits_a_circuit_into_two_circuits():
                 by_oracle += 1
             else:
                 assert is_circuit(m), (c, pair)
-        st = generate._reverse_two_sum(adj)[1]
+        held1, st = generate._reverse_two_sum(adj)
         assert (st.get("a"), st.get("b")) == pair
+        assert set(held1[0]) == first | {a, b}
         split += 1
-    assert split > 80 and by_oracle > 100
+    assert same >= 94 and split > 80 and by_oracle > 100
+
+
+def test_in_place_replay_equals_the_per_step_reference():
+    """On certificates of seeded pin-splits of circuits with up to 200 inner
+    vertices and 2-sum shares 0, 0.3 and 0.6, the in-place replay gives the
+    graph of the per-step reference, edge order included, after the whole
+    multigraph phase, half of it and the pin-split."""
+    from pinrig.generate import _code
+    rng = random.Random(17)
+    for inner in (20, 60, 200):
+        for share in (0, 0.3, 0.6):
+            nv = inner + 1
+            c = support.random_circuit(rng, nv, round(share * (nv - 4) / 2))
+            cert = certify(_pin_split(c, rng.randrange(nv), 3))
+            assert _two_sum_operands(cert.steps) > 0 or share == 0
+            for cut in (len(cert.steps) // 2, len(cert.steps) - 1, len(cert.steps)):
+                part = replace(cert, steps=cert.steps[:cut])
+                got, want = replay_certificate(part), support.replay_reference(part)
+                assert type(got) is type(want) and got.edges == want.edges
+                assert got.vertices == want.vertices
+            assert isinstance(got, PinnedGraph) and got.pins == want.pins
+            assert _code(got) == cert.claimed
+
+
+def _replay_outcome(replay, cert):
+    """(graph or refusal message, warnings) of one replay."""
+    from pinrig.errors import CertificateError
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = replay(cert)
+            got = (type(g).__name__, g.vertices, g.edges,
+                   g.pins if isinstance(g, PinnedGraph) else None)
+        except CertificateError as exc:
+            got = str(exc)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def test_random_replays_match_the_reference():
+    """The random certificates of `test_accepted_replays_are_sound`, grown
+    the same way, are accepted or refused by the in-place replay exactly as
+    by the per-step reference, with the same graph, message and warnings."""
+    rng = random.Random(16)
+    outcomes = Counter()
+    for base, verts in [("k4", (0, 1, 2, 3)), ("edge", (0, 1)), ("dyad", (0, "P0", "P1"))] * 200:
+        cert = Certificate(base, verts, (), "")
+        g = support.replay_reference(cert)
+        for k in range(10):
+            kind = rng.choice(sorted(STEPS))
+            st = _random_step(rng, g, kind, f"n{k}")
+            grown = replace(cert, steps=cert.steps + (st,))
+            want = _replay_outcome(support.replay_reference, grown)
+            assert _replay_outcome(replay_certificate, grown) == want, (base, grown.steps)
+            refused = isinstance(want[0], str)
+            outcomes["refused" if refused else "accepted"] += 1
+            if refused:
+                continue
+            h = support.replay_reference(grown)
+            if h.n > 9:
+                break
+            cert, g = grown, h
+    assert outcomes["accepted"] >= 900 and outcomes["refused"] >= 4000, outcomes
+
+
+def test_verify_builds_one_graph_plus_one_per_two_sum_operand(monkeypatch):
+    """The replay edits one draft in place: verifying a certificate with 200
+    inner vertices builds the pin-split's pinned graph and one multigraph
+    per 2-sum operand, nested operands included, and no other graph."""
+    from pinrig import graphs
+    built = Counter()
+    for cls in (graphs.Multigraph, graphs.PinnedGraph):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    rng = random.Random(200)
+    c = support.random_circuit(rng, 201, 59)
+    cert = certify(_pin_split(c, 0, 3))
+    operands = _two_sum_operands(cert.steps)
+    built.clear()
+    assert verify_certificate(cert)
+    assert operands > 20
+    assert built == {"PinnedGraph": 1, "Multigraph": operands}, (built, operands)
+
+
+def test_reverse_two_sum_searches_at_most_once_per_vertex(monkeypatch):
+    """Each reverse 2-sum makes at most |V| graph searches: one cut vertex
+    search per vertex up to the pair's first vertex a, then one side
+    search, where the pair scan it replaced searched once per vertex pair."""
+    from pinrig import generate
+    real_cuts, real_pair, real_side = (generate._cut_vertices, generate._separating_pair,
+                                       generate._component)
+    reversals, sides = [], []
+
+    def cut_vertices(*args):
+        reversals[-1][1] += 1
+        return real_cuts(*args)
+
+    def separating_pair(adj, order):
+        reversals.append([len(adj), 0])
+        pair = real_pair(adj, order)
+        reversals[-1].append(order.index(pair[0]))
+        return pair
+
+    def component(*args):
+        sides.append(len(reversals))
+        reversals[-1][1] += 1
+        return real_side(*args)
+
+    monkeypatch.setattr(generate, "_cut_vertices", cut_vertices)
+    monkeypatch.setattr(generate, "_separating_pair", separating_pair)
+    monkeypatch.setattr(generate, "_component", component)
+    rng = random.Random(5)
+    for nv in (40, 80, 120):
+        c = support.random_circuit(rng, nv, (nv - 4) // 3)
+        assert verify_certificate(certify(_pin_split(c, 0, 2)))
+    # one side search per reversal, right after its own pair search
+    assert sides == list(range(1, len(reversals) + 1))
+    assert len(reversals) >= 30
+    # the cut vertex searches stop at the pair's first vertex a
+    assert all(searches == a + 2 <= n for n, searches, a in reversals), reversals

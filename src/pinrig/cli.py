@@ -219,8 +219,8 @@ def cmd_motion(args):
     else:
         basis = numeric.motion_space(g, config)
         doc.update({"source": source, "field": basis.field, "dim": basis.dim,
-                    "basis": [{str(v): [_pretty(x), _pretty(y)]
-                               for v, (x, y) in vec.items()} for vec in basis.vectors]})
+                    "basis": [{str(v): _velocity(xy, basis.field) for v, xy in vec.items()}
+                              for vec in basis.vectors]})
     doc["moving"] = sorted(basis.moving, key=vkey)
     doc["fixed"] = sorted(set(g.inner) - basis.moving, key=vkey)
     doc["rigid"] = basis.dim == 0
@@ -228,11 +228,21 @@ def cmd_motion(args):
     return PASS
 
 
+def _velocity(xy, field):
+    """One vertex's entries of a basis vector as printed.  A float velocity
+    whose entries both lie within FLOAT_PIVOT_RTOL of zero prints as
+    [0.0, 0.0], the rule of `MotionBasis.moving`, so a fixed vertex shows
+    no velocity; no entry prints as -0.0."""
+    if field == "float" and max(map(abs, xy)) <= numeric.FLOAT_PIVOT_RTOL:
+        return [0.0, 0.0]
+    return [_pretty(x) for x in xy]
+
+
 def _pretty(x):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, float):
-        return round(x, 12)
+        return round(x, 12) + 0.0  # + 0.0 turns -0.0 into 0.0
     return x
 
 

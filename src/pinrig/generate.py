@@ -127,6 +127,13 @@ class _Draft:
 # Each rule below edits a draft in place and returns it; the public
 # operations run the same rule on a copy and build the result.
 
+def _multigraphs_only(name, *graphs):
+    """Refuse a pinned graph given to a multigraph operation, whose result
+    would forget which vertices are pins."""
+    if any(isinstance(g, PinnedGraph) for g in graphs):
+        raise GraphError(f"{name} takes a multigraph, not a pinned graph")
+
+
 def _add_vertex(d, u, w, v=None):
     if u == w:
         raise GraphError("attachment vertices must be distinct")
@@ -143,6 +150,7 @@ def _add_vertex(d, u, w, v=None):
 
 def vertex_addition(g: Multigraph, u, w, new_vertex=None) -> Multigraph:
     """Attach a new 2-valent vertex to u and w (preserves independence)."""
+    _multigraphs_only("vertex addition", g)
     return _add_vertex(_Draft(g.vertices, g.edges), u, w, new_vertex).build()
 
 
@@ -212,6 +220,7 @@ def two_sum(c1: Multigraph, c2: Multigraph, e1, e2, flip: bool = False) -> Multi
     |E1|+|E2|-2 edges; non-circuit inputs only get a warning (the operation is
     still performed for experimentation).
     """
+    _multigraphs_only("2-sum", c1, c2)
     return _two_sum(_Draft(c1.vertices, c1.edges), c2, e1, e2, flip).build()
 
 
@@ -257,6 +266,7 @@ def vertex_split(c: Multigraph, v, shared, moved, new_vertex=None) -> Multigraph
     with v.  Adds the connecting edge and the duplicated shared edge, so a
     circuit stays a circuit and an Assur graph grows to a larger one.
     """
+    _multigraphs_only("vertex split", c)
     return _split_vertex(_Draft(c.vertices, c.edges), v, shared, moved, new_vertex).build()
 
 
@@ -600,7 +610,8 @@ def _reverse_two_sum(adj):
         return None
     a, b = pair
     first = _component(adj, next(x for x in order if x != a and x != b), a, b)
-    edges = [(x, y) for x in adj for y in adj[x].elements() if vkey(x) < vkey(y)]
+    edges = [(x, y) for x, nbrs in adj.items() for y, k in nbrs.items()
+             if vkey(x) < vkey(y) for _ in range(k)]
     sides = ([], [])
     for e in edges:
         sides[not (e[0] in first or e[1] in first)].append(e)
@@ -617,12 +628,12 @@ def _reverse_two_sum(adj):
 
 
 def _circuit_state(m: Multigraph):
-    """Circuit `m` held as (adjacency, pebble state of m minus r, r), where r
+    """Circuit `m` held as (`m.adjacency()`, pebble state of m minus r, r), where r
     is the one edge the game rejects, or None when `m` is not a circuit."""
     held = circuit_state(m)
     if held is None:
         return None
-    return ({x: m.neighbors(x) for x in m.vertices}, *held)
+    return (m.adjacency(), *held)
 
 
 def _unsplit(adj, state, r):
@@ -647,7 +658,7 @@ def _unsplit(adj, state, r):
         # each pair in order with the neighbour it leaves out, which loses its
         # edge to v: no circuit on four or more vertices has a vertex of degree 2
         pairs = [(a, b, x) for (a, b), x in zip(combinations(order, 2), order[::-1])
-                 if not adj[a][b] and sum(adj[x].values()) > 3]
+                 if b not in adj[a] and sum(adj[x].values()) > 3]
         if not pairs:
             continue
         for x in order:
@@ -659,10 +670,9 @@ def _unsplit(adj, state, r):
             _, reach = state.try_insert(a, b)
             if len(reach) == len(adj) - 1:
                 for y in order:
-                    del adj[y][v]
+                    adj[y].pop(v)
                 del adj[v]
-                adj[a][b] += 1
-                adj[b][a] += 1
+                adj[a][b] = adj[b][a] = 1
                 return step("edge-split", u=a, w=b, x=x, v=v), (a, b)
         r = [(v, x) for x in order if not state.try_insert(v, x)[0]][0]
     return None, r
@@ -719,7 +729,7 @@ def certify(g: PinnedGraph) -> Certificate:
         p1, p2 = sorted(g.pins, key=vkey)
         return Certificate("dyad", (inner, p1, p2), (), claimed)
     m = contract_pins(g)
-    base, steps = _reduce_circuit(({x: m.neighbors(x) for x in m.vertices}, *held))
+    base, steps = _reduce_circuit((m.adjacency(), *held))
     assignment = tuple(sorted(((u, v) if v in g.pins else (v, u)
                                for u, v in g.edges if u in g.pins or v in g.pins),
                               key=lambda t: (vkey(t[0]), vkey(t[1]))))

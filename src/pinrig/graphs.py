@@ -60,10 +60,12 @@ class Multigraph:
             es.append(e)
         self._vertices = frozenset(vs)
         self._edges = tuple(es)
-        adj = {v: Counter() for v in self._vertices}
+        adj = {v: {} for v in self._vertices}
         for u, v in es:
-            adj[u][v] += 1
-            adj[v][u] += 1
+            nbrs = adj[u]
+            nbrs[v] = nbrs.get(v, 0) + 1
+            nbrs = adj[v]
+            nbrs[u] = nbrs.get(u, 0) + 1
         self._adj = adj
 
     @property
@@ -92,8 +94,13 @@ class Multigraph:
         """Neighbor -> multiplicity for v (a copy)."""
         return Counter(self._adj[v])
 
+    def adjacency(self) -> dict:
+        """Vertex -> {neighbor: multiplicity} for every vertex, as plain
+        dicts (copies) in the order `neighbors` gives."""
+        return {v: dict(nbrs) for v, nbrs in self._adj.items()}
+
     def has_edge(self, u, v) -> bool:
-        return self._adj.get(u, Counter())[v] > 0
+        return self._adj.get(u, {}).get(v, 0) > 0
 
     def support(self) -> frozenset:
         """Vertices with at least one incident edge."""

@@ -22,7 +22,9 @@ along the current orientation carries exactly three pebbles and spans exactly
 minimal dependent set (fundamental circuit) of the rejected edge.  Reach sets
 are recorded at rejection time so circuits can be recovered afterwards.
 
-The search follows out-neighbours in the order their edges were oriented.
+The orientation is a plain dict per vertex, head -> multiplicity, edited
+only by dict item reads, writes and deletions.  The search follows
+out-neighbours in the order their edges were oriented.
 That order shapes the orientation but no result: the accepted edges are the
 greedy basis in insertion order, and a rejected edge's reach set is the
 smallest (2,3)-tight vertex set containing both endpoints, whichever paths
@@ -31,7 +33,6 @@ the search took.  So the whole report depends only on the edge order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -41,51 +42,48 @@ from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
 
 class _PebbleState:
     """Mutable game state; `pebbles` maps each vertex to its starting
-    pebbles.  Edges are inserted by `try_insert` and deleted by
+    pebbles and `out` each vertex to {head: multiplicity} of its oriented
+    edges.  Edges are inserted by `try_insert` and deleted by
     `remove_edge`."""
 
     def __init__(self, pebbles):
         self.pebbles = pebbles
-        self.out = {v: Counter() for v in pebbles}
+        self.out = {v: {} for v in pebbles}
 
-    def _hunt(self, root, forbidden):
-        """DFS along the orientation for a pebbled vertex outside `forbidden`.
+    def _pull_pebble(self, root, other):
+        """Try to move one pebble to `root`, not stealing from `other`:
+        search the orientation depth first from `root` for a pebbled
+        vertex, then reverse the path to it.
 
-        Returns (target, predecessor map).  On failure target is None and the
-        predecessor map's keys are the full out-closure of `root`.
-        """
+        Returns None once moved, else the out-closure of `root`."""
+        out, peb = self.out, self.pebbles
         pred = {root: None}
         stack = [root]
         while stack:
             x = stack.pop()
-            for y in self.out[x]:
+            for y in out[x]:
                 if y in pred:
                     continue
                 pred[y] = x
-                if y not in forbidden and self.pebbles[y] > 0:
-                    return y, pred
+                if y != other and peb[y] > 0:
+                    # reverse the path root -> ... -> y, so the pebble walks
+                    # back to root; the loop over out[x] ends here, so the
+                    # reversal may edit it
+                    peb[y] -= 1
+                    peb[root] += 1
+                    while x is not None:
+                        heads = out[x]
+                        k = heads[y]
+                        if k == 1:
+                            del heads[y]
+                        else:
+                            heads[y] = k - 1
+                        heads = out[y]
+                        heads[x] = heads.get(x, 0) + 1
+                        y, x = x, pred[x]
+                    return None
                 stack.append(y)
-        return None, pred
-
-    def _pull_pebble(self, root, other):
-        """Try to move one pebble to `root`, not stealing from `other`.
-
-        Returns None once moved, else the out-closure of `root`."""
-        target, pred = self._hunt(root, forbidden={root, other})
-        if target is None:
-            return set(pred)
-        # reverse the path root -> ... -> target; the pebble walks back to root
-        x = target
-        while pred[x] is not None:
-            p = pred[x]
-            self.out[p][x] -= 1
-            if not self.out[p][x]:
-                del self.out[p][x]
-            self.out[x][p] += 1
-            x = p
-        self.pebbles[target] -= 1
-        self.pebbles[root] += 1
-        return None
+        return set(pred)
 
     def try_insert(self, u, v, need=4):
         """Attempt to accept edge (u, v) once `need` pebbles sit on its ends
@@ -106,7 +104,8 @@ class _PebbleState:
         if not peb[u]:
             u, v = v, u
         peb[u] -= 1
-        self.out[u][v] += 1
+        heads = self.out[u]
+        heads[v] = heads.get(v, 0) + 1
         return True, None
 
     def remove_edge(self, u, v):
@@ -115,11 +114,15 @@ class _PebbleState:
         The vertex the edge leaves gets back the pebble that paid for it, so
         the invariant holds and the state is the game on the remaining edges.
         """
-        if not self.out[u][v]:
+        heads = self.out[u]
+        if v not in heads:
             u, v = v, u
-        self.out[u][v] -= 1
-        if not self.out[u][v]:
-            del self.out[u][v]
+            heads = self.out[u]
+        k = heads[v]
+        if k == 1:
+            del heads[v]
+        else:
+            heads[v] = k - 1
         self.pebbles[u] += 1
 
 
@@ -300,7 +303,7 @@ def pinned_orientation(g: PinnedGraph, edges):
     """Orient `edges` of `g`, in that order, by the (2,0) pebble game.
 
     Inner vertices start with two pebbles and pins with none.  Returns each
-    vertex's out-neighbours (a Counter per vertex).  On a pinned isostatic
+    vertex's out-neighbours as {head: multiplicity}.  On a pinned isostatic
     graph every edge is accepted, each inner vertex ends with out degree 2
     and each pin with 0.
     """

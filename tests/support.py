@@ -154,6 +154,76 @@ def reverse_edge_split_oracle(m):
     return None
 
 
+class _CounterPebbleState:
+    """The pebble-game state that `pebble._PebbleState` replaced: the same
+    game with each vertex's out-edges in a `Counter`, a `_hunt` that builds
+    a forbidden set on every call, and `Counter` arithmetic on every path
+    reversal."""
+
+    def __init__(self, pebbles):
+        self.pebbles = pebbles
+        self.out = {v: Counter() for v in pebbles}
+
+    def _hunt(self, root, forbidden):
+        pred = {root: None}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in self.out[x]:
+                if y in pred:
+                    continue
+                pred[y] = x
+                if y not in forbidden and self.pebbles[y] > 0:
+                    return y, pred
+                stack.append(y)
+        return None, pred
+
+    def _pull_pebble(self, root, other):
+        target, pred = self._hunt(root, forbidden={root, other})
+        if target is None:
+            return set(pred)
+        x = target
+        while pred[x] is not None:
+            p = pred[x]
+            self.out[p][x] -= 1
+            if not self.out[p][x]:
+                del self.out[p][x]
+            self.out[x][p] += 1
+            x = p
+        self.pebbles[target] -= 1
+        self.pebbles[root] += 1
+        return None
+
+    def try_insert(self, u, v, need=4):
+        peb = self.pebbles
+        while peb[u] + peb[v] < need:
+            reach_u = self._pull_pebble(u, v) if peb[u] < 2 else {u}
+            if reach_u is None:
+                continue
+            reach_v = self._pull_pebble(v, u) if peb[v] < 2 else {v}
+            if reach_v is None:
+                continue
+            return False, frozenset(reach_u | reach_v)
+        if not peb[u]:
+            u, v = v, u
+        peb[u] -= 1
+        self.out[u][v] += 1
+        return True, None
+
+    def remove_edge(self, u, v):
+        if not self.out[u][v]:
+            u, v = v, u
+        self.out[u][v] -= 1
+        if not self.out[u][v]:
+            del self.out[u][v]
+        self.pebbles[u] += 1
+
+
+def pebble_state_reference(pebbles):
+    """A `Counter`-based pebble state, the reference for `_PebbleState`."""
+    return _CounterPebbleState(pebbles)
+
+
 def first_separating_pair_reference(adj):
     """The pair scan that `generate._separating_pair` replaced: one graph
     search of M - {a, b} per pair in `combinations` order.  ((a, b), the

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -237,6 +238,26 @@ class TestMotion:
         code, _, err = run(capsys, "motion", str(SAMPLES / "dyad.json"),
                            "--remove-edge", "v,zzz")
         assert code == 2 and err
+
+    def test_float_round_off_prints_as_zero_without_a_sign(self, capsys, monkeypatch):
+        # the kernel holds a of the four-bar still; give it round-off of about
+        # 1e-10, and b an entry of -1e-14, which rounds to -0.0 at 12 decimals
+        from pinrig import numeric
+        real = numeric.motion_space
+
+        def noisy(g, config, **kwargs):
+            basis = real(g, config, **kwargs)
+            vectors = tuple({**vec, "a": (1.1e-10, -0.9e-10), "b": (vec["b"][0], -1e-14)}
+                            for vec in basis.vectors)
+            return dataclasses.replace(basis, vectors=vectors)
+
+        monkeypatch.setattr(numeric, "motion_space", noisy)
+        code, out, _ = run(capsys, "motion", str(SAMPLES / "float_four_bar.json"))
+        doc = json.loads(out)
+        assert code == 0 and doc["field"] == "float" and doc["dim"] == 1
+        assert doc["fixed"] == ["a"] and doc["moving"] == ["b", "c"]
+        assert doc["basis"][0]["a"] == [0.0, 0.0] and doc["basis"][0]["b"][1] == 0.0
+        assert "-0.0" not in out
 
     @pytest.mark.parametrize("far", [1e7, 1e6])
     def test_far_pin_leaves_a_dyad_rigid_without_a_warning(self, tmp_path, capsys, far):

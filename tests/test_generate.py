@@ -47,6 +47,11 @@ class TestVertexAddition:
         with pytest.raises(GraphError):
             vertex_addition(Multigraph(edges=[(0, 1)]), 0, 0)
 
+    def test_pinned_graph_is_refused(self, triad):
+        # the result would be a multigraph that forgot which vertices are pins
+        with pytest.raises(GraphError, match="takes a multigraph"):
+            vertex_addition(triad, "a", "q1", new_vertex="d")
+
 
 class TestEdgeSplit:
     def test_k4_split_gives_the_wheel(self):
@@ -128,6 +133,13 @@ class TestTwoSum:
         with pytest.raises(GraphError):
             two_sum(k4, other, (0, 5), (4, 5))
 
+    def test_pinned_operand_is_refused(self, triad):
+        k4 = complete_graph(4)
+        for c1, c2, e1, e2 in ((triad, k4, ("a", "b"), (0, 1)),
+                               (k4, triad, (0, 1), ("a", "b"))):
+            with pytest.raises(GraphError, match="takes a multigraph"):
+                two_sum(c1, c2, e1, e2)
+
 
 class _nowarn:
     def __enter__(self):
@@ -165,6 +177,10 @@ class TestVertexSplit:
         g = support.wheel(4)
         with pytest.raises(GraphError):
             vertex_split(g, 1, shared=3, moved=[2])
+
+    def test_pinned_graph_is_refused(self, triad):
+        with pytest.raises(GraphError, match="takes a multigraph"):
+            vertex_split(triad, "a", shared="b", moved=["c"], new_vertex="a2")
 
 
 class TestPinRearrangement:
@@ -450,13 +466,13 @@ def test_every_reduction_step_matches_the_oracle(monkeypatch):
     taken = Counter()
 
     def graph_of(adj):
-        return Multigraph(adj, [(x, y) for x in adj for y in adj[x].elements()
+        return Multigraph(adj, [(x, y) for x in adj for y in Counter(adj[x]).elements()
                                 if vkey(x) < vkey(y)])
 
     def held_plus(state, r):
         out = state.out
         return Counter([norm_edge(*r)] + [norm_edge(x, y) for x in out
-                                          for y in out[x].elements()])
+                                          for y in Counter(out[x]).elements()])
 
     def checked(adj, state, r):
         m = graph_of(adj)

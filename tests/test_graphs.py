@@ -41,6 +41,17 @@ class TestConstruction:
         assert m.m == 2
         assert m.edge_counter()[(0, 1)] == 2
 
+    def test_adjacency_counts_parallel_edges_as_plain_dict_copies(self):
+        m = Multigraph([0, 1, 2, 3], [(0, 1), (1, 0), (1, 2)])
+        adj = m.adjacency()
+        assert adj == {0: {1: 2}, 1: {0: 2, 2: 1}, 2: {1: 1}, 3: {}}
+        assert all(type(nbrs) is dict for nbrs in adj.values())
+        assert all(list(adj[v].items()) == list(m.neighbors(v).items()) for v in m.vertices)
+        adj[1][3] = 1
+        del adj[0][1]
+        assert m.has_edge(0, 1) and not m.has_edge(1, 3) and m.neighbors(0) == {1: 2}
+        assert not m.has_edge(3, 0) and not m.has_edge(9, 0)
+
 
 class TestContraction:
     def test_dyad_contracts_to_doubled_edge(self, dyad):

@@ -260,7 +260,7 @@ def test_two_zero_game_orients_pinned_isostatic_graphs(triad, stacked_dyads):
         out = state.out
         assert all(sum(out[v].values()) == 2 for v in g.inner)
         assert all(not out[p] for p in g.pins)
-        arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
+        arcs = Counter(frozenset((x, y)) for x in out for y in Counter(out[x]).elements())
         assert arcs == Counter(frozenset(e) for e in g.edges)
 
 
@@ -273,7 +273,7 @@ def test_pinned_orientation_gives_inner_out_degree_two(triad, stacked_dyads):
         out = pinned_orientation(g, edges)
         assert all(sum(out[v].values()) == 2 for v in g.inner)
         assert all(not out[p] for p in g.pins)
-        arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
+        arcs = Counter(frozenset((x, y)) for x in out for y in Counter(out[x]).elements())
         assert arcs == Counter(frozenset(e) for e in g.edges)
 
 
@@ -381,7 +381,7 @@ def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
     def check(state, edges):
         out = state.out
         assert all(state.pebbles[v] + sum(out[v].values()) == 2 for v in state.pebbles)
-        arcs = Counter(frozenset((x, y)) for x in out for y in out[x].elements())
+        arcs = Counter(frozenset((x, y)) for x in out for y in Counter(out[x]).elements())
         assert arcs == Counter(frozenset(e) for e in edges)
         return sum(state.pebbles.values())
 
@@ -407,3 +407,88 @@ def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
         assert not ok and {u, v} <= reach
         assert sum(1 for e in edges if set(e) <= reach) == 2 * len(reach) - 3
         assert check(state, edges) == 3
+
+
+def _random_pinned_graph(rng):
+    inner = list(range(rng.randint(1, 6)))
+    pins = [f"p{i}" for i in range(rng.randint(2, 4))]
+    pairs = [(u, w) for u, w in combinations(inner + pins, 2) if u in inner or w in inner]
+    edges = rng.sample(pairs, rng.randint(1, min(len(pairs), 2 * len(inner) + 2)))
+    return PinnedGraph(inner, pins, edges)
+
+
+def _play_in_lockstep(rng, pebbles, need, first, edges):
+    """Play `first` and then `edges` on `_PebbleState` and on the `Counter`
+    reference, then a few rounds that delete the accepted edges at one
+    vertex, offer pairs of vertices and put the deleted edges back, as
+    `generate._unsplit` does.  After every step both give the same answer
+    and hold the same pebbles and the same out-edges, in the same order."""
+    from pinrig.pebble import _PebbleState
+    new = _PebbleState(dict(pebbles))
+    ref = support.pebble_state_reference(dict(pebbles))
+    held = []
+
+    def agree():
+        assert new.pebbles == ref.pebbles
+        assert ([(x, list(heads.items())) for x, heads in new.out.items()]
+                == [(x, list(heads.items())) for x, heads in ref.out.items()])
+
+    def offer(u, v):
+        got = new.try_insert(u, v, need)
+        assert got == ref.try_insert(u, v, need)
+        agree()
+        if got[0]:
+            held.append((u, v))
+        return got[0]
+
+    for e in (*first, *edges):
+        offer(*e)
+    verts = sorted(pebbles, key=str)
+    rejected = 0
+    for _ in range(rng.randint(1, 4)):
+        x = rng.choice(verts)
+        gone = [e for e in held if x in e]
+        rng.shuffle(gone)
+        for e in gone:
+            held.remove(e)
+            u, v = rng.sample(e, 2)
+            new.remove_edge(u, v)
+            ref.remove_edge(u, v)
+            agree()
+        for _ in range(rng.randint(0, 3)):
+            rejected += not offer(*rng.sample(verts, 2))
+        for e in gone:
+            rejected += not offer(*e)
+    return rejected
+
+
+def test_engine_matches_the_counter_reference_step_by_step():
+    from pinrig.pebble import _scaffold
+    # the (2,0) game on multigraphs holds parallel copies in one direction,
+    # whose multiplicity a path reversal lowers without moving the head
+    KINDS = ("2,3", "scaffolded", "2,0", "2,0 multigraph")
+    rng = random.Random(18)
+    games = Counter()
+    for i in range(2400):
+        kind = KINDS[i % 4]
+        if kind in ("2,3", "2,0 multigraph"):
+            n = rng.randint(2, 9)
+            g = support.random_multigraph(rng, n, rng.randint(1, 3 * n), allow_parallel=True)
+            if kind == "2,3":
+                args = (dict.fromkeys(g.vertices, 2), 4, (), g.edges)
+            else:
+                pins = rng.sample(sorted(g.vertices), rng.randint(0, 2))
+                args = ({v: 0 if v in pins else 2 for v in g.vertices}, 1, (), g.edges)
+        else:
+            g = _random_pinned_graph(rng)
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            if kind == "scaffolded":
+                pebbles = dict.fromkeys(g.vertices | {"apex"}, 2)
+                args = (pebbles, 4, _scaffold(sorted(g.pins), "apex"), edges)
+            else:
+                pebbles = {**dict.fromkeys(g.pins, 0), **dict.fromkeys(g.inner, 2)}
+                args = (pebbles, 1, (), edges)
+        games[kind, _play_in_lockstep(rng, *args) > 0] += 1
+    # every kind of game meets rejections after the deletions, and runs without them
+    assert all(games[kind, True] and games[kind, False] for kind in KINDS)

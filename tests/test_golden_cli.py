@@ -37,6 +37,9 @@ def cases():
                 out[f"check {name} {mode} {method}"] = [
                     ["check", g, "--mode", mode, "--method", method]]
         out[f"decompose {name}"] = [["decompose", g, "--json", "{out}/scheme.json"]]
+        out[f"decompose {name} seed 3"] = [
+            ["decompose", g, "--seed", "3", "--json", "{out}/scheme.json",
+             "--dot", "{out}/scheme.dot"]]
         out[f"certify {name}"] = [["certify", g, "--out", "{out}/cert.json"],
                                   ["verify", "{out}/cert.json"]]
         out[f"motion {name}"] = [["motion", g, "--seed", "0"]]

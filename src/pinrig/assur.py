@@ -12,12 +12,14 @@ state `certify` reduces).  The two deletion checks share their samples in
 `numeric.deletion_verdicts`.  Each `check_*` function is `is_assur` run on
 its one method, through the same gate.
 
-The decomposition and the minimality check come from one orientation: the
-(2,0) pebble game gives every inner vertex out degree 2 and every pin 0, and
-the strongly connected components of the inner vertices are the Assur
-components (Shai, Sljoka & Whiteley, "Directed graphs, decompositions, and
-spatial linkages", Discrete Appl. Math. 161, 2013).  The graph is minimal
-exactly when there is one component and no pin is isolated.
+The decomposition and the minimality check come from the orientation of
+the gate's own game (`pebble.pinned_game`), which on pinned isostatic input
+gives every inner vertex out degree 2 and sends no edge of the graph out of
+a pin.  The strongly connected components of the inner vertices under any
+such orientation are the Assur components (Shai, Sljoka & Whiteley,
+"Directed graphs, decompositions, and spatial linkages", Discrete Appl.
+Math. 161, 2013).  The graph is minimal exactly when there is one component
+and no pin is isolated.
 
 Graphs with an isolated pinned vertex fail every check: the contraction
 erases such pins, so the combinatorial and motion checks stop talking about
@@ -33,8 +35,7 @@ from typing import Optional
 from .errors import GraphError, NotIsostaticError
 from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, deletion_verdicts
-# `pinned_game` is bound here too, so a patch that counts games can reach it
-from .pebble import circuit_state, pinned_game, pinned_gate, pinned_orientation  # noqa: F401
+from .pebble import circuit_state, pinned_gate
 
 
 def check_minimality(g: PinnedGraph) -> bool:
@@ -92,20 +93,23 @@ def _check(g, method, seed=0, trials=DEFAULT_TRIALS) -> bool:
 
 
 def assur_gate(g: PinnedGraph):
-    """(reason, held): the checks every Assur test starts with.
+    """(reason, held, orientation): the checks every Assur test starts with.
 
     Input that is not pinned isostatic raises the NotIsostaticError of
-    `pebble.pinned_gate`.  `reason` says why a pinned isostatic `g` cannot
-    be Assur before any circuit is sought: isolated pins.  Otherwise `held`
-    is `pebble.circuit_state` of the pin contraction: its live game when the
-    contraction is a circuit, which `certify` goes on to reduce, else None.
+    `pebble.pinned_gate`; otherwise `orientation` is its game's, from which
+    `_decompose` reads the components.  `reason` says why a pinned
+    isostatic `g` cannot be Assur before any circuit is sought: isolated
+    pins.  Otherwise `held` is `pebble.circuit_state` of the pin
+    contraction: its live game when the contraction is a circuit, which
+    `certify` goes on to reduce, else None.
     """
-    if refusal := pinned_gate(g):
+    refusal, out = pinned_gate(g)
+    if refusal:
         raise refusal
     if g.isolated_pins():
         pins = sorted(g.isolated_pins(), key=vkey)
-        return f"isolated pinned vertices {pins!r}", None
-    return None, circuit_state(contract_pins(g))
+        return f"isolated pinned vertices {pins!r}", None, out
+    return None, circuit_state(contract_pins(g)), out
 
 
 _METHOD_ALIASES = {
@@ -126,7 +130,8 @@ class AssurVerdict:
     check; the motion-based conditions are randomized witnesses.  When
     `disagreement` is False all evaluated booleans are equal.  `pinned_dof`
     is set when the input is not pinned isostatic.  `scheme` is the
-    decomposition, kept when minimality was evaluated.
+    decomposition, kept when minimality was evaluated, and `orientation` the
+    gate's, from which `_decompose` reads it.
     """
 
     minimality: Optional[bool]
@@ -138,6 +143,7 @@ class AssurVerdict:
     reason: Optional[str] = None
     pinned_dof: Optional[int] = None
     scheme: Optional["AssurScheme"] = field(default=None, compare=False, repr=False)
+    orientation: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def evaluated(self) -> dict:
         out = {}
@@ -173,12 +179,12 @@ def _verdict(g, methods, seed, trials):
             chosen.add(_METHOD_ALIASES[m])
         except KeyError:
             raise GraphError(f"unknown method {m!r}") from None
-    reason, held = assur_gate(g)
+    reason, held, out = assur_gate(g)
     if reason:
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False, reason=reason)
     results = {"circuit": held is not None}
-    scheme = _decompose(g) if "minimality" in chosen else None
+    scheme = _decompose(g, out) if "minimality" in chosen else None
     if scheme is not None:
         results["minimality"] = minimality_violation(g, scheme) is None
     motion_checks = ("vertex_deletion", "edge_deletion")
@@ -194,6 +200,7 @@ def _verdict(g, methods, seed, trials):
         overall=results["circuit"],
         disagreement=len(values) > 1,
         scheme=scheme,
+        orientation=out,
     )
 
 
@@ -344,26 +351,28 @@ def _strong_components(inner, out):
 def decompose(g: PinnedGraph, seed: Optional[int] = None) -> AssurScheme:
     """Decompose a pinned isostatic graph into its Assur components.
 
-    One (2,0) pebble game orients every edge so that each inner vertex has
-    out degree 2 and each pin 0.  Each strongly connected component of the
-    inner vertices, with its out-edges, is one component; the heads of those
-    edges outside it are its pins (Shai, Sljoka & Whiteley, Discrete Appl.
-    Math. 161, 2013).  A component's level is one more than the highest
-    level among its pins, ground pins having level 0.  `seed` shuffles edge
-    insertion order (the components and their order do not depend on it).
-    Input that is not pinned isostatic raises the NotIsostaticError of
-    `pebble.pinned_gate`.
+    The game of `pebble.pinned_gate` orients every edge so that each inner
+    vertex has out degree 2 and no edge leaves a pin.  Each strongly
+    connected component of the inner vertices, with its out-edges, is one
+    component; the heads of those edges outside it are its pins (Shai,
+    Sljoka & Whiteley, Discrete Appl. Math. 161, 2013).  A component's level
+    is one more than the highest level among its pins, ground pins having
+    level 0.  `seed` shuffles the order in which the gate inserts the edges
+    (the components and their order do not depend on it).  Input that is
+    not pinned isostatic raises the NotIsostaticError of that gate.
     """
-    if refusal := pinned_gate(g):
-        raise refusal
-    return _decompose(g, seed)
-
-
-def _decompose(g, seed=None):
     edges = list(g.edges)
     if seed is not None:
         random.Random(seed).shuffle(edges)
-    out = pinned_orientation(g, edges)
+    refusal, out = pinned_gate(g, edges)
+    if refusal:
+        raise refusal
+    return _decompose(g, out)
+
+
+def _decompose(g, out):
+    """The scheme of pinned isostatic `g` from the orientation `out` of
+    its gate's game."""
     level = dict.fromkeys(g.pins, 0)
     parts = []
     for scc in _strong_components(g.inner, out):

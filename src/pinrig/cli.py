@@ -84,7 +84,7 @@ def _check_laman(g):
 
 
 def _check_pinned(g):
-    refusal = pebble.pinned_gate(g)
+    refusal, _ = pebble.pinned_gate(g)
     doc = {"mode": "pinned", "isostatic": refusal is None}
     if refusal and refusal.dof is None:
         doc["reason"] = str(refusal)
@@ -101,13 +101,14 @@ def _check_pinned(g):
     return refusal is None, doc
 
 
-def _assur_witness(g, scheme, doc):
+def _assur_witness(g, verdict, doc):
     """Attach the culprit of a failing verdict from its decomposition (the
-    verdict's `scheme`, else decomposed here, past the gate the verdict
-    passed), which has two or more components: component c1 is a proper
-    pinned isostatic subgraph, and as a level-1 Assur component on ground
-    pins its edges contract to a proper circuit of the pin contraction."""
-    c1 = (scheme or assur_mod._decompose(g)).components[0].graph
+    verdict's `scheme`, else read here off its gate's orientation), which
+    has two or more components: component c1 is a proper pinned isostatic
+    subgraph, and as a level-1 Assur component on ground pins its edges
+    contract to a proper circuit of the pin contraction."""
+    scheme = verdict.scheme or assur_mod._decompose(g, verdict.orientation)
+    c1 = scheme.components[0].graph
     doc["witness_subgraph"] = {"inner": sorted(c1.inner, key=vkey),
                                "pins": sorted(c1.pins, key=vkey)}
     doc["witness_extra_circuit"] = [list(e) for e in c1.edges]
@@ -129,7 +130,7 @@ def cmd_check(args):
         if verdict.reason:
             doc["reason"] = verdict.reason
         if not ok and verdict.reason is None:
-            _assur_witness(g, verdict.scheme, doc)
+            _assur_witness(g, verdict, doc)
         if verdict.pinned_dof is not None:
             doc["pinned_dof"] = verdict.pinned_dof
     _emit(doc)

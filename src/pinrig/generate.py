@@ -718,7 +718,7 @@ def certify(g: PinnedGraph) -> Certificate:
     is not Assur; there is no search that could give up.
     """
     try:
-        reason, held = assur_gate(g)
+        reason, held, _ = assur_gate(g)
     except NotIsostaticError as exc:
         reason, held = str(exc), None
     if held is None:

@@ -1,10 +1,11 @@
 """The (2,3)-pebble game: rank, independence, pinned isostatic tests, circuits.
 
 Every query plays one game on one `_PebbleState`: `pebble_rank`,
-`circuit_state` (whose live state `certify` goes on to edit), `pinned_game`
-(the pin scaffold, then the graph) and `pinned_orientation` (below).
+`circuit_state` (whose live state `certify` goes on to edit) and
+`pinned_game` (the pin scaffold, then the graph, then one trial bar).
 `pinned_gate` owns the pinned isostatic rule that every Assur test, the
-decomposition and `check --mode pinned` start with.
+decomposition and `check --mode pinned` start with, and hands on the
+orientation of its game, from which `assur` reads the decomposition.
 
 Each vertex starts with two pebbles.  An edge is accepted when four pebbles
 can be gathered on its endpoints (two each); accepting orients the edge away
@@ -12,18 +13,15 @@ from the vertex that pays a pebble.  The invariant pebbles(v) + outdeg(v) == 2
 holds throughout.  The number of accepted edges equals the generic rigidity
 rank of the input, independent of insertion order.
 
-The same engine plays the (2,0) game of Lee & Streinu (Discrete Math. 308,
-2008) for `pinned_orientation`: inner vertices start with two pebbles, pins
-with none, and one pebble on either endpoint pays for an edge.
-
 When an edge (u, v) is rejected, the set R of vertices reachable from {u, v}
 along the current orientation carries exactly three pebbles and spans exactly
 2|R| - 3 accepted edges; those edges plus the rejected one form the unique
 minimal dependent set (fundamental circuit) of the rejected edge.  Reach sets
 are recorded at rejection time so circuits can be recovered afterwards.
 
-The orientation is a plain dict per vertex, head -> multiplicity, edited
-only by dict item reads, writes and deletions.  The search follows
+Accepted edges are (2,3)-sparse, so no vertex pair is accepted twice.  The
+orientation is a plain dict per vertex, head -> 1, edited only by dict item
+writes and deletions; a dict rather than a set, because the search follows
 out-neighbours in the order their edges were oriented.
 That order shapes the orientation but no result: the accepted edges are the
 greedy basis in insertion order, and a rejected edge's reach set is the
@@ -42,9 +40,8 @@ from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
 
 class _PebbleState:
     """Mutable game state; `pebbles` maps each vertex to its starting
-    pebbles and `out` each vertex to {head: multiplicity} of its oriented
-    edges.  Edges are inserted by `try_insert` and deleted by
-    `remove_edge`."""
+    pebbles and `out` each vertex to {head: 1} of its oriented edges.
+    Edges are inserted by `try_insert` and deleted by `remove_edge`."""
 
     def __init__(self, pebbles):
         self.pebbles = pebbles
@@ -72,28 +69,22 @@ class _PebbleState:
                     peb[y] -= 1
                     peb[root] += 1
                     while x is not None:
-                        heads = out[x]
-                        k = heads[y]
-                        if k == 1:
-                            del heads[y]
-                        else:
-                            heads[y] = k - 1
-                        heads = out[y]
-                        heads[x] = heads.get(x, 0) + 1
+                        del out[x][y]
+                        out[y][x] = 1
                         y, x = x, pred[x]
                     return None
                 stack.append(y)
         return set(pred)
 
-    def try_insert(self, u, v, need=4):
-        """Attempt to accept edge (u, v) once `need` pebbles sit on its ends
-        (4 in the (2,3) game, 1 in the (2,0) game).
+    def try_insert(self, u, v):
+        """Attempt to accept edge (u, v) once four pebbles sit on its ends,
+        two on each, so that u pays for it.
 
         Returns (True, None) on acceptance or (False, reach) on rejection,
         where reach is the out-closure of {u, v} at the moment of failure.
         """
         peb = self.pebbles
-        while peb[u] + peb[v] < need:
+        while peb[u] + peb[v] < 4:
             reach_u = self._pull_pebble(u, v) if peb[u] < 2 else {u}
             if reach_u is None:
                 continue
@@ -101,28 +92,19 @@ class _PebbleState:
             if reach_v is None:
                 continue
             return False, frozenset(reach_u | reach_v)
-        if not peb[u]:
-            u, v = v, u
         peb[u] -= 1
-        heads = self.out[u]
-        heads[v] = heads.get(v, 0) + 1
+        self.out[u][v] = 1
         return True, None
 
     def remove_edge(self, u, v):
-        """Delete one accepted copy of edge (u, v).
+        """Delete accepted edge (u, v).
 
         The vertex the edge leaves gets back the pebble that paid for it, so
         the invariant holds and the state is the game on the remaining edges.
         """
-        heads = self.out[u]
-        if v not in heads:
+        if v not in self.out[u]:
             u, v = v, u
-            heads = self.out[u]
-        k = heads[v]
-        if k == 1:
-            del heads[v]
-        else:
-            heads[v] = k - 1
+        del self.out[u][v]
         self.pebbles[u] += 1
 
 
@@ -246,68 +228,69 @@ def _scaffold(pins, apex):
     return path + [(apex, p) for p in pins]
 
 
-def pinned_game(g: PinnedGraph):
-    """(pinned DOF, witness) from one (2,3) game: the pin scaffold first,
-    then the edges of `g`.
+def pinned_game(g: PinnedGraph, edges=None):
+    """(pinned DOF, witness, orientation) from one (2,3) game: the pin
+    scaffold first, then `edges` (default the edges of `g`), then a trial
+    bar from the scaffold's apex to a pin.
 
     The scaffold is independent, so the pinned rank is the number of edges
     of `g` accepted and the DOF is 2|I| minus it.  The witness is (inner,
     pins) of the reach set, minus the apex, of the first rejected edge, or
     None when no edge is rejected; its induced subgraph spans 2|R| - 2
     scaffolded edges, which breaks the pinned counts.
+
+    The trial bar doubles a scaffold bar, so it is rejected, and its failed
+    search leaves no free pebble in its reach set but on its two ends.  On
+    pinned isostatic input the scaffolded graph is isostatic and holds
+    just those three, so in the orientation ({vertex: {head: 1}}) every
+    other vertex has out degree 2: the 2|I| edges of `g` leave inner
+    vertices and the scaffold's bars leave the pins and the apex.
     """
     apex = fresh_id(g.vertices, "p0")
+    pins = sorted(g.pins, key=vkey)
     state = _PebbleState(dict.fromkeys(g.vertices | {apex}, 2))
-    for e in _scaffold(sorted(g.pins, key=vkey), apex):
+    for e in _scaffold(pins, apex):
         state.try_insert(*e)
     accepted, reach = 0, None
-    for e in g.edges:
+    for e in g.edges if edges is None else edges:
         ok, r = state.try_insert(*e)
         if ok:
             accepted += 1
         elif reach is None:
             reach = r
+    if pins:
+        state.try_insert(apex, pins[0])
     dof = 2 * len(g.inner) - accepted
     if reach is None:
-        return dof, None
+        return dof, None, state.out
     return dof, (tuple(sorted(reach & g.inner, key=vkey)),
-                 tuple(sorted(reach & g.pins, key=vkey)))
+                 tuple(sorted(reach & g.pins, key=vkey))), state.out
 
 
-def pinned_gate(g: PinnedGraph) -> Optional[NotIsostaticError]:
-    """Why `g` is not pinned isostatic, as the error to raise, or None.
+def pinned_gate(g: PinnedGraph, edges=None):
+    """(refusal, orientation): why `g` is not pinned isostatic, as the
+    error to raise, or None, and the orientation of the game that decided.
 
-    The one test of the rule: at least two pins, and one `pinned_game` with
-    DOF 0 and no rejected edge, so |E| = 2|I| and the pin-scaffolded graph
-    is generically rigid (the scaffold is itself isostatic).  The error
-    carries that game's DOF and witness, both None for fewer than two pins.
+    The one test of the rule: at least two pins, and one `pinned_game` over
+    `edges` (default the edges of `g`) with DOF 0 and no rejected edge, so
+    |E| = 2|I| and the pin-scaffolded graph is generically rigid (the
+    scaffold is itself isostatic).  The error carries that game's DOF and
+    witness; for fewer than two pins both are None and no game is played,
+    so the orientation is None.  With no refusal the orientation is the
+    one `pinned_game` describes, which `assur` decomposes.
     """
     if len(g.pins) < 2:
-        return NotIsostaticError("fewer than two pins")
-    dof, witness = pinned_game(g)
+        return NotIsostaticError("fewer than two pins"), None
+    dof, witness, out = pinned_game(g, edges)
     if dof or witness:
         return NotIsostaticError(f"not pinned isostatic (pinned DOF {dof})",
-                                 dof=dof, witness=witness)
-    return None
+                                 dof=dof, witness=witness), out
+    return None, out
 
 
 def pinned_isostatic(g: PinnedGraph) -> bool:
     """`g` passes `pinned_gate`; GraphError for fewer than two pins."""
-    refusal = pinned_gate(g)
+    refusal, _ = pinned_gate(g)
     if refusal and refusal.dof is None:
         raise GraphError("pinned isostatic test needs at least two pins")
     return refusal is None
-
-
-def pinned_orientation(g: PinnedGraph, edges):
-    """Orient `edges` of `g`, in that order, by the (2,0) pebble game.
-
-    Inner vertices start with two pebbles and pins with none.  Returns each
-    vertex's out-neighbours as {head: multiplicity}.  On a pinned isostatic
-    graph every edge is accepted, each inner vertex ends with out degree 2
-    and each pin with 0.
-    """
-    state = _PebbleState({**dict.fromkeys(g.pins, 0), **dict.fromkeys(g.inner, 2)})
-    for u, v in edges:
-        state.try_insert(u, v, need=1)
-    return state.out

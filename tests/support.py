@@ -158,7 +158,8 @@ class _CounterPebbleState:
     """The pebble-game state that `pebble._PebbleState` replaced: the same
     game with each vertex's out-edges in a `Counter`, a `_hunt` that builds
     a forbidden set on every call, and `Counter` arithmetic on every path
-    reversal."""
+    reversal.  It also still plays the (2,0) game (`need=1`), which may
+    accept a vertex pair more than once."""
 
     def __init__(self, pebbles):
         self.pebbles = pebbles
@@ -222,6 +223,21 @@ class _CounterPebbleState:
 def pebble_state_reference(pebbles):
     """A `Counter`-based pebble state, the reference for `_PebbleState`."""
     return _CounterPebbleState(pebbles)
+
+
+def pinned_orientation_reference(g, edges):
+    """The orientation `assur.decompose` read before it read the gate's:
+    the (2,0) game of Lee & Streinu (Discrete Math. 308, 2008) over `edges`
+    in order, on the `Counter` reference.  Inner vertices start with two
+    pebbles and pins with none, and one pebble on either end pays for an
+    edge.  Returns each vertex's out-neighbours as {head: multiplicity}; on
+    a pinned isostatic graph each inner vertex has out degree 2 and each pin
+    0."""
+    state = pebble_state_reference({**dict.fromkeys(g.pins, 0),
+                                    **dict.fromkeys(g.inner, 2)})
+    for u, v in edges:
+        state.try_insert(u, v, need=1)
+    return state.out
 
 
 def first_separating_pair_reference(adj):

@@ -15,8 +15,9 @@ from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, assur_gate,
                           is_assur, minimality_violation, recompose)
 from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
+from pinrig.fileio import scheme_to_dict
 from pinrig.counting import circuit_oracle, pinned_conditions_oracle
-from pinrig.graphs import PinnedGraph, compose, contract_pins, vkey
+from pinrig.graphs import PinnedGraph, compose, contract_pins, ekey, norm_edge, vkey
 from pinrig.numeric import motion_space
 from pinrig.pebble import pinned_isostatic
 
@@ -350,6 +351,75 @@ def test_decompose_deep_dyad_chain(rng, levels):
     assert [c.level for c in scheme.components] == list(range(1, levels + 1))
 
 
+def _reference_scheme_doc(g, seed):
+    """The scheme document from the (2,0) game that `decompose` played
+    before it read the gate's orientation, over the same seeded order."""
+    edges = list(g.edges)
+    random.Random(seed).shuffle(edges)
+    out = support.pinned_orientation_reference(g, edges)
+    return scheme_to_dict(assur_mod._decompose(g, out))
+
+
+def test_decompose_matches_the_two_zero_game_on_all_small_pinned_graphs():
+    checked = 0
+    for n_inner in range(1, 5):
+        for n_pins in range(2, 7 - n_inner):
+            for g in support.all_pinned_graphs(n_inner, n_pins):
+                if pinned_conditions_oracle(g):
+                    assert (scheme_to_dict(decompose(g, seed=checked))
+                            == _reference_scheme_doc(g, checked)), g
+                    checked += 1
+    assert checked == 2756
+
+
+def test_decompose_matches_the_two_zero_game_on_seeded_stacks():
+    rng = random.Random(19)
+    parts = (support.dyad, support.triad, support.basic_5)
+    for _ in range(500):
+        chosen = [parts[rng.randrange(3)]() for _ in range(rng.randint(1, 10))]
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        seed = rng.randrange(2 ** 32)
+        assert scheme_to_dict(decompose(g, seed=seed)) == _reference_scheme_doc(g, seed)
+
+
+def test_decompose_refuses_with_one_dof_in_every_order():
+    # the gate plays the seeded order: the DOF and whether an edge is
+    # rejected do not depend on it, and each order's witness breaks its count
+    def bound(inner, pins):
+        return 2 * len(inner) - (0 if len(pins) >= 2 else 1 if pins else 3)
+
+    rng = random.Random(29)
+    graphs = [g for n_inner in range(1, 5) for n_pins in range(2, 7 - n_inner)
+              for g in support.all_pinned_graphs(n_inner, n_pins)
+              if not pinned_conditions_oracle(g)]
+    parts = (support.dyad, support.triad, support.basic_5)
+    for _ in range(100):
+        chosen = [parts[rng.randrange(3)]() for _ in range(rng.randint(2, 8))]
+        g, _ = support.stack(rng, chosen, ["G0", "G1", "G2"])
+        edges = set(g.edges)
+        pairs = {norm_edge(u, w) for u in g.inner for w in g.vertices if u != w}
+        edges.remove(rng.choice(g.edges))
+        edges.add(rng.choice(sorted(pairs - edges, key=ekey)))
+        graphs.append(PinnedGraph(g.inner, g.pins, edges))
+    refused = 0
+    for g in graphs:
+        outcomes = set()
+        for seed in (None, 0, 1, 2, 3):
+            try:
+                decompose(g, seed=seed)
+            except NotIsostaticError as exc:
+                outcomes.add((exc.dof, exc.witness is None))
+                if exc.witness is not None:
+                    inner, pins = exc.witness
+                    assert g.induced(inner, pins).m > bound(inner, pins), g
+            else:
+                outcomes.add("decomposed")
+        assert len(outcomes) == 1, g
+        refused += "decomposed" not in outcomes
+    # every small graph, and the stacks whose moved edge broke a count
+    assert refused == 1441 + 38
+
+
 # -- deletion checks from the first sample's inverse, against the references ---
 
 def _assert_deletions_match_oracle(g, seed, wrappers=False):
@@ -376,7 +446,7 @@ def test_assur_gate_matches_the_oracles_on_all_small_pinned_graphs():
             for g in support.all_pinned_graphs(n_inner, n_pins):
                 isostatic = len(g.pins) >= 2 and pinned_conditions_oracle(g)
                 try:
-                    reason, held = assur_gate(g)
+                    reason, held, _ = assur_gate(g)
                 except NotIsostaticError:
                     assert not isostatic, g
                     seen["not isostatic"] += 1

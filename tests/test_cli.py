@@ -756,7 +756,7 @@ class TestWitnessesAtAnySize:
 def test_assur_check_validates_and_decomposes_once(tmp_path, capsys, monkeypatch):
     import random
 
-    from pinrig import assur, pebble
+    from pinrig import pebble
     calls = {"pinned_game": 0, "pebble_rank": 0}
 
     def counted(name, fn):
@@ -765,9 +765,7 @@ def test_assur_check_validates_and_decomposes_once(tmp_path, capsys, monkeypatch
             return fn(*args, **kwargs)
         return wrapper
 
-    game = counted("pinned_game", pebble.pinned_game)
-    monkeypatch.setattr(pebble, "pinned_game", game)
-    monkeypatch.setattr(assur, "pinned_game", game)
+    monkeypatch.setattr(pebble, "pinned_game", counted("pinned_game", pebble.pinned_game))
     monkeypatch.setattr(pebble, "pebble_rank", counted("pebble_rank", pebble.pebble_rank))
     parts = [support.triad(), support.dyad(), support.basic_5(), support.dyad()]
     g, _ = support.stack(random.Random(6), parts, ["G0", "G1", "G2"])
@@ -831,12 +829,9 @@ def _failing_stacks(count, seed):
     return out
 
 
-def test_assur_extra_circuit_is_a_proper_circuit_from_three_games(tmp_path, capsys,
-                                                                  monkeypatch):
+def _count_pebble_states(monkeypatch):
+    """A list that gains one entry per `_PebbleState` built."""
     from pinrig import pebble
-    from pinrig.counting import circuit_oracle
-    from pinrig.graphs import contract_pins
-    from pinrig.pebble import is_circuit
     games = []
     real = pebble._PebbleState.__init__
 
@@ -845,12 +840,22 @@ def test_assur_extra_circuit_is_a_proper_circuit_from_three_games(tmp_path, caps
         real(self, pebbles)
 
     monkeypatch.setattr(pebble._PebbleState, "__init__", counted)
+    return games
+
+
+def test_assur_extra_circuit_is_a_proper_circuit_from_two_games(tmp_path, capsys,
+                                                                monkeypatch):
+    from pinrig.counting import circuit_oracle
+    from pinrig.graphs import contract_pins
+    from pinrig.pebble import is_circuit
+    games = _count_pebble_states(monkeypatch)
     for g in _failing_stacks(40, seed=12):
         path = _write_json(tmp_path, "g.json", graph_to_dict(g))
         games.clear()
         code, out, _ = run(capsys, "check", path, "--mode", "assur", "--method", "ii")
-        # scaffolded game, circuit game on the contraction, (2,0) orientation
-        assert code == 1 and len(games) == 3
+        # the scaffolded game, whose orientation gives the decomposition,
+        # and the circuit game on the contraction
+        assert code == 1 and len(games) == 2
         edges = [tuple(e) for e in json.loads(out)["witness_extra_circuit"]]
         assert set(edges) < set(g.edges) and len(set(edges)) == len(edges)
         inner = {x for e in edges for x in e} & g.inner
@@ -859,6 +864,20 @@ def test_assur_extra_circuit_is_a_proper_circuit_from_three_games(tmp_path, caps
         assert is_circuit(contract_pins(sub))
         if g.n <= 12:
             assert circuit_oracle(contract_pins(sub))
+
+
+def test_decompose_plays_one_game_and_an_assur_check_two(tmp_path, capsys, monkeypatch):
+    import random
+    games = _count_pebble_states(monkeypatch)
+    assur_graph = support.edge_split_assur(random.Random(5), 6)
+    for g, assur in [(assur_graph, True), *((g, False) for g in _failing_stacks(5, seed=3))]:
+        path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+        games.clear()
+        assert run(capsys, "decompose", path, "--seed", "4")[0] == 0
+        assert len(games) == 1
+        games.clear()
+        code = run(capsys, "check", path, "--mode", "assur", "--method", "all")[0]
+        assert code == (0 if assur else 1) and len(games) == 2
 
 
 def test_scaffolded_game_is_played_once_per_command(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """Canonical codes for colored multigraphs.
 
 Isomorphism-invariant string codes for multigraphs and pinned graphs, used to
-deduplicate enumeration output, to compare decomposition results and to claim
-the graph a construction certificate builds.  Pins and inner vertices form
-separate color classes; parallel-edge multiplicities are part of the code.
+deduplicate enumeration output and to compare decomposition results.  Pins
+and inner vertices form separate color classes; parallel-edge multiplicities
+are part of the code.
 
 The search refines an ordered partition to an equitable one and branches on
 each vertex of its first non-singleton cell; the least code of a leaf is
@@ -14,9 +14,8 @@ and the search returns to where the two paths part; and a node skips each
 child in the orbit of an explored sibling under the stored automorphisms
 that fix its path.  Neither step can lose the least leaf, so every code is
 the unpruned search's.  The search stays exponential in the worst case,
-e.g. on Cai-Fuerer-Immerman graphs (Combinatorica 12, 1992).  The public
-functions refuse graphs above `max_vertices` (default 12), but `certify`
-and `verify` raise it to the graph's size: they run with no size guard.
+e.g. on Cai-Fuerer-Immerman graphs (Combinatorica 12, 1992), so the public
+functions refuse graphs above `max_vertices` (default 12).
 """
 
 from __future__ import annotations

@@ -23,8 +23,13 @@ from .graphs import PinnedGraph, vkey
 PASS, FAIL, ERROR = 0, 1, 2
 
 
-def _emit(doc):
-    print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+def _emit(doc, path=None):
+    """Print `doc` as JSON, after writing the same text to `path` if given."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
 
 
 def _fail_input(msg):
@@ -286,17 +291,14 @@ def cmd_certify(args):
     except GraphError as exc:
         _emit({"certified": False, "reason": str(exc)})
         return FAIL
-    doc = fileio.certificate_to_dict(cert)
-    if args.out:
-        fileio.write_json(doc, args.out)
-    _emit(doc)
+    _emit(fileio.certificate_to_dict(cert), args.out)
     return PASS
 
 
 def cmd_verify(args):
     cert = fileio.load_certificate(args.certificate)
     ok = generate.verify_certificate(cert)
-    _emit({"valid": ok, "claimed": cert.claimed})
+    _emit({"valid": ok, "claimed": fileio.claim_to_dict(cert.claimed)})
     return PASS if ok else FAIL
 
 

@@ -16,7 +16,8 @@ Linkage files::
      "joints": [{"incident": ["ground", "1"]}, ...]}
 
 Scheme and certificate documents round-trip the corresponding in-memory
-objects; vertex ids keep their JSON types (ints stay ints).
+objects; vertex ids keep their JSON types (ints stay ints).  A certificate's
+``claimed`` is a graph document; a 2-sum operand has none.
 """
 
 from __future__ import annotations
@@ -258,18 +259,18 @@ def scheme_to_dot(s: AssurScheme) -> str:
 
 # -- certificates ----------------------------------------------------------------
 
+def _param_to_dict(key, value):
+    if key == "other":
+        return certificate_to_dict(value)
+    if key == "assignment":
+        return [[a, b] for a, b in value]
+    if key == "moved":
+        return list(value)
+    return value
+
+
 def _step_to_dict(st: ConstructionStep) -> dict:
-    out = {"kind": st.kind}
-    for k, v in st.params:
-        if k == "other":
-            out[k] = certificate_to_dict(v)
-        elif k in ("assignment",):
-            out[k] = [[a, b] for a, b in v]
-        elif k in ("moved",):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
+    return {"kind": st.kind, **{k: _param_to_dict(k, v) for k, v in st.params}}
 
 
 def _step_param(key, value):
@@ -293,12 +294,26 @@ def _step_from_dict(doc: dict) -> ConstructionStep:
     return ConstructionStep(doc["kind"], tuple(sorted(params.items())))
 
 
+def claim_to_dict(claim):
+    """A certificate's claim as a graph document; a claim that is not a
+    graph stays as it is."""
+    return graph_to_dict(claim) if isinstance(claim, PinnedGraph) else claim
+
+
+def _claim_from_dict(doc):
+    """The claimed graph; a claim that is not a graph document, such as a
+    canonical-code string, stays as it is (None when there is no claim),
+    and no replay equals it."""
+    try:
+        return graph_from_dict(doc)[0]
+    except GraphError:
+        return doc
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "base": {"kind": cert.base_kind, "vertices": list(cert.base_vertices)},
-        "steps": [_step_to_dict(s) for s in cert.steps],
-        "claimed": cert.claimed,
-    }
+    doc = {"base": {"kind": cert.base_kind, "vertices": list(cert.base_vertices)},
+           "steps": [_step_to_dict(s) for s in cert.steps]}
+    return doc if cert.claimed is None else dict(doc, claimed=claim_to_dict(cert.claimed))
 
 
 def certificate_from_dict(doc: dict) -> Certificate:
@@ -307,7 +322,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
         return Certificate(base_kind=base["kind"],
                            base_vertices=tuple(_json_id(v) for v in base["vertices"]),
                            steps=tuple(_step_from_dict(s) for s in doc["steps"]),
-                           claimed=doc["claimed"])
+                           claimed=_claim_from_dict(doc.get("claimed")))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphError(f"bad certificate document: {exc}") from None
 

@@ -15,12 +15,15 @@ circuit minus one rejected edge: the state of the game that found the
 circuit (`pebble.circuit_state`), one game per side of a reverse 2-sum.  A
 reverse 2-sum splits at the first separating pair {a, b}, found as the first
 cut vertex b of M - a with one depth-first search per vertex a.
-`verify_certificate` replays forward and compares canonical codes, of the
-result and of every 2-sum operand, enforcing a step grammar so that a passing
-certificate with a dyad/K4 base really does witness the Assur property.  The
-replay edits one draft (vertex set, pins, edge multiset) in place with the
-same rule that each public operation runs on a copy, and builds a graph only
-where a step reads a whole graph, per 2-sum operand and at the end.
+A certificate claims the labelled graph it was built for, so
+`verify_certificate` replays forward and compares the result with the claim
+as labelled graphs, with no canonical search.  It enforces a step grammar so
+that a passing certificate with a dyad/K4 base really does witness the Assur
+property; a 2-sum operand claims nothing, as the grammar alone makes it a
+circuit.  The replay edits one draft (vertex set, pins, edge multiset) in
+place with the same rule that each public operation runs on a copy, and
+builds a graph only where a step reads a whole graph, per 2-sum operand and
+at the end.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations, count
 
 from .assur import assur_gate
-from .canon import canonical_code, canonical_form
+from .canon import canonical_form
 from .errors import CertificateError, GraphError, NotIsostaticError, PinrigWarning
 from .graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins,
                      contraction_star, fresh_id, norm_edge, rename_apart,
@@ -415,17 +418,19 @@ def step(kind: str, **params) -> ConstructionStep:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A base graph, a list of construction steps, and the claimed result code.
+    """A base graph, a list of construction steps, and the claimed result.
 
     Bases: ``dyad`` (inner, pin, pin), ``k4`` (four vertices), ``edge`` (two
-    vertices).  Replaying the steps from the base must land on a graph whose
-    canonical code equals `claimed`.
+    vertices).  Replaying the steps from the base must land on the labelled
+    graph `claimed` itself: the same inner vertices, pins and edges.  A 2-sum
+    operand claims nothing (None).  Any other claim, such as a string, is
+    equal to no replay.
     """
 
     base_kind: str
     base_vertices: tuple
     steps: tuple
-    claimed: str
+    claimed: object = None
 
 
 _MULTI_STEPS = {"edge": ("vertex-addition", "edge-split"),
@@ -451,12 +456,12 @@ def _base_graph(cert: Certificate) -> _Draft:
     raise CertificateError(f"unknown base kind {cert.base_kind!r}")
 
 
-def _two_sum_step(d, a, b, claim):
-    if not isinstance(claim, Certificate):
-        raise CertificateError("two-sum operand must be a certificate")
-    other = replay_certificate(claim)
-    if not isinstance(other, Multigraph) or _code(other) != claim.claimed:
-        raise CertificateError("two-sum operand must build the multigraph it claims")
+def _two_sum_step(d, a, b, operand):
+    # a k4 base whose replay stays a multigraph is a circuit by the grammar
+    if not (isinstance(operand, Certificate) and operand.base_kind == "k4"
+            and isinstance(other := replay_certificate(operand), Multigraph)):
+        raise CertificateError("two-sum operand must be a k4-base certificate "
+                               "that builds a multigraph")
     return _two_sum(d, other, (a, b), (a, b))
 
 
@@ -486,7 +491,8 @@ def replay_certificate(cert: Certificate):
     independence-preserving for an ``edge`` base); a single ``pin-split``
     from a ``k4`` base moves to the pinned phase (a split independent graph
     need not be pinned isostatic), after which only Assur-preserving pinned
-    steps are allowed, and each 2-sum operand must build the code it claims.
+    steps are allowed.  Each 2-sum operand must have a ``k4`` base and stay a
+    multigraph, so it is a circuit.
 
     The steps edit one draft in place.  A graph is built only by a step that
     reads a whole graph (``pin-split``, ``pin-rearrange``), by each 2-sum
@@ -511,16 +517,11 @@ def replay_certificate(cert: Certificate):
     return g.build() if isinstance(g, _Draft) else g
 
 
-def _code(g):
-    """Canonical code of `g` at any size: certificates are not bounded by
-    the catalog-sized default of `canonical_code`."""
-    return canonical_code(g, max_vertices=g.n)
-
-
 def verify_certificate(cert: Certificate) -> bool:
-    """Replay and compare canonical codes; False on any violation."""
+    """Replay and compare with the claimed labelled graph (inner vertices,
+    pins and edges); False on any violation."""
     try:
-        return _code(replay_certificate(cert)) == cert.claimed
+        return replay_certificate(cert) == cert.claimed
     except (CertificateError, GraphError):
         return False
 
@@ -622,8 +623,7 @@ def _reverse_two_sum(adj):
     if not held2:
         return None
     base2, steps2 = _reduce_circuit(held2)
-    other = Certificate(base_kind="k4", base_vertices=base2, steps=tuple(steps2),
-                        claimed=_code(c2))
+    other = Certificate(base_kind="k4", base_vertices=base2, steps=tuple(steps2))
     return held1, step("two-sum", a=a, b=b, other=other)
 
 
@@ -714,8 +714,9 @@ def certify(g: PinnedGraph) -> Certificate:
     Dyads certify trivially; otherwise the pin contraction is reduced
     directly to K4 by reverse edge-splits and reverse 2-sums, starting on
     the live game in which `assur_gate` found it a circuit, and a final
-    pin-split step rebuilds the pinned graph.  Raises GraphError when `g`
-    is not Assur; there is no search that could give up.
+    pin-split step rebuilds the pinned graph.  The certificate claims `g`
+    itself.  Raises GraphError when `g` is not Assur; there is no search
+    that could give up.
     """
     try:
         reason, held, _ = assur_gate(g)
@@ -723,11 +724,10 @@ def certify(g: PinnedGraph) -> Certificate:
         reason, held = str(exc), None
     if held is None:
         raise GraphError(f"certify requires an Assur graph ({reason or 'circuit condition fails'})")
-    claimed = _code(g)
     if len(g.inner) == 1:
         inner = next(iter(g.inner))
         p1, p2 = sorted(g.pins, key=vkey)
-        return Certificate("dyad", (inner, p1, p2), (), claimed)
+        return Certificate("dyad", (inner, p1, p2), (), g)
     m = contract_pins(g)
     base, steps = _reduce_circuit((m.adjacency(), *held))
     assignment = tuple(sorted(((u, v) if v in g.pins else (v, u)
@@ -735,4 +735,4 @@ def certify(g: PinnedGraph) -> Certificate:
                               key=lambda t: (vkey(t[0]), vkey(t[1]))))
     steps.append(step("pin-split", vertex=contraction_star(g),
                       assignment=assignment))
-    return Certificate("k4", base, tuple(steps), claimed)
+    return Certificate("k4", base, tuple(steps), g)

@@ -279,13 +279,11 @@ def _reference_base(cert):
     raise CertificateError(f"unknown base kind {cert.base_kind!r}")
 
 
-def _reference_two_sum(g, a, b, claim):
-    if not isinstance(claim, Certificate):
-        raise CertificateError("two-sum operand must be a certificate")
-    other = replay_reference(claim)
-    if (not isinstance(other, Multigraph)
-            or generate._code(other) != claim.claimed):
-        raise CertificateError("two-sum operand must build the multigraph it claims")
+def _reference_two_sum(g, a, b, operand):
+    if not (isinstance(operand, Certificate) and operand.base_kind == "k4"
+            and isinstance(other := replay_reference(operand), Multigraph)):
+        raise CertificateError("two-sum operand must be a k4-base certificate "
+                               "that builds a multigraph")
     return two_sum(g, other, (a, b), (a, b), flip=False)
 
 

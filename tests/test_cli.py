@@ -22,6 +22,7 @@ from pinrig.fileio import (certificate_from_dict, certificate_to_dict,
                            scheme_to_dict, scheme_to_dot)
 from pinrig.errors import GraphError, PinrigWarning
 from pinrig.generate import STEPS, certify, verify_certificate
+from pinrig.graphs import PinnedGraph
 from pinrig.numeric import motion_space
 
 
@@ -338,19 +339,26 @@ class TestCertifyVerify:
         code, out, _ = run(capsys, "certify", str(SAMPLES / "triad.json"),
                            "--out", str(cert_path))
         assert code == 0
+        # one text for the file and stdout; the claim is the input's document
+        assert cert_path.read_text(encoding="utf-8") == out
+        claimed = graph_to_dict(load_graph(SAMPLES / "triad.json")[0])
+        assert json.loads(out)["claimed"] == claimed
         code, out, _ = run(capsys, "verify", str(cert_path))
         assert code == 0
-        assert json.loads(out)["valid"] is True
+        assert json.loads(out) == {"valid": True, "claimed": claimed}
 
     def test_tampered_file_fails(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         run(capsys, "certify", str(SAMPLES / "triad.json"), "--out", str(cert_path))
-        doc = json.loads(cert_path.read_text())
-        doc["claimed"] = "tampered"
-        cert_path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "verify", str(cert_path))
-        assert code == 1
-        assert json.loads(out)["valid"] is False
+        moved = json.loads(cert_path.read_text())
+        edges = moved["claimed"]["edges"]
+        assert ["a", "q1"] in edges and ["a", "q2"] not in edges
+        edges[edges.index(["a", "q1"])] = ["a", "q2"]
+        # a code string in place of the graph, and the graph with one edge moved
+        for doc in (dict(moved, claimed="tampered"), moved):
+            code, out, _ = run(capsys, "verify", _write_json(tmp_path, "bad.json", doc))
+            assert code == 1
+            assert json.loads(out) == {"valid": False, "claimed": doc["claimed"]}
 
     @staticmethod
     def _nested_k4_split(depth):
@@ -369,25 +377,73 @@ class TestCertifyVerify:
         code, out, _ = run(capsys, "verify", cert_path)
         assert code == 0 and json.loads(out)["valid"] is True
 
-    def test_tampered_operand_claim_fails_at_every_level(self, tmp_path, capsys):
+    _OPERAND_RULE = "two-sum operand must be a k4-base certificate that builds a multigraph"
+
+    def test_edge_base_operand_fails_at_every_level(self, tmp_path, capsys):
+        from pinrig.errors import CertificateError
+        from pinrig.generate import replay_certificate
         doc = certificate_to_dict(certify(self._nested_k4_split(2)))
 
         def operands(cert, level):
             for st in cert["steps"]:
                 if st["kind"] == "two-sum":
-                    yield st["other"], level
+                    yield st, level
                     yield from operands(st["other"], level + 1)
 
         levels = []
-        for operand, level in operands(doc, 1):
-            claimed = operand["claimed"]
-            operand["claimed"] = "tampered: not a canonical code"
+        for st, level in operands(doc, 1):
+            # an independent graph on four vertices that holds the glue edge
+            kept, a, b = st["other"], st["a"], st["b"]
+            st["other"] = {"base": {"kind": "edge", "vertices": [a, b]},
+                           "steps": [{"kind": "vertex-addition", "u": a, "w": b, "v": "x"},
+                                     {"kind": "edge-split", "u": a, "w": "x", "x": b,
+                                      "v": "y"}]}
             code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
             assert code == 1 and json.loads(out)["valid"] is False, level
-            operand["claimed"] = claimed
+            with pytest.raises(CertificateError, match=self._OPERAND_RULE):
+                replay_certificate(certificate_from_dict(doc))
+            st["other"] = kept
             levels.append(level)
         assert levels == [1, 2, 2]
         assert run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))[0] == 0
+
+    # the graph that K4 on 0-3, 2-summed at (0, 1) with the operand's graph,
+    # then pin-split at vertex 2, replays to
+    _SUMMED = PinnedGraph({0, 1, 3, 4, 5}, {"p", "q"},
+                          [(0, 3), (1, 3), (0, 5), (1, 4), (1, 5), (4, 5),
+                           (0, "p"), (1, "q"), (3, "q")])
+
+    @classmethod
+    def _operand_certificate(cls, operand):
+        return {"base": {"kind": "k4", "vertices": [0, 1, 2, 3]},
+                "steps": [{"kind": "two-sum", "a": 0, "b": 1, "other": operand},
+                          {"kind": "pin-split", "vertex": 2,
+                           "assignment": [[0, "p"], [1, "q"], [3, "q"]]}],
+                "claimed": graph_to_dict(cls._SUMMED)}
+
+    def test_independent_operand_fails(self, tmp_path, capsys):
+        # a 4-vertex, 5-edge operand from an edge base: the result claims its
+        # replay exactly, but has pinned DOF 1, so it is not Assur
+        from pinrig.pebble import pinned_game
+        assert pinned_game(self._SUMMED)[0] == 1
+        operand = {"base": {"kind": "edge", "vertices": [0, 1]},
+                   "steps": [{"kind": "vertex-addition", "u": 0, "w": 1, "v": 4},
+                             {"kind": "edge-split", "u": 0, "w": 4, "x": 1, "v": 5}]}
+        doc = self._operand_certificate(operand)
+        code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 1 and json.loads(out) == {"valid": False, "claimed": doc["claimed"]}
+
+    def test_pinned_operand_fails(self, tmp_path, capsys):
+        from pinrig.errors import CertificateError
+        from pinrig.generate import replay_certificate
+        operand = {"base": {"kind": "k4", "vertices": [0, 1, 4, 5]},
+                   "steps": [{"kind": "pin-split", "vertex": 5,
+                              "assignment": [[0, "r"], [1, "s"], [4, "s"]]}]}
+        doc = self._operand_certificate(operand)
+        code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 1 and json.loads(out)["valid"] is False
+        with pytest.raises(CertificateError, match=self._OPERAND_RULE):
+            replay_certificate(certificate_from_dict(doc))
 
     def test_pin_split_from_edge_base_fails(self, tmp_path, capsys):
         # a split of an independent graph: pinned DOF 1, not even isostatic
@@ -396,9 +452,39 @@ class TestCertifyVerify:
                          {"kind": "edge-split", "u": 0, "w": 1, "x": 2, "v": 3},
                          {"kind": "pin-split", "vertex": 0,
                           "assignment": [[2, "p"], [3, "q"]]}],
-               "claimed": "P5|00011|0-1x1,0-2x1,1-2x1,1-4x1,2-3x1"}
+               "claimed": graph_to_dict(PinnedGraph({1, 2, 3}, {"p", "q"},
+                                                    [(1, 2), (1, 3), (2, 3),
+                                                     (2, "p"), (3, "q")]))}
         code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
         assert code == 1 and json.loads(out)["valid"] is False
+
+    def test_certify_and_verify_run_no_canonical_search(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import random
+
+        from pinrig import canon
+        from pinrig.graphs import split_contracted_vertex
+        searches = []
+        real = canon._search
+
+        def counted(*args):
+            searches.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(canon, "_search", counted)
+        c = support.random_circuit(random.Random(200), 201, 59)
+        nbrs = sorted(c.neighbors(0).elements())
+        split = split_contracted_vertex(c, 0, [(x, f"P{i % 3}") for i, x in enumerate(nbrs)])
+        cycle = PinnedGraph(range(400), [f"p{i}" for i in range(400)],
+                            [(i, (i + 1) % 400) for i in range(400)]
+                            + [(i, f"p{i}") for i in range(400)])
+        for g in (split, cycle):
+            path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+            cert_path = str(tmp_path / "cert.json")
+            assert run(capsys, "certify", path, "--out", cert_path)[0] == 0
+            code, out, _ = run(capsys, "verify", cert_path)
+            assert code == 0 and json.loads(out)["valid"] is True
+        assert len(split.inner) == 200 and searches == []
 
     def test_non_assur_input_fails(self, capsys):
         code, out, _ = run(capsys, "certify", str(SAMPLES / "stacked_dyads.json"))
@@ -522,7 +608,7 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("depth, want", [(120, 1), (250, 2)])
     def test_deeply_nested_two_sum_operands(self, tmp_path, capsys, depth, want):
-        # the operands claim no code, so a certificate that parses is invalid
+        # the certificate claims no graph, so one that parses is invalid
         base = '"base": {"kind": "k4", "vertices": [0, 1, 2, 3]}'
         doc = '{%s, "steps": [], "claimed": ""}' % base
         for _ in range(depth):

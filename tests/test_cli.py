@@ -20,8 +20,8 @@ from pinrig.fileio import (certificate_from_dict, certificate_to_dict,
                            graph_from_dict, graph_to_dict, linkage_to_dict,
                            linkage_from_dict, load_graph, scheme_from_dict,
                            scheme_to_dict, scheme_to_dot)
-from pinrig.errors import GraphError, PinrigWarning
-from pinrig.generate import STEPS, certify, verify_certificate
+from pinrig.errors import CertificateError, GraphError, PinrigWarning
+from pinrig.generate import STEPS, certify, replay_certificate, verify_certificate
 from pinrig.graphs import PinnedGraph
 from pinrig.numeric import motion_space
 
@@ -380,8 +380,6 @@ class TestCertifyVerify:
     _OPERAND_RULE = "two-sum operand must be a k4-base certificate that builds a multigraph"
 
     def test_edge_base_operand_fails_at_every_level(self, tmp_path, capsys):
-        from pinrig.errors import CertificateError
-        from pinrig.generate import replay_certificate
         doc = certificate_to_dict(certify(self._nested_k4_split(2)))
 
         def operands(cert, level):
@@ -434,8 +432,6 @@ class TestCertifyVerify:
         assert code == 1 and json.loads(out) == {"valid": False, "claimed": doc["claimed"]}
 
     def test_pinned_operand_fails(self, tmp_path, capsys):
-        from pinrig.errors import CertificateError
-        from pinrig.generate import replay_certificate
         operand = {"base": {"kind": "k4", "vertices": [0, 1, 4, 5]},
                    "steps": [{"kind": "pin-split", "vertex": 5,
                               "assignment": [[0, "r"], [1, "s"], [4, "s"]]}]}

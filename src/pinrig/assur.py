@@ -130,8 +130,8 @@ class AssurVerdict:
     check; the motion-based conditions are randomized witnesses.  When
     `disagreement` is False all evaluated booleans are equal.  `pinned_dof`
     is set when the input is not pinned isostatic.  `scheme` is the
-    decomposition, kept when minimality was evaluated, and `orientation` the
-    gate's, from which `_decompose` reads it.
+    decomposition, kept when minimality was evaluated or the circuit
+    condition failed (its first component is then the failure's witness).
     """
 
     minimality: Optional[bool]
@@ -143,7 +143,6 @@ class AssurVerdict:
     reason: Optional[str] = None
     pinned_dof: Optional[int] = None
     scheme: Optional["AssurScheme"] = field(default=None, compare=False, repr=False)
-    orientation: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def evaluated(self) -> dict:
         out = {}
@@ -184,8 +183,8 @@ def _verdict(g, methods, seed, trials):
         return AssurVerdict(None, None, None, None, overall=False,
                             disagreement=False, reason=reason)
     results = {"circuit": held is not None}
-    scheme = _decompose(g, out) if "minimality" in chosen else None
-    if scheme is not None:
+    scheme = _decompose(g, out) if "minimality" in chosen or held is None else None
+    if "minimality" in chosen:
         results["minimality"] = minimality_violation(g, scheme) is None
     motion_checks = ("vertex_deletion", "edge_deletion")
     if chosen.intersection(motion_checks):
@@ -200,7 +199,6 @@ def _verdict(g, methods, seed, trials):
         overall=results["circuit"],
         disagreement=len(values) > 1,
         scheme=scheme,
-        orientation=out,
     )
 
 

@@ -37,8 +37,17 @@ def _fail_input(msg):
     return ERROR
 
 
-def _resolve_vertex(g, token):
-    hits = [v for v in g.vertices if str(v) == token]
+def _vertex_names(g):
+    """The vertices of `g` by their string forms, the one way the CLI names
+    a vertex; `_resolve_vertex` takes a name of exactly one."""
+    names = {}
+    for v in g.vertices:
+        names.setdefault(str(v), []).append(v)
+    return names
+
+
+def _resolve_vertex(names, token):
+    hits = names.get(token, ())
     if len(hits) != 1:
         raise GraphError(f"vertex {token!r} does not name exactly one vertex")
     return hits[0]
@@ -106,14 +115,12 @@ def _check_pinned(g):
     return refusal is None, doc
 
 
-def _assur_witness(g, verdict, doc):
-    """Attach the culprit of a failing verdict from its decomposition (the
-    verdict's `scheme`, else read here off its gate's orientation), which
+def _assur_witness(verdict, doc):
+    """Attach the culprit of a failing verdict from its decomposition, which
     has two or more components: component c1 is a proper pinned isostatic
     subgraph, and as a level-1 Assur component on ground pins its edges
     contract to a proper circuit of the pin contraction."""
-    scheme = verdict.scheme or assur_mod._decompose(g, verdict.orientation)
-    c1 = scheme.components[0].graph
+    c1 = verdict.scheme.components[0].graph
     doc["witness_subgraph"] = {"inner": sorted(c1.inner, key=vkey),
                                "pins": sorted(c1.pins, key=vkey)}
     doc["witness_extra_circuit"] = [list(e) for e in c1.edges]
@@ -135,7 +142,7 @@ def cmd_check(args):
         if verdict.reason:
             doc["reason"] = verdict.reason
         if not ok and verdict.reason is None:
-            _assur_witness(g, verdict, doc)
+            _assur_witness(verdict, doc)
         if verdict.pinned_dof is not None:
             doc["pinned_dof"] = verdict.pinned_dof
     _emit(doc)
@@ -184,16 +191,14 @@ def scheme_report(scheme):
 
 # -- motion ----------------------------------------------------------------------
 
-def _match_positions(g, raw):
-    """Config files address vertices by string form; align with actual ids."""
+def _match_positions(names, raw):
+    """Config files name each vertex by its string form, read by
+    `_resolve_vertex`: a key naming two vertices is refused."""
     out = {}
-    for v in g.vertices:
-        if v in raw:
-            out[v] = raw[v]
-        elif str(v) in raw:
-            out[v] = raw[str(v)]
-        else:
-            raise GraphError(f"configuration misses vertex {v!r}")
+    for name in names:
+        if name not in raw:
+            raise GraphError(f"configuration misses vertex {name!r}")
+        out[_resolve_vertex(names, name)] = raw[name]
     return out
 
 
@@ -201,18 +206,19 @@ def cmd_motion(args):
     g, inline_pos = fileio.load_graph(args.graph)
     if not g.inner:
         return _fail_input("graph has no inner vertices")
+    names = _vertex_names(g)
     if args.remove_edge:
         try:
             u_tok, w_tok = args.remove_edge.split(",")
         except ValueError:
             return _fail_input("--remove-edge expects 'u,w'")
-        u = _resolve_vertex(g, u_tok.strip())
-        w = _resolve_vertex(g, w_tok.strip())
+        u = _resolve_vertex(names, u_tok.strip())
+        w = _resolve_vertex(names, w_tok.strip())
         g = g.without_edge(u, w)
 
     doc = {"inner": sorted(g.inner, key=vkey), "edges": g.m}
     if args.config:
-        config, source = _match_positions(g, fileio.load_positions(args.config)), "config"
+        config, source = _match_positions(names, fileio.load_positions(args.config)), "config"
     elif inline_pos and all(v in inline_pos for v in g.vertices):
         config, source = inline_pos, "inline positions"
     else:

@@ -25,14 +25,15 @@ Three coordinate domains are supported:
 Every rank and kernel, in every field, comes from one forward elimination
 of the matrix's dict rows {column: nonzero entry}: it never works above a
 pivot, and every pivot is a nonzero value, since entries that cancel are
-deleted.  `_factor` eliminates over GF(p) and the rationals, and
-`_factor_float` over floats, pivoting on the largest entry of each column;
-both return the same steps.  Ranks are their pivot counts; kernels and
-`_solve` back-substitute through the steps.  Ranks and kernels pivot in
-natural column order, so the pivot columns, and with them the kernel basis,
-are those of the reduced row echelon form; a square solve takes the columns
-with fewest nonzeros first (after Markowitz, Management Sci. 3, 1957),
-which keeps the factors of a rigidity matrix sparse.
+deleted.  `_factor` is that one elimination, over GF(p), the rationals
+and floats alike; on float rows it pivots on the largest entry of each
+column and puts a column within the cutoff back once, after the last.
+Ranks are its pivot counts; kernels and `_solve` back-substitute through
+its steps.  Ranks and kernels pivot in natural column order, so over an
+exact field the pivot columns, and with them the kernel basis, are those
+of the reduced row echelon form; a square solve takes the columns with
+fewest nonzeros first (after Markowitz, Management Sci. 3, 1957), which
+keeps the factors of a rigidity matrix sparse.
 
 `deletion_verdicts` decides the vertex- and edge-deletion checks of the
 Assur characterization from one solve of the transposed matrix per sample,
@@ -47,8 +48,8 @@ import random
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ConditioningWarning, GraphError
 from .graphs import PinnedGraph, vkey
@@ -65,11 +66,10 @@ Configuration = dict
 class RigidityMatrix:
     """Edge-by-coordinate matrix of the first-order length constraints.
 
-    `entries` holds one dict {column: nonzero entry} per edge; `rows` is
-    the same matrix as dense tuples.  `columns` lists the vertices owning
-    columns (two consecutive columns per vertex, x then y); pinned input
-    graphs contribute columns for inner vertices only.  `field` is one of
-    ``mod``, ``rational``, ``float``.
+    `entries` holds one dict {column: nonzero entry} per edge.  `columns`
+    lists the vertices owning columns (two consecutive columns per vertex,
+    x then y); pinned input graphs contribute columns for inner vertices
+    only.  `field` is one of ``mod``, ``rational``, ``float``.
     """
 
     entries: tuple
@@ -80,16 +80,6 @@ class RigidityMatrix:
     @property
     def shape(self):
         return (len(self.entries), 2 * len(self.columns))
-
-    @cached_property
-    def rows(self):
-        dense = []
-        for entry in self.entries:
-            row = [0] * self.shape[1]
-            for c, x in entry.items():
-                row[c] = x
-            dense.append(tuple(row))
-        return tuple(dense)
 
 
 @dataclass(frozen=True)
@@ -184,12 +174,12 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
                           columns=tuple(col_vertices), field=field)
 
 
-# -- the exact elimination kernel -------------------------------------------
+# -- the elimination kernel -------------------------------------------------
 
-def _factor(rows, cols, p=PRIME):
+def _factor(rows, cols, p=PRIME, tol=None):
     """Forward elimination, in place, of the dict rows `rows` (column ->
-    nonzero entry) over GF(p), or over the rationals when `p` is None
-    (floats go through `_factor_float`, which returns the same steps).
+    nonzero entry) over GF(p), or over the rationals or floats when `p` is
+    None.
 
     Pivots lie in the columns `cols`, taken in that order: each pivots on
     the sparsest live row that is nonzero there, and a column zero in every
@@ -198,14 +188,35 @@ def _factor(rows, cols, p=PRIME):
     updated on the pivot row's entries only, and a row that has pivoted is
     never touched again.  Columns outside `cols` (right-hand sides) ride
     along.  Returns the steps (row, column, inverse of the pivot, pivot row
-    without its pivot entry)."""
+    without its pivot entry).
+
+    With a cutoff `tol` (floats), a column pivots instead on the live row
+    whose entry there is largest.  When that entry is at most `tol` the
+    column is put back once, after the last of `cols`, since later pivots
+    may lift it; a column at most `tol` on its second turn is skipped.  A
+    largest entry within three decades of the cutoff either way, in
+    (tol**2 / FLOAT_WARN_RTOL, FLOAT_WARN_RTOL), raises a
+    ConditioningWarning at the caller of `motion_space`."""
     live = set(range(len(rows)))
     steps = []
-    for c in cols:
+    retry = []
+    for c in chain(cols, retry):
         hits = [i for i in live if c in rows[i]]
         if not hits:
             continue
-        r = min(hits, key=lambda i: (len(rows[i]), i))
+        if tol is None:
+            r = min(hits, key=lambda i: (len(rows[i]), i))
+        else:
+            r = max(hits, key=lambda i: (abs(rows[i][c]), -i))
+            best = abs(rows[r][c])
+            if tol ** 2 / FLOAT_WARN_RTOL < best < FLOAT_WARN_RTOL:
+                warnings.warn(f"pivot {best:.3e} is close to the zero threshold; rank "
+                              "decisions may be unreliable", ConditioningWarning,
+                              stacklevel=5)
+            if best <= tol:
+                if c not in retry:
+                    retry.append(c)
+                continue
         live.remove(r)
         prow = rows[r]
         inv = pow(prow.pop(c), -1, p) if p else 1 / prow.pop(c)
@@ -234,11 +245,11 @@ def _factor(rows, cols, p=PRIME):
 
 
 def _back_substitute(steps, right, p=PRIME):
-    """Back substitution through the steps of `_factor` or `_factor_float`,
-    over GF(p), or over the rationals or floats when `p` is None: per pivot
-    column c of pivot row r, x_c = (right[r] - sum of a_k x_k) / pivot over
-    the row's entries a_k at pivot columns k, where `right[r]` lists what
-    the row holds at the other columns wanted (right-hand sides, or free
+    """Back substitution through the steps of `_factor`, over GF(p), or
+    over the rationals or floats when `p` is None: per pivot column c of
+    pivot row r, x_c = (right[r] - sum of a_k x_k) / pivot over the row's
+    entries a_k at pivot columns k, where `right[r]` lists what the row
+    holds at the other columns wanted (right-hand sides, or free
     columns).  It runs from the last step back: a pivot row's other pivot
     columns all pivoted after it."""
     solved = {}
@@ -270,56 +281,14 @@ def _solve(rows, rhs, p=PRIME):
     return list(zip(*(solved[c] for c in range(n))))
 
 
-def _factor_float(entries, ncols):
-    """Forward elimination of copies of the float dict rows `entries`, in
-    natural column order, in `_factor`'s step format.
-
-    Each row is first scaled to unit length (by its largest entry first, so
-    that its length cannot overflow).  Column c pivots on the live row
-    whose entry there is largest, and is skipped when that entry is at most
-    FLOAT_PIVOT_RTOL.  A largest entry within three decades of that cutoff
-    either way, in (FLOAT_PIVOT_RTOL**2 / FLOAT_WARN_RTOL, FLOAT_WARN_RTOL),
-    raises a ConditioningWarning at the caller of `motion_space`."""
-    rows = []
-    for entry in entries:
-        big = max(map(abs, entry.values()), default=1.0)
-        length = math.hypot(*(x / big for x in entry.values()))
-        rows.append({k: x / big / length for k, x in entry.items()})
-    live = set(range(len(rows)))
-    steps = []
-    for c in range(ncols):
-        hits = [i for i in live if c in rows[i]]
-        if not hits:
-            continue
-        r = max(hits, key=lambda i: (abs(rows[i][c]), -i))
-        best = abs(rows[r][c])
-        if FLOAT_PIVOT_RTOL ** 2 / FLOAT_WARN_RTOL < best < FLOAT_WARN_RTOL:
-            warnings.warn(f"pivot {best:.3e} is close to the zero threshold; rank decisions "
-                          "may be unreliable", ConditioningWarning, stacklevel=5)
-        if best <= FLOAT_PIVOT_RTOL:
-            continue
-        live.remove(r)
-        prow = rows[r]
-        inv = 1 / prow.pop(c)
-        for i in hits:
-            if i != r:
-                ri = rows[i]
-                f = ri.pop(c) * inv
-                for k, b in prow.items():
-                    if x := ri.get(k, 0) - f * b:
-                        ri[k] = x
-                    else:
-                        del ri[k]
-        steps.append((r, c, inv, prow))
-    return steps
-
-
 def _kernel(steps, ncols, p=PRIME):
     """Kernel basis over GF(p), or over the rationals or floats when `p` is
     None, from the `steps` of a forward elimination of `ncols` columns in
-    natural order, whose pivot columns are those of the RREF: one vector
-    per free column f, 1 at f and 0 at the other free columns, the pivot
-    columns by back substitution."""
+    natural order: one vector per free column f, 1 at f and 0 at the other
+    free columns, the pivot columns by back substitution.  Over an exact
+    field the pivot columns are those of the RREF; a float column put back
+    pivots after the last, which back substitution allows, since each pivot
+    row's other pivot columns still pivot after it."""
     pivots = {step[1] for step in steps}
     free = [f for f in range(ncols) if f not in pivots]
     right = {r: [prow.get(f, 0) for f in free] for r, _, _, prow in steps}
@@ -334,11 +303,20 @@ def _kernel(steps, ncols, p=PRIME):
 def _eliminate(mat):
     """The steps of the forward elimination of `mat` in natural column
     order, on copies of its dict rows, and the prime of its field (None for
-    the rationals and floats)."""
-    if mat.field == "float":
-        return _factor_float(mat.entries, mat.shape[1]), None
+    the rationals and floats).  Float rows are scaled to unit length and
+    eliminated with the cutoff FLOAT_PIVOT_RTOL."""
     p = PRIME if mat.field == "mod" else None
-    return _factor([dict(r) for r in mat.entries], range(mat.shape[1]), p), p
+    tol = FLOAT_PIVOT_RTOL if mat.field == "float" else None
+    rows = [_unit(entry) if tol else dict(entry) for entry in mat.entries]
+    return _factor(rows, range(mat.shape[1]), p, tol), p
+
+
+def _unit(entry):
+    """A copy of the float dict row `entry` scaled to unit length, by its
+    largest entry first, so that its length cannot overflow."""
+    big = max(map(abs, entry.values()), default=1.0)
+    length = math.hypot(*(x / big for x in entry.values()))
+    return {k: x / big / length for k, x in entry.items()}
 
 
 def matrix_rank(mat: RigidityMatrix) -> int:

@@ -6,21 +6,23 @@ subsets.  These are the second route that the implementation is checked
 against.
 """
 
+import math
 import random
+import warnings
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from operator import mul
 
 from pinrig import generate
-from pinrig.errors import CertificateError, GraphError
+from pinrig.errors import CertificateError, ConditioningWarning, GraphError
 from pinrig.generate import (Certificate, edge_split, pin_rearrangement, step,
                              two_sum, vertex_addition, vertex_split)
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, norm_edge,
                            split_contracted_vertex, vkey)
 from pinrig import numeric
-from pinrig.numeric import (PRIME, all_inner_move, build_rigidity_matrix,
-                            random_configuration)
+from pinrig.numeric import (FLOAT_PIVOT_RTOL, FLOAT_WARN_RTOL, PRIME, all_inner_move,
+                            build_rigidity_matrix, random_configuration)
 from pinrig.pebble import is_circuit
 
 # -- fixtures ----------------------------------------------------------------
@@ -404,7 +406,7 @@ def deletion_inverse_oracle(g, seed=0, trials=8):
         if not targets:
             break
         mat = build_rigidity_matrix(g, random_configuration(g, rng), field="mod")
-        inv = solve_reference(mat.rows, [[int(i == k) for k in range(g.m)]
+        inv = solve_reference(dense_rows(mat), [[int(i == k) for k in range(g.m)]
                                          for i in range(g.m)])
         if inv is None:
             continue
@@ -413,6 +415,12 @@ def deletion_inverse_oracle(g, seed=0, trials=8):
                    if _still(_combine([cols[j] for j in t[1]], rng, g.m)) - {t[2]}]
     fixed = {t[0] for t in targets}
     return True not in fixed, False not in fixed
+
+
+def dense_rows(mat):
+    """The rows of the RigidityMatrix `mat` as dense tuples, 0 wherever its
+    dict row has no entry."""
+    return [tuple(entry.get(c, 0) for c in range(mat.shape[1])) for entry in mat.entries]
 
 
 def sparse_rows(rows, p=PRIME):
@@ -463,6 +471,51 @@ def rref_mod_reference(rows, p=PRIME):
     return pivots, rows[:len(pivots)]
 
 
+def factor_float_reference(entries, ncols):
+    """Forward elimination of copies of the float dict rows `entries`, in
+    natural column order, in `_factor`'s step format: the float loop that
+    `numeric._factor` took over, kept as its reference.
+
+    Each row is first scaled to unit length (by its largest entry first, so
+    that its length cannot overflow).  Column c pivots on the live row
+    whose entry there is largest, and is skipped when that entry is at most
+    FLOAT_PIVOT_RTOL.  A largest entry within three decades of that cutoff
+    either way, in (FLOAT_PIVOT_RTOL**2 / FLOAT_WARN_RTOL, FLOAT_WARN_RTOL),
+    raises a ConditioningWarning at the caller of `motion_space`."""
+    rows = []
+    for entry in entries:
+        big = max(map(abs, entry.values()), default=1.0)
+        length = math.hypot(*(x / big for x in entry.values()))
+        rows.append({k: x / big / length for k, x in entry.items()})
+    live = set(range(len(rows)))
+    steps = []
+    for c in range(ncols):
+        hits = [i for i in live if c in rows[i]]
+        if not hits:
+            continue
+        r = max(hits, key=lambda i: (abs(rows[i][c]), -i))
+        best = abs(rows[r][c])
+        if FLOAT_PIVOT_RTOL ** 2 / FLOAT_WARN_RTOL < best < FLOAT_WARN_RTOL:
+            warnings.warn(f"pivot {best:.3e} is close to the zero threshold; rank decisions "
+                          "may be unreliable", ConditioningWarning, stacklevel=5)
+        if best <= FLOAT_PIVOT_RTOL:
+            continue
+        live.remove(r)
+        prow = rows[r]
+        inv = 1 / prow.pop(c)
+        for i in hits:
+            if i != r:
+                ri = rows[i]
+                f = ri.pop(c) * inv
+                for k, b in prow.items():
+                    if x := ri.get(k, 0) - f * b:
+                        ri[k] = x
+                    else:
+                        del ri[k]
+        steps.append((r, c, inv, prow))
+    return steps
+
+
 def solve_reference(rows, rhs, p=PRIME):
     """Rows of X with R X = B for the square dense R and B (one row of B per
     row of R), or None when R is singular, read off the Gauss-Jordan
@@ -501,7 +554,7 @@ def deletion_verdicts_reference(g, seed=0, trials=8):
     held = set()
     for _ in range(trials):
         config = numeric.random_configuration(g, rng)
-        transposed = list(zip(*build_rigidity_matrix(g, config, field="mod").rows))
+        transposed = list(zip(*dense_rows(build_rigidity_matrix(g, config, field="mod"))))
         draws = [(rng.randrange(1, PRIME), rng.randrange(1, PRIME)) for _ in inner]
         rhs = [[draws[i][c % 2] if c // 2 == i else 0 for i in range(len(inner))]
                for c in range(g.m)]

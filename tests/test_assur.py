@@ -502,14 +502,21 @@ def test_deletion_checks_eliminate_once_per_sample(monkeypatch):
     assert len(calls) == 1  # a rigid block certifies both kinds at one sample
 
 
-def test_only_minimality_decomposes(monkeypatch, stacked_dyads):
-    # a failing circuit condition does not ask for the decomposition
+def test_decomposes_for_minimality_or_a_failed_circuit_only(monkeypatch, triad,
+                                                            stacked_dyads):
+    # a passing circuit condition asks for the decomposition only to check
+    # minimality; a failing one asks for it once, and the verdict keeps it
     calls = []
     real = assur_mod._decompose
     monkeypatch.setattr(assur_mod, "_decompose", lambda *a: calls.append(1) or real(*a))
-    assert not check_vertex_deletion(stacked_dyads) and not check_edge_deletion(stacked_dyads)
-    assert not check_circuit_condition(stacked_dyads) and calls == []
-    assert not check_minimality(stacked_dyads) and calls == [1]
+    assert check_vertex_deletion(triad) and check_edge_deletion(triad)
+    assert check_circuit_condition(triad) and calls == []
+    assert check_minimality(triad) and calls == [1]
+    for method in ALL_METHODS:
+        calls.clear()
+        verdict = is_assur(stacked_dyads, methods=(method,))
+        assert verdict.evaluated() == {"circuit": False, method: False} and calls == [1]
+        assert verdict.scheme == decompose(stacked_dyads)
 
 
 def test_singular_sample_counts_as_a_trial(monkeypatch, triad, stacked_dyads):

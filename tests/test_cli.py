@@ -240,6 +240,17 @@ class TestMotion:
                            "--remove-edge", "v,zzz")
         assert code == 2 and err
 
+    def test_config_key_naming_two_vertices_is_an_input_error(self, tmp_path, capsys):
+        # vertices 1 and "1" print alike: the config key "1" names both, as
+        # the token 1 of --remove-edge does
+        g = PinnedGraph({1}, {"1", "a", "b"}, [(1, "a"), (1, "b")])
+        path = _write_json(tmp_path, "g.json", graph_to_dict(g))
+        cfg = _write_json(tmp_path, "cfg.json", {"1": [0, 0], "a": [1, 0], "b": [0, 1]})
+        for argv in (["--config", cfg], ["--remove-edge", "1,a"]):
+            code, out, err = run(capsys, "motion", path, *argv)
+            assert code == 2 and not out
+            assert "'1' does not name exactly one vertex" in err
+
     def test_float_round_off_prints_as_zero_without_a_sign(self, capsys, monkeypatch):
         # the kernel holds a of the four-bar still; give it round-off of about
         # 1e-10, and b an entry of -1e-14, which rounds to -0.0 at 12 decimals

@@ -24,7 +24,7 @@ class TestMatrixLayout:
         m = build_rigidity_matrix(Multigraph(edges=[(1, 2)]),
                                   {1: (0, 0), 2: (1, 0)})
         assert m.shape == (1, 4)
-        assert [int(x) for x in m.rows[0]] == [-1, 0, 1, 0]
+        assert [int(x) for x in support.dense_rows(m)[0]] == [-1, 0, 1, 0]
 
     def test_k4_matrix_matches_displayed_pattern(self):
         # unit square placement; rows in edge order (1,2),(1,3),(1,4),(2,3),(2,4),(3,4)
@@ -39,10 +39,11 @@ class TestMatrixLayout:
             [0, 0, 0, -1, 0, 0, 0, 1],    # (2,4)
             [0, 0, 0, 0, -1, 0, 1, 0],    # (3,4)
         ]
-        got = [[int(x) for x in row] for row in m.rows]
+        rows = support.dense_rows(m)
+        got = [[int(x) for x in row] for row in rows]
         assert got == expected
         # each row touches only the columns of its two endpoints, antisymmetrically
-        for row, (u, v) in zip(m.rows, m.edges):
+        for row, (u, v) in zip(rows, m.edges):
             iu, iv = m.columns.index(u), m.columns.index(v)
             assert row[2 * iu] == -row[2 * iv]
             assert row[2 * iu + 1] == -row[2 * iv + 1]
@@ -91,6 +92,29 @@ class TestGenericRank:
             assert 2 * g.n - rank >= 3
             from pinrig.pebble import pebble_rank
             assert (2 * g.n - rank == 3) == (pebble_rank(g).rank == 2 * g.n - 3)
+
+
+DYAD = PinnedGraph({"a"}, {"p", "q"}, [("a", "p"), ("a", "q")])
+
+
+def _turned(config):
+    """`config` turned by 90 degrees about the origin."""
+    return {v: (-y, x) for v, (x, y) in config.items()}
+
+
+def _dyad_sweep():
+    """(float configuration, the same as Fractions, sine of the angle
+    between the bars) for `DYAD` on pins p (0, 0) and q (Q, 0), over the
+    seeded scales of the cross-scale sweep."""
+    rng = random.Random(2024)
+    for kq, ka, kt in product(range(8), range(-3, 8), range(-13, 0)):
+        ax = rng.uniform(1, 10) * 10.0 ** ka
+        config = {"p": (0.0, 0.0), "q": (rng.uniform(1, 10) * 10.0 ** kq, 0.0),
+                  "a": (ax, ax * rng.uniform(1, 10) * 10.0 ** kt)}
+        exact = {v: tuple(map(Fraction, xy)) for v, xy in config.items()}
+        (ux, uy), (qx, _) = exact["a"], exact["q"]
+        sine = abs(float(uy * qx)) / (math.hypot(ux, uy) * math.hypot(ux - qx, uy))
+        yield config, exact, sine
 
 
 class TestMotionSpace:
@@ -174,31 +198,40 @@ class TestMotionSpace:
 
     def test_float_dyads_across_scales_match_the_rationals_or_warn(self):
         """Dyad a on pins p (0, 0) and q (Q, 0): Q at 10^0..10^7, a's x at
-        10^-3..10^7 and its y at 10^-13..10^-1 of that, mantissas seeded.
-        Where the bars meet at sine >= 1e-9 the float answer is the rational
-        one; where the sine is in [1e-12, 1e-9) a ConditioningWarning is
-        raised."""
-        g = PinnedGraph({"a"}, {"p", "q"}, [("a", "p"), ("a", "q")])
-        rng = random.Random(2024)
+        10^-3..10^7 and its y at 10^-13..10^-1 of that, mantissas seeded;
+        each dyad also turned by 90 degrees, which swaps the columns its
+        rows meet first.  Where the bars meet at sine >= 1e-9 the float
+        answer is the rational one, in both orientations; where the sine is
+        in [1e-12, 1e-9) a ConditioningWarning is raised, and turned, the
+        answer is the rational one or warns: there the first pivot is a
+        bar's small x entry and the second the sine over it, which may lie
+        above the warning band."""
         decided = warned_band = 0
-        for kq, ka, kt in product(range(8), range(-3, 8), range(-13, 0)):
-            ax = rng.uniform(1, 10) * 10.0 ** ka
-            config = {"p": (0.0, 0.0), "q": (rng.uniform(1, 10) * 10.0 ** kq, 0.0),
-                      "a": (ax, ax * rng.uniform(1, 10) * 10.0 ** kt)}
-            exact = {v: tuple(map(Fraction, xy)) for v, xy in config.items()}
-            (ux, uy), (qx, _) = exact["a"], exact["q"]
-            sine = abs(float(uy * qx)) / (math.hypot(ux, uy) * math.hypot(ux - qx, uy))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                basis = motion_space(g, config)
-            if sine >= 1e-9:
-                want = motion_space(g, exact)
-                assert (basis.dim, basis.moving) == (want.dim, want.moving), config
-                decided += 1
-            elif sine >= 1e-12:
-                assert any(w.category is ConditioningWarning for w in caught), config
-                warned_band += 1
-        assert decided > 600 and warned_band > 200
+        for config, exact, sine in _dyad_sweep():
+            want = motion_space(DYAD, exact)
+            for placed in (config, _turned(config)):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    basis = motion_space(DYAD, placed)
+                matches = (basis.dim, basis.moving) == (want.dim, want.moving)
+                if sine >= 1e-9:
+                    assert matches, placed
+                    decided += 1
+                elif sine >= 1e-12:
+                    warned = any(w.category is ConditioningWarning for w in caught)
+                    assert warned or (placed is not config and matches), placed
+                    warned_band += 1
+        assert decided > 2 * 600 and warned_band > 2 * 200
+
+    def test_float_column_within_the_cutoff_is_tried_again_after_the_last(self):
+        # both bars within 1e-9 of vertical but 1.8e-9 apart in sine: the x
+        # column is within the cutoff until the y pivot lifts it
+        upright = {"a": (0.0, 1.0), "p": (-9e-10, 0.0), "q": (9e-10, 0.0)}
+        exact = {v: tuple(map(Fraction, xy)) for v, xy in upright.items()}
+        assert motion_space(DYAD, exact).dim == 0
+        for config in (upright, _turned(upright)):
+            with pytest.warns(ConditioningWarning):
+                assert motion_space(DYAD, config).dim == 0
 
     def test_float_rows_too_long_for_a_float_still_count(self, stacked_dyads):
         # the bar b-a spans 1.4e308, so its row's length, sqrt(2) times that,
@@ -340,7 +373,7 @@ def test_exact_kernel_vectors_annihilate_every_row():
             mat = build_rigidity_matrix(g, config, field=field)
             kernel = matrix_kernel(mat)
             for vec in kernel:
-                for row in mat.rows:
+                for row in support.dense_rows(mat):
                     dot = sum(a * b for a, b in zip(row, vec))
                     assert (dot % p if p else dot) == 0
             assert matrix_rank(mat) + len(kernel) == mat.shape[1]
@@ -423,7 +456,7 @@ def test_sparse_kernel_matches_reference_on_all_small_pinned_graphs():
                     mats.append((build_rigidity_matrix(g, grid, field="rational"), None))
                     singular += matrix_rank(mats[1][0]) < g.m
                 for mat, p in mats:
-                    rows = [list(r) for r in mat.rows]
+                    rows = [list(r) for r in support.dense_rows(mat)]
                     _assert_kernel_matches_reference(rows, mat.shape[1], p)
                     # the matrix's own dict rows, as the library reads them
                     expected = support.kernel_reference(rows, mat.shape[1], p)[1]
@@ -431,3 +464,67 @@ def test_sparse_kernel_matches_reference_on_all_small_pinned_graphs():
                     _assert_solve_matches_reference(rows, p, rng)
                 checked += len(mats)
     assert checked > 12000 and singular > 3000
+
+
+# -- the float elimination against the loop it replaced ---------------------
+
+def _seeded_float_matrices(rng):
+    """Float rigidity matrices, 2,000 and more: random pinned graphs at
+    random positions, and at near-degenerate ones (within 1e-9 of the y
+    axis, or on a small grid moved by 10^-13..10^-7); random dict rows
+    over 13 decades, a third with a row that is nearly a combination of two
+    others; and the dyads of the cross-scale sweep in both orientations."""
+    for k in range(800):
+        n_inner = rng.randint(1, 4)
+        inner = list(range(n_inner))
+        pins = [f"P{i}" for i in range(rng.randint(2, 3))]
+        pairs = ([(a, b) for a in inner for b in inner if a < b]
+                 + [(a, p) for a in inner for p in pins])
+        g = PinnedGraph(inner, pins, rng.sample(pairs, rng.randint(1, len(pairs))))
+        vertices = sorted(g.vertices, key=str)
+        noise = 10.0 ** rng.randint(-13, -7)
+        if k % 3 == 0:
+            config = {v: (rng.uniform(-5, 5), rng.uniform(-5, 5)) for v in vertices}
+        elif k % 3 == 1:
+            # within the cutoff of vertical, so the x columns wait for the y pivots
+            config = {v: (rng.uniform(-1e-9, 1e-9), rng.uniform(-5, 5)) for v in vertices}
+        else:
+            config = {v: (rng.randint(0, 2) + rng.uniform(-noise, noise),
+                          rng.randint(0, 2) + rng.uniform(-noise, noise))
+                      for v in vertices}
+        if all(config[u] != config[v] for u, v in g.edges):
+            yield build_rigidity_matrix(g, config, field="float")
+    for k in range(800):
+        m, ncols = rng.randint(1, 6), 2 * rng.randint(1, 4)
+        rows = [{c: rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** -rng.randint(0, 12)
+                 for c in range(ncols) if rng.random() < 0.6} for _ in range(m)]
+        if m > 2 and k % 3 == 0:
+            (a, b), s = rng.sample(range(m), 2), rng.uniform(-3, 3)
+            rows[0] = {c: rows[a].get(c, 0) + s * rows[b].get(c, 0)
+                       + rng.uniform(-1e-10, 1e-10) for c in range(ncols)}
+        yield numeric.RigidityMatrix(entries=tuple(rows), edges=(),
+                                     columns=tuple(range(ncols // 2)), field="float")
+    for config, _, _ in _dyad_sweep():
+        for placed in (config, _turned(config)):
+            yield build_rigidity_matrix(DYAD, placed)
+
+
+def test_float_steps_extend_the_replaced_loop_on_seeded_matrices():
+    """The steps of the float loop `_factor` replaced are a prefix of
+    `_eliminate`'s, and each step after them pivots a column that loop
+    skipped, on an entry above the cutoff."""
+    checked = extended = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        for mat in _seeded_float_matrices(random.Random(1957)):
+            reference = support.factor_float_reference(mat.entries, mat.shape[1])
+            steps, p = numeric._eliminate(mat)
+            assert p is None and steps[:len(reference)] == reference, mat
+            pivoted = {c for _, c, _, _ in reference}
+            for _, c, inv, _ in steps[len(reference):]:
+                assert c < mat.shape[1] and c not in pivoted, mat
+                assert abs(1 / inv) > numeric.FLOAT_PIVOT_RTOL, mat
+                pivoted.add(c)
+            checked += 1
+            extended += len(steps) > len(reference)
+    assert checked > 2000 and extended > 15

@@ -89,7 +89,7 @@ def _check(g, method, seed=0, trials=DEFAULT_TRIALS) -> bool:
     """`is_assur`'s value for `method` alone: input that is not pinned
     isostatic raises NotIsostaticError, with the pinned DOF, and isolated
     pins fail."""
-    return bool(getattr(_verdict(g, (method,), seed, trials), method))
+    return _verdict(g, (method,), seed, trials).conditions.get(method, False)
 
 
 def assur_gate(g: PinnedGraph):
@@ -100,8 +100,8 @@ def assur_gate(g: PinnedGraph):
     `_decompose` reads the components.  `reason` says why a pinned
     isostatic `g` cannot be Assur before any circuit is sought: isolated
     pins.  Otherwise `held` is `pebble.circuit_state` of the pin
-    contraction: its live game when the contraction is a circuit, which
-    `certify` goes on to reduce, else None.
+    contraction: its adjacency and live game when the contraction is a
+    circuit, which `certify` goes on to reduce, else None.
     """
     refusal, out = pinned_gate(g)
     if refusal:
@@ -112,14 +112,9 @@ def assur_gate(g: PinnedGraph):
     return None, circuit_state(contract_pins(g)), out
 
 
-_METHOD_ALIASES = {
-    "i": "minimality", "ii": "circuit", "iii": "vertex_deletion",
-    "iv": "edge_deletion",
-    "minimality": "minimality", "circuit": "circuit",
-    "vertex_deletion": "vertex_deletion", "edge_deletion": "edge_deletion",
-}
-
 ALL_METHODS = ("minimality", "circuit", "vertex_deletion", "edge_deletion")
+
+_METHOD_ALIASES = dict(zip(("i", "ii", "iii", "iv") + ALL_METHODS, ALL_METHODS * 2))
 
 
 @dataclass(frozen=True)
@@ -127,30 +122,22 @@ class AssurVerdict:
     """Outcome of the (selected) equivalent characterizations.
 
     `overall` is keyed to the circuit condition, the purely combinatorial
-    check; the motion-based conditions are randomized witnesses.  When
-    `disagreement` is False all evaluated booleans are equal.  `pinned_dof`
-    is set when the input is not pinned isostatic.  `scheme` is the
-    decomposition, kept when minimality was evaluated or the circuit
-    condition failed (its first component is then the failure's witness).
+    check; the motion-based conditions are randomized witnesses.
+    `conditions` maps each evaluated method to its answer: it holds the
+    circuit condition whenever `assur_gate` gives no reason, and is empty
+    otherwise.  When `disagreement` is False all its values are equal.
+    `pinned_dof` is set when the input is not pinned isostatic.  `scheme`
+    is the decomposition, kept when minimality was evaluated or the
+    circuit condition failed (its first component is then the failure's
+    witness).
     """
 
-    minimality: Optional[bool]
-    circuit: Optional[bool]
-    vertex_deletion: Optional[bool]
-    edge_deletion: Optional[bool]
+    conditions: dict
     overall: bool
     disagreement: bool
     reason: Optional[str] = None
     pinned_dof: Optional[int] = None
     scheme: Optional["AssurScheme"] = field(default=None, compare=False, repr=False)
-
-    def evaluated(self) -> dict:
-        out = {}
-        for name in ALL_METHODS:
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        return out
 
 
 def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
@@ -165,8 +152,8 @@ def is_assur(g: PinnedGraph, methods=ALL_METHODS, seed: int = 0,
     try:
         return _verdict(g, methods, seed, trials)
     except NotIsostaticError as exc:
-        return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False, reason=str(exc), pinned_dof=exc.dof)
+        return AssurVerdict({}, overall=False, disagreement=False,
+                            reason=str(exc), pinned_dof=exc.dof)
 
 
 def _verdict(g, methods, seed, trials):
@@ -180,26 +167,18 @@ def _verdict(g, methods, seed, trials):
             raise GraphError(f"unknown method {m!r}") from None
     reason, held, out = assur_gate(g)
     if reason:
-        return AssurVerdict(None, None, None, None, overall=False,
-                            disagreement=False, reason=reason)
-    results = {"circuit": held is not None}
+        return AssurVerdict({}, overall=False, disagreement=False, reason=reason)
+    conditions = {"circuit": held is not None}
     scheme = _decompose(g, out) if "minimality" in chosen or held is None else None
     if "minimality" in chosen:
-        results["minimality"] = minimality_violation(g, scheme) is None
+        conditions["minimality"] = minimality_violation(g, scheme) is None
     motion_checks = ("vertex_deletion", "edge_deletion")
     if chosen.intersection(motion_checks):
         verdicts = zip(motion_checks, deletion_verdicts(g, seed=seed, trials=trials))
-        results.update((name, ok) for name, ok in verdicts if name in chosen)
-    values = set(results.values())
-    return AssurVerdict(
-        minimality=results.get("minimality"),
-        circuit=results["circuit"],
-        vertex_deletion=results.get("vertex_deletion"),
-        edge_deletion=results.get("edge_deletion"),
-        overall=results["circuit"],
-        disagreement=len(values) > 1,
-        scheme=scheme,
-    )
+        conditions.update((name, ok) for name, ok in verdicts if name in chosen)
+    return AssurVerdict(conditions, overall=conditions["circuit"],
+                        disagreement=len(set(conditions.values())) > 1,
+                        scheme=scheme)
 
 
 # -- decomposition ------------------------------------------------------------

@@ -57,28 +57,22 @@ def _resolve_vertex(names, token):
 
 def cmd_dof(args):
     schema = fileio.load_linkage(args.linkage)
-    before = counting.grubler_dof(schema)
-    reduced = counting.remove_drivers(schema)
-    after = counting.grubler_dof(reduced)
-    doc = {
-        "F": before.dof,
-        "link_count": before.link_count,
-        "constraint_sum": before.constraint_sum,
-        "lower_bound_caveat": before.overbraced,
-        "after_driver_removal": {
-            "F": after.dof,
-            "link_count": after.link_count,
-            "constraint_sum": after.constraint_sum,
-            "lower_bound_caveat": after.overbraced,
-        },
-    }
-    if before.overbraced:
-        doc["overbraced_subcollection"] = list(before.overbraced_witness)
-    if after.overbraced:
-        doc["after_driver_removal"]["overbraced_subcollection"] = \
-            list(after.overbraced_witness)
+    doc = _dof_doc(counting.grubler_dof(schema))
+    doc["after_driver_removal"] = _dof_doc(
+        counting.grubler_dof(counting.remove_drivers(schema)))
     _emit(doc)
     return PASS
+
+
+def _dof_doc(report):
+    """One `counting.grubler_dof` report as printed, with the overbrace
+    witness when the count is only a lower bound."""
+    doc = {"F": report.dof, "link_count": report.link_count,
+           "constraint_sum": report.constraint_sum,
+           "lower_bound_caveat": report.overbraced}
+    if report.overbraced:
+        doc["overbraced_subcollection"] = list(report.overbraced_witness)
+    return doc
 
 
 # -- check ---------------------------------------------------------------------
@@ -133,11 +127,11 @@ def cmd_check(args):
     elif args.mode == "pinned":
         ok, doc = _check_pinned(g)
     else:
-        methods = _parse_methods(args.method)
+        methods = assur_mod.ALL_METHODS if args.method == "all" else (args.method,)
         verdict = assur_mod.is_assur(g, methods=methods, seed=args.seed)
         ok = verdict.overall
         doc = {"mode": "assur", "assur": ok, "seed": args.seed,
-               "conditions": verdict.evaluated(),
+               "conditions": verdict.conditions,
                "disagreement": verdict.disagreement}
         if verdict.reason:
             doc["reason"] = verdict.reason
@@ -147,12 +141,6 @@ def cmd_check(args):
             doc["pinned_dof"] = verdict.pinned_dof
     _emit(doc)
     return PASS if ok else FAIL
-
-
-def _parse_methods(method):
-    if method == "all":
-        return assur_mod.ALL_METHODS
-    return (method,)
 
 
 # -- decompose -------------------------------------------------------------------

@@ -125,16 +125,12 @@ def graph_from_dict(doc: dict) -> tuple:
 
 def graph_to_dict(g: PinnedGraph, positions=None) -> dict:
     verts = []
-    for v in sorted(g.inner, key=vkey):
-        entry = {"id": v, "kind": "inner"}
-        if positions and v in positions:
-            entry["pos"] = list(positions[v])
-        verts.append(entry)
-    for v in sorted(g.pins, key=vkey):
-        entry = {"id": v, "kind": "pinned"}
-        if positions and v in positions:
-            entry["pos"] = list(positions[v])
-        verts.append(entry)
+    for kind, vs in (("inner", g.inner), ("pinned", g.pins)):
+        for v in sorted(vs, key=vkey):
+            entry = {"id": v, "kind": kind}
+            if positions and v in positions:
+                entry["pos"] = list(positions[v])
+            verts.append(entry)
     return {"vertices": verts, "edges": _as_pairs(g.edges)}
 
 

@@ -595,7 +595,7 @@ def _component(adj, start, a, b):
 
 def _reverse_two_sum(adj):
     """Reverse 2-sum of the circuit with adjacency `adj` at its first
-    separating pair {a, b}: (side one held as by `_circuit_state`, step), or
+    separating pair {a, b}: (side one held as by `circuit_state`, step), or
     None when there is no such pair or a side is not a circuit.
 
     Side one is the component of M - {a, b} that holds its first other
@@ -618,22 +618,13 @@ def _reverse_two_sum(adj):
         sides[not (e[0] in first or e[1] in first)].append(e)
     c1, c2 = (Multigraph({a, b} | {x for e in side for x in e}, side + [(a, b)])
               for side in sides)
-    held1 = _circuit_state(c1)
-    held2 = held1 and _circuit_state(c2)
+    held1 = circuit_state(c1)
+    held2 = held1 and circuit_state(c2)
     if not held2:
         return None
     base2, steps2 = _reduce_circuit(held2)
     other = Certificate(base_kind="k4", base_vertices=base2, steps=tuple(steps2))
     return held1, step("two-sum", a=a, b=b, other=other)
-
-
-def _circuit_state(m: Multigraph):
-    """Circuit `m` held as (`m.adjacency()`, pebble state of m minus r, r), where r
-    is the one edge the game rejects, or None when `m` is not a circuit."""
-    held = circuit_state(m)
-    if held is None:
-        return None
-    return (m.adjacency(), *held)
 
 
 def _unsplit(adj, state, r):
@@ -728,8 +719,7 @@ def certify(g: PinnedGraph) -> Certificate:
         inner = next(iter(g.inner))
         p1, p2 = sorted(g.pins, key=vkey)
         return Certificate("dyad", (inner, p1, p2), (), g)
-    m = contract_pins(g)
-    base, steps = _reduce_circuit((m.adjacency(), *held))
+    base, steps = _reduce_circuit(held)
     assignment = tuple(sorted(((u, v) if v in g.pins else (v, u)
                                for u, v in g.edges if u in g.pins or v in g.pins),
                               key=lambda t: (vkey(t[0]), vkey(t[1]))))

@@ -16,9 +16,12 @@ Three coordinate domains are supported:
 * ``rational`` -- exact Fraction arithmetic for user-supplied int/rational
                   geometry, through the same elimination as ``mod``;
 * ``float``    -- binary-float geometry, each row scaled to unit length, so
-                  that the zero threshold of 1e-9 compares the directions of
-                  bars, not their lengths (at a dyad it bounds the sine of
-                  the angle between its two bars).  A decision within three
+                  that bar lengths do not enter the zero threshold of 1e-9,
+                  which each pivot of the unit rows is compared with.  At a
+                  dyad the first pivot is a bar's direction cosine c with
+                  the first column's axis and the second is the sine of the
+                  angle between the bars over c, so the threshold bounds
+                  that sine only while c is near 1.  A decision within three
                   decades of the threshold raises a ConditioningWarning
                   instead of silently deciding.
 
@@ -341,20 +344,6 @@ def random_configuration(g, rng: random.Random) -> Configuration:
             return config
 
 
-def generic_rank_randomized(g, seed: int = 0, trials: int = 3) -> int:
-    """Generic rank of the (pinned) rigidity matrix via random prime-field
-    configurations; the maximum over `trials` samples."""
-    if trials < 1:
-        raise GraphError("trials must be >= 1")
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        config = random_configuration(g, rng)
-        mat = build_rigidity_matrix(g, config, field="mod")
-        best = max(best, matrix_rank(mat))
-    return best
-
-
 def motion_space(g: PinnedGraph, config: Configuration, field: str = "auto") -> MotionBasis:
     """Kernel basis of the pinned rigidity matrix at `config`.
 
@@ -367,26 +356,6 @@ def motion_space(g: PinnedGraph, config: Configuration, field: str = "auto") -> 
     for vec in flat:
         vectors.append({v: (vec[2 * i], vec[2 * i + 1]) for i, v in enumerate(cols)})
     return MotionBasis(vectors=tuple(vectors), field=mat.field)
-
-
-def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) -> bool:
-    """Decide whether some first-order motion moves every inner vertex.
-
-    Samples random prime-field configurations; True as soon as every inner
-    vertex is in the `moving` set of the motion basis there.  Each vertex
-    is then moved by some basis vector, so a generic combination of the
-    basis moves them all, and the sample's motions are the generic ones but
-    with probability at most degree/p.  False after all trials means some
-    inner vertex is generically fixed, or there is no motion at all, up to
-    the sampling error bound.
-    """
-    if not g.inner:
-        raise GraphError("graph has no inner vertices")
-    if trials < 1:
-        raise GraphError("trials must be >= 1")
-    rng = random.Random(seed)
-    return any(len(motion_space(g, random_configuration(g, rng), "mod").moving) == len(g.inner)
-               for _ in range(trials))
 
 
 def deletion_verdicts(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS):

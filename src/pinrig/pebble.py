@@ -193,15 +193,16 @@ def fundamental_circuit(m: Multigraph, report: RankReport, e) -> Multigraph:
 
 
 def circuit_state(m: Multigraph):
-    """One (2,3) game over the edges of `m` in order: (state, r) when the
-    edges form a rigidity circuit, else None.
+    """One (2,3) game over the edges of `m` in order: (`m.adjacency()`,
+    state, r) when the edges form a rigidity circuit, else None.
 
     With |E| = 2|V(E)| - 2 and exactly one rejected edge r the edge set has
     nullity 1, so it holds a single circuit: the fundamental circuit of r,
     which spans r's reach set.  The edge set is a circuit exactly when that
     reach set is all of V(E).  The state holds every edge but r and stays
     live for a caller that goes on to delete edges (`remove_edge`) and
-    insert them (`try_insert`).
+    insert them (`try_insert`), as `certify` does, editing the adjacency
+    alongside.
     """
     support = m.support()
     if m.m == 0 or m.m != 2 * len(support) - 2:
@@ -214,7 +215,7 @@ def circuit_state(m: Multigraph):
             if held is not None or len(reach) != len(support):
                 return None
             held = state, e
-    return held
+    return held and (m.adjacency(), *held)
 
 
 def is_circuit(m: Multigraph) -> bool:

@@ -21,8 +21,9 @@ from pinrig.generate import (Certificate, edge_split, pin_rearrangement, step,
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, norm_edge,
                            split_contracted_vertex, vkey)
 from pinrig import numeric
-from pinrig.numeric import (FLOAT_PIVOT_RTOL, FLOAT_WARN_RTOL, PRIME, all_inner_move,
-                            build_rigidity_matrix, random_configuration)
+from pinrig.numeric import (DEFAULT_TRIALS, FLOAT_PIVOT_RTOL, FLOAT_WARN_RTOL, PRIME,
+                            build_rigidity_matrix, matrix_rank, motion_space,
+                            random_configuration)
 from pinrig.pebble import is_circuit
 
 # -- fixtures ----------------------------------------------------------------
@@ -346,6 +347,40 @@ def overbraced_oracle(schema):
 def subset_joint_sum(joints, subset):
     """sum over joints of (t_j - 1)+, counting only the links in `subset`."""
     return sum(max(len(j & subset) - 1, 0) for j in joints)
+
+
+def generic_rank_randomized(g, seed: int = 0, trials: int = 3) -> int:
+    """Generic rank of the (pinned) rigidity matrix via random prime-field
+    configurations; the maximum over `trials` samples."""
+    if trials < 1:
+        raise GraphError("trials must be >= 1")
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        config = random_configuration(g, rng)
+        mat = build_rigidity_matrix(g, config, field="mod")
+        best = max(best, matrix_rank(mat))
+    return best
+
+
+def all_inner_move(g: PinnedGraph, seed: int = 0, trials: int = DEFAULT_TRIALS) -> bool:
+    """Decide whether some first-order motion moves every inner vertex.
+
+    Samples random prime-field configurations; True as soon as every inner
+    vertex is in the `moving` set of the motion basis there.  Each vertex
+    is then moved by some basis vector, so a generic combination of the
+    basis moves them all, and the sample's motions are the generic ones but
+    with probability at most degree/p.  False after all trials means some
+    inner vertex is generically fixed, or there is no motion at all, up to
+    the sampling error bound.
+    """
+    if not g.inner:
+        raise GraphError("graph has no inner vertices")
+    if trials < 1:
+        raise GraphError("trials must be >= 1")
+    rng = random.Random(seed)
+    return any(len(motion_space(g, random_configuration(g, rng), "mod").moving) == len(g.inner)
+               for _ in range(trials))
 
 
 def deletion_oracle(g, seed=0, trials=8):

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import support
 from conftest import SAMPLES
+from support import all_inner_move, generic_rank_randomized
 from pinrig.assur import (check_circuit_condition, check_edge_deletion,
                           check_minimality, check_vertex_deletion, decompose,
                           is_assur, recompose)
@@ -27,7 +28,6 @@ from pinrig.generate import (assur_catalog, certify, circuit_catalog,
                              _set_partitions)
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, compose, fresh_id,
                            vkey)
-from pinrig.numeric import all_inner_move, generic_rank_randomized
 from pinrig.pebble import pebble_rank
 
 SEED = 20260810

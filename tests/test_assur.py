@@ -68,7 +68,7 @@ class TestVerdict:
     def test_dyad_verdict(self, dyad):
         v = is_assur(dyad, seed=7)
         assert v.overall and not v.disagreement
-        assert v.evaluated() == {m: True for m in ALL_METHODS}
+        assert v.conditions == {m: True for m in ALL_METHODS}
 
     def test_k4_split_on_two_pins(self, basic_5):
         v = is_assur(basic_5, seed=7)
@@ -77,7 +77,7 @@ class TestVerdict:
     def test_stacked_dyads_verdict(self, stacked_dyads):
         v = is_assur(stacked_dyads, seed=7)
         assert not v.overall and not v.disagreement
-        assert v.evaluated() == {m: False for m in ALL_METHODS}
+        assert v.conditions == {m: False for m in ALL_METHODS}
 
     def test_non_isostatic_reports_reason(self):
         pendulum = PinnedGraph({"v"}, {"p1", "p2"}, [("v", "p1")])
@@ -91,9 +91,9 @@ class TestVerdict:
 
     def test_method_subset_and_aliases(self, triad):
         v = is_assur(triad, methods=("i", "iv"), seed=1)
-        assert v.minimality is True and v.edge_deletion is True
-        assert v.circuit is True  # always computed: it keys the overall verdict
-        assert v.vertex_deletion is None
+        # the circuit condition is always computed: it keys the overall verdict
+        assert v.conditions == {"minimality": True, "edge_deletion": True,
+                                "circuit": True}
 
     def test_unknown_method_rejected(self, triad):
         with pytest.raises(GraphError):
@@ -498,7 +498,7 @@ def test_deletion_checks_eliminate_once_per_sample(monkeypatch):
     stacked, _ = support.stack(random.Random(4), [support.triad(), support.basic_5()],
                                ["G0", "G1", "G2"])
     verdict = is_assur(stacked, seed=2, trials=5)
-    assert verdict.evaluated() == dict.fromkeys(ALL_METHODS, False)
+    assert verdict.conditions == dict.fromkeys(ALL_METHODS, False)
     assert len(calls) == 1  # a rigid block certifies both kinds at one sample
 
 
@@ -515,7 +515,7 @@ def test_decomposes_for_minimality_or_a_failed_circuit_only(monkeypatch, triad,
     for method in ALL_METHODS:
         calls.clear()
         verdict = is_assur(stacked_dyads, methods=(method,))
-        assert verdict.evaluated() == {"circuit": False, method: False} and calls == [1]
+        assert verdict.conditions == {"circuit": False, method: False} and calls == [1]
         assert verdict.scheme == decompose(stacked_dyads)
 
 
@@ -545,7 +545,7 @@ def test_singular_sample_counts_as_a_trial(monkeypatch, triad, stacked_dyads):
 @pytest.mark.parametrize("trials", [0, -1])
 def test_motion_checks_refuse_fewer_than_one_trial(triad, trials):
     checks = [lambda: numeric.deletion_verdicts(triad, trials=trials),
-              lambda: numeric.all_inner_move(triad, trials=trials),
+              lambda: support.all_inner_move(triad, trials=trials),
               lambda: check_vertex_deletion(triad, trials=trials),
               lambda: check_edge_deletion(triad, trials=trials),
               lambda: is_assur(triad, trials=trials)]

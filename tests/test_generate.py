@@ -18,7 +18,7 @@ from pinrig.generate import (STEPS, Certificate, ConstructionStep, assur_catalog
                              vertex_split)
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, contract_pins, norm_edge,
                            split_contracted_vertex, vkey)
-from pinrig.pebble import pebble_rank
+from pinrig.pebble import circuit_state, pebble_rank
 
 
 class TestVertexAddition:
@@ -465,6 +465,23 @@ def test_certify_builds_two_plus_two_pebble_states_per_two_sum(monkeypatch):
     assert counts[0][0] == 3 and max(k for k, _ in counts[2:]) > 0
 
 
+def test_certify_builds_the_pin_contraction_once(monkeypatch, triad):
+    """The reduction starts on the adjacency and the live game that the
+    Assur gate's `circuit_state` hands on, so no second contraction is
+    built."""
+    from pinrig import graphs
+    built = []
+    real = graphs.Multigraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(graphs.Multigraph, "__init__", counting)
+    certify(triad)
+    assert len(built) == 1
+
+
 def test_every_reduction_step_matches_the_oracle(monkeypatch):
     """On every step of the one-state reduction, nested 2-sum operands
     included, the state holds the circuit minus its rejected edge, and the
@@ -502,7 +519,7 @@ def test_every_reduction_step_matches_the_oracle(monkeypatch):
         nv = rng.randint(8, 36)
         two_sums = rng.randint(1, (nv - 4) // 2) if i % 2 else 0
         c = support.random_circuit(rng, nv, two_sums)
-        base, steps = generate._reduce_circuit(generate._circuit_state(c))
+        base, steps = generate._reduce_circuit(circuit_state(c))
         assert verify_certificate(Certificate("k4", base, tuple(steps), c))
     assert taken["none"] >= 24 and taken["edge-split"] >= 700
 

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import all_inner_move, generic_rank_randomized
 from pinrig.errors import ConditioningWarning, GraphError
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
 from pinrig import numeric
-from pinrig.numeric import (PRIME, MotionBasis, all_inner_move,
-                            build_rigidity_matrix, generic_rank_randomized,
+from pinrig.numeric import (PRIME, MotionBasis, build_rigidity_matrix,
                             matrix_kernel, matrix_rank, motion_space,
                             random_configuration)
 from pinrig.pebble import pebble_rank

@@ -1,6 +1,8 @@
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -572,6 +574,24 @@ def test_deletions_match_inverse_oracle_on_assur_graphs_and_compositions():
             expected = support.deletion_inverse_oracle(g, seed=k)
             assert expected == ((True, True) if g is assur else (False, False))
             assert numeric.deletion_verdicts(g, seed=k) == expected, (size, g is assur)
+
+
+def test_deletions_equal_the_circuit_condition_at_60_to_120_inner_vertices():
+    # the benchmark's known-answer builders at sizes its rounds do not reach:
+    # 7,200-28,800 blocks (i, j) per sample, 439,400 in all, each an
+    # accidental zero with probability 1/p, which costs a sample, not a verdict
+    sys.path.insert(0, str(Path(__file__).parent.parent / "perfbench"))
+    import workloads
+    rng = random.Random(67)
+    sizes = range(60, 121, 5)
+    built = [(workloads.grow_assur(rng, n, 2 + k % 2, workloads.Names()), True)
+             for k, n in enumerate(sizes)]
+    built += [(workloads.composition(rng, n, workloads.Names())[0], False) for n in sizes]
+    for k, (h, assur) in enumerate(built):
+        g = PinnedGraph(h.inner, h.pins, h.edges)
+        assert check_circuit_condition(g) is assur, (k, len(g.inner))
+        assert numeric.deletion_verdicts(g, seed=k) == (assur, assur), (k, len(g.inner))
+    assert len(built) == 26
 
 
 def test_deletions_match_the_gauss_jordan_reference_sample_for_sample():

@@ -334,6 +334,28 @@ def test_motion_dimension_matches_combinatorial_pinned_dof():
     assert checked == 120
 
 
+# CPython stores ints in digits of sys.int_info.bits_per_digit (30) bits: a
+# prime below 2**30 keeps every value mod p one digit and every product two
+
+def test_prime_is_the_largest_prime_below_one_int_digit():
+    def smallest_factor(n):
+        return next((d for d in range(2, 32769) if n % d == 0), n)
+
+    assert PRIME < 2 ** 30 and smallest_factor(PRIME) == PRIME
+    assert all(smallest_factor(n) < n for n in range(PRIME + 2, 2 ** 30, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0))
+def test_factor_keeps_inverses_and_pivot_rows_in_one_digit(seed):
+    rng = random.Random(seed)
+    m, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    rows = support.sparse_rows([[_entry(rng, PRIME) for _ in range(ncols)]
+                                for _ in range(m)])
+    for _, _, inv, prow in numeric._factor(rows, range(ncols)):
+        assert all(1 <= x < PRIME for x in (inv, *prow.values()))
+
+
 def test_gf_p_inverse_and_rref():
     from pinrig.numeric import PRIME, _solve
     rng = random.Random(61)
@@ -377,7 +399,8 @@ def test_exact_kernel_vectors_annihilate_every_row():
                     dot = sum(a * b for a, b in zip(row, vec))
                     assert (dot % p if p else dot) == 0
             assert matrix_rank(mat) + len(kernel) == mat.shape[1]
-        # entries are small, so no minor is a multiple of p: the ranks agree
+        # a nonzero minor has at most 2n - 3 <= 11 rows of norm at most 6, so
+        # it lies below 6**11 < p and stays nonzero mod p: the ranks agree
         assert matrix_rank(build_rigidity_matrix(g, config, field="rational")) \
             == matrix_rank(mat)
         checked += 1

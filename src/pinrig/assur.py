@@ -198,17 +198,18 @@ class AssurComponent:
     level: int
     pin_map: tuple  # ordered (pin, target) pairs
 
-    def targets(self) -> dict:
-        return dict(self.pin_map)
-
 
 @dataclass(frozen=True)
 class AssurScheme:
     """Partially ordered collection of Assur components plus the ground pins.
 
     The stored order is the cover relation "pins directly onto an inner vertex
-    of"; `leq` answers the transitive closure.  Validation checks levels,
-    dangling targets, and acyclicity at construction.
+    of"; `leq` answers the transitive closure.  Construction checks every
+    component in one pass.  It refuses a repeated id, a level below 1, a
+    pin map that is not one-to-one (each pin of the component named exactly
+    once, no two pins sent to one target), and a target that is neither a
+    ground pin nor an inner vertex of a component of strictly lower level.
+    Each target of the last kind gives one cover pair.
     """
 
     components: tuple
@@ -216,48 +217,33 @@ class AssurScheme:
     covers: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "covers", tuple(self._compute_covers()))
-        self._validate()
-
-    def _compute_covers(self):
-        inner_owner = {}
+        owner = {v: comp for comp in self.components for v in comp.graph.inner}
+        ids, covers = set(), set()
         for comp in self.components:
-            for v in comp.graph.inner:
-                inner_owner[v] = comp.cid
-        pairs = set()
-        for comp in self.components:
-            for _, target in comp.pin_map:
-                owner = inner_owner.get(target)
-                if owner is not None and owner != comp.cid:
-                    pairs.add((owner, comp.cid))
-        return sorted(pairs)
-
-    def _validate(self):
-        by_id = {c.cid: c for c in self.components}
-        if len(by_id) != len(self.components):
-            raise GraphError("component ids must be unique")
-        inner_level = {}
-        for comp in self.components:
+            if comp.cid in ids:
+                raise GraphError("component ids must be unique")
+            ids.add(comp.cid)
             if comp.level < 1:
                 raise GraphError(f"component {comp.cid} has level {comp.level} < 1")
-            for v in comp.graph.inner:
-                inner_level[v] = comp.level
-        for comp in self.components:
-            mapped = {p for p, _ in comp.pin_map}
-            if mapped != comp.graph.pins:
+            targets = dict(comp.pin_map)
+            if targets.keys() != comp.graph.pins:
                 raise GraphError(f"component {comp.cid}: pin map must cover its pins")
+            if len(set(targets.values())) != len(comp.pin_map):
+                raise GraphError(f"component {comp.cid}: pin map must be one-to-one")
             for pin, target in comp.pin_map:
                 if target in self.ground:
                     continue
-                lvl = inner_level.get(target)
-                if lvl is None:
+                below = owner.get(target)
+                if below is None:
                     raise GraphError(
                         f"component {comp.cid}: dangling pin identification "
                         f"{pin!r} -> {target!r}")
-                if lvl >= comp.level:
+                if below.level >= comp.level:
                     raise GraphError(
-                        f"component {comp.cid}: pin {pin!r} targets level {lvl}, "
+                        f"component {comp.cid}: pin {pin!r} targets level {below.level}, "
                         f"not below its own level {comp.level}")
+                covers.add((below.cid, comp.cid))
+        object.__setattr__(self, "covers", tuple(sorted(covers)))
 
     def component(self, cid: str) -> AssurComponent:
         return next(c for c in self.components if c.cid == cid)
@@ -375,7 +361,7 @@ def recompose(scheme: AssurScheme) -> PinnedGraph:
     acc = PinnedGraph((), scheme.ground, ())
     for comp in sorted(scheme.components, key=lambda c: (c.level, c.cid)):
         try:
-            acc = compose(comp.graph, acc, comp.targets())
+            acc = compose(comp.graph, acc, dict(comp.pin_map))
         except GraphError as exc:
             raise GraphError(f"component {comp.cid}: {exc}") from None
     return acc

@@ -233,17 +233,13 @@ def _split_vertex(d, v, shared, moved, v2=None):
     nbrs = d.neighbors(v)
     if not nbrs[shared]:
         raise GraphError(f"shared neighbor {shared!r} is not adjacent to {v!r}")
-    moved = list(moved)
     moved_count = Counter(moved)
-    rest_count = Counter(nbrs)
-    rest_count[shared] -= 1
-    if rest_count[shared] == 0:
-        del rest_count[shared]
-    if not all(moved_count[x] <= rest_count.get(x, 0) for x in moved_count):
+    rest = nbrs - Counter([shared])
+    if moved_count - rest:
         raise GraphError("moved neighbors must come from v's edges, excluding the shared one")
     if shared in moved_count:
         raise GraphError("the shared neighbor cannot also be moved")
-    keep_count = rest_count - moved_count
+    keep_count = rest - moved_count
     if not moved_count or not keep_count:
         raise GraphError("each side of the split must keep at least one non-shared edge")
     v2 = fresh_id(d.vertices, "v") if v2 is None else v2

@@ -82,7 +82,6 @@ class RigidityMatrix:
     """
 
     entries: tuple
-    edges: tuple
     columns: tuple
     field: str
 
@@ -179,8 +178,8 @@ def build_rigidity_matrix(g, config: Configuration, field: str = "auto") -> Rigi
                 if b:
                     entry[col_of[w] + 1] = b
         entries.append(entry)
-    return RigidityMatrix(entries=tuple(entries), edges=tuple(g.edges),
-                          columns=tuple(col_vertices), field=field)
+    return RigidityMatrix(entries=tuple(entries), columns=tuple(col_vertices),
+                          field=field)
 
 
 # -- the elimination kernel -------------------------------------------------

@@ -17,7 +17,7 @@ from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, assur_gate,
                           is_assur, minimality_violation, recompose)
 from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
-from pinrig.fileio import scheme_to_dict
+from pinrig.fileio import scheme_from_dict, scheme_to_dict
 from pinrig.counting import circuit_oracle, pinned_conditions_oracle
 from pinrig.graphs import PinnedGraph, compose, contract_pins, ekey, norm_edge, vkey
 from pinrig.numeric import motion_space
@@ -247,6 +247,42 @@ class TestRecompose:
                             1, (("s1", "v"), ("s2", "G1")))
         with pytest.raises(GraphError):
             AssurScheme(components=(c1, c2), ground=frozenset({"G1", "G2"}))
+
+    def test_duplicate_component_ids_rejected(self):
+        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"), ("p2", "G2")))
+        c2 = AssurComponent("c1", PinnedGraph({"w"}, {"s1", "s2"},
+                                              [("w", "s1"), ("w", "s2")]),
+                            2, (("s1", "v"), ("s2", "G1")))
+        with pytest.raises(GraphError, match="unique"):
+            AssurScheme(components=(c1, c2), ground=frozenset({"G1", "G2"}))
+
+    def test_level_below_one_rejected(self):
+        c1 = AssurComponent("c1", support.dyad(), 0, (("p1", "G1"), ("p2", "G2")))
+        with pytest.raises(GraphError, match="level 0 < 1"):
+            AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
+
+    def test_pin_map_missing_a_pin_rejected(self):
+        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"),))
+        with pytest.raises(GraphError, match="cover its pins"):
+            AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
+
+    def test_component_pinned_to_its_own_inner_vertex_rejected(self):
+        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"), ("p2", "v")))
+        with pytest.raises(GraphError, match="not below its own level"):
+            AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
+
+    @pytest.mark.parametrize("pin_map", [
+        [["p1", "G1"], ["p1", "G3"], ["p2", "G2"]],  # a pin named twice
+        [["p1", "G1"], ["p2", "G1"]],                # two pins on one target
+    ])
+    def test_pin_map_must_be_one_to_one(self, pin_map):
+        doc = {"ground": ["G1", "G2", "G3"],
+               "components": [{"id": "c1", "level": 1, "inner": ["v"],
+                               "pins": ["p1", "p2"],
+                               "edges": [["v", "p1"], ["v", "p2"]],
+                               "pin_map": pin_map}]}
+        with pytest.raises(GraphError, match="one-to-one"):
+            scheme_from_dict(doc)
 
 
 def test_random_compositions_round_trip():

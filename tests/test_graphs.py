@@ -110,6 +110,16 @@ class TestSplit:
         with pytest.raises(GraphError):
             split_contracted_vertex(m, 0, [(1, "q"), (1, "q")])
 
+    def test_refuses_an_assignment_that_makes_a_parallel_pin_edge(self):
+        m = Multigraph(edges=[(0, 1), (0, 1), (0, 2)])
+        with pytest.raises(GraphError, match="parallel"):
+            split_contracted_vertex(m, 0, [(1, "q"), (1, "q"), (2, "r")])
+
+    def test_refuses_parallel_edges_away_from_the_split_vertex(self):
+        m = Multigraph(edges=[(1, 2), (1, 2), (0, 1), (0, 2)])
+        with pytest.raises(GraphError, match="parallel"):
+            split_contracted_vertex(m, 0, [(1, "q"), (2, "r")])
+
     def test_vertex_must_exist(self):
         with pytest.raises(GraphError):
             split_contracted_vertex(Multigraph(edges=[(0, 1)]), 7, [])

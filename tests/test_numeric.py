@@ -29,7 +29,8 @@ class TestMatrixLayout:
     def test_k4_matrix_matches_displayed_pattern(self):
         # unit square placement; rows in edge order (1,2),(1,3),(1,4),(2,3),(2,4),(3,4)
         config = {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
-        m = build_rigidity_matrix(complete_graph([1, 2, 3, 4]), config)
+        k4 = complete_graph([1, 2, 3, 4])
+        m = build_rigidity_matrix(k4, config)
         assert m.shape == (6, 8)
         expected = [
             [-1, 0, 1, 0, 0, 0, 0, 0],    # (1,2)
@@ -43,7 +44,7 @@ class TestMatrixLayout:
         got = [[int(x) for x in row] for row in rows]
         assert got == expected
         # each row touches only the columns of its two endpoints, antisymmetrically
-        for row, (u, v) in zip(rows, m.edges):
+        for row, (u, v) in zip(rows, k4.edges):
             iu, iv = m.columns.index(u), m.columns.index(v)
             assert row[2 * iu] == -row[2 * iv]
             assert row[2 * iu + 1] == -row[2 * iv + 1]
@@ -525,7 +526,7 @@ def _seeded_float_matrices(rng):
             (a, b), s = rng.sample(range(m), 2), rng.uniform(-3, 3)
             rows[0] = {c: rows[a].get(c, 0) + s * rows[b].get(c, 0)
                        + rng.uniform(-1e-10, 1e-10) for c in range(ncols)}
-        yield numeric.RigidityMatrix(entries=tuple(rows), edges=(),
+        yield numeric.RigidityMatrix(entries=tuple(rows),
                                      columns=tuple(range(ncols // 2)), field="float")
     for config, _, _ in _dyad_sweep():
         for placed in (config, _turned(config)):

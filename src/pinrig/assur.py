@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import GraphError, NotIsostaticError
-from .graphs import PinnedGraph, compose, contract_pins, ekey, vkey
+from .graphs import PinnedGraph, contract_pins, ekey, vkey
 from .numeric import DEFAULT_TRIALS, deletion_verdicts
 from .pebble import circuit_state, pinned_gate
 
@@ -204,11 +204,13 @@ class AssurScheme:
     """Partially ordered collection of Assur components plus the ground pins.
 
     The stored order is the cover relation "pins directly onto an inner vertex
-    of"; `leq` answers the transitive closure.  Construction checks every
-    component in one pass.  It refuses a repeated id, a level below 1, a
-    pin map that is not one-to-one (each pin of the component named exactly
-    once, no two pins sent to one target), and a target that is neither a
-    ground pin nor an inner vertex of a component of strictly lower level.
+    of"; `leq` answers the transitive closure.  Construction indexes each
+    inner id under its one owner, refusing an inner id that two components
+    share or that is a ground pin, then checks every component in one pass.
+    It refuses a repeated id, a level below 1, a pin map that is not
+    one-to-one (each pin of the component named exactly once, no two pins
+    sent to one target), and a target that is neither a ground pin nor an
+    inner vertex of a component of strictly lower level.
     Each target of the last kind gives one cover pair.
     """
 
@@ -217,7 +219,12 @@ class AssurScheme:
     covers: tuple = field(init=False)
 
     def __post_init__(self):
-        owner = {v: comp for comp in self.components for v in comp.graph.inner}
+        owner = {}
+        for comp in self.components:
+            for v in comp.graph.inner:
+                if v in self.ground or owner.setdefault(v, comp) is not comp:
+                    raise GraphError(f"component {comp.cid}: inner vertex {v!r} is a ground "
+                                     f"pin or an inner vertex of another component")
         ids, covers = set(), set()
         for comp in self.components:
             if comp.cid in ids:
@@ -353,15 +360,15 @@ def _decompose(g, out):
 
 
 def recompose(scheme: AssurScheme) -> PinnedGraph:
-    """Fold the components bottom-up into one pinned graph.
+    """The pinned graph of `scheme`: every component's inner vertices and
+    edges, each pin sent through its pin map, on the ground pins.
 
-    Inverse of `decompose` (up to isomorphism; exactly, for schemes whose
-    components kept the original vertex ids).
+    `AssurScheme` gives each inner id one owner, distinct from the ground
+    pins, so nothing is renamed and this inverts `decompose` exactly.
     """
-    acc = PinnedGraph((), scheme.ground, ())
-    for comp in sorted(scheme.components, key=lambda c: (c.level, c.cid)):
-        try:
-            acc = compose(comp.graph, acc, dict(comp.pin_map))
-        except GraphError as exc:
-            raise GraphError(f"component {comp.cid}: {exc}") from None
-    return acc
+    inner, edges = set(), []
+    for comp in scheme.components:
+        send = dict(comp.pin_map)
+        inner |= comp.graph.inner
+        edges += [(send.get(u, u), send.get(v, v)) for u, v in comp.graph.edges]
+    return PinnedGraph(inner, scheme.ground, edges)

@@ -78,11 +78,10 @@ def _dof_doc(report):
 # -- check ---------------------------------------------------------------------
 
 def _check_laman(g):
-    m = g.to_multigraph()
-    report = pebble.pebble_rank(m)
+    report = pebble.pebble_rank(g)
     ok = not report.rejected
     doc = {"mode": "laman", "independent": ok, "rank": report.rank,
-           "edges": m.m}
+           "edges": g.m}
     if not ok:
         doc["rejected_edges"] = [list(e) for e in report.rejected_edges]
         witness = sorted(report.reach[report.rejected[0]], key=vkey)

@@ -56,9 +56,10 @@ def _point(value, what):
 
 
 def _json_id(x, what="vertex"):
-    # JSON true would collide with 1 (and false with 0) in sets and dicts
-    if isinstance(x, (list, dict, bool)):
-        raise GraphError(f"{what} id must be a string or number, got {x!r}")
+    # JSON true would collide with 1 (and false with 0) in sets and dicts;
+    # NaN is unequal to itself, and neither it nor Infinity is valid JSON out
+    if isinstance(x, (list, dict, bool)) or isinstance(x, float) and not math.isfinite(x):
+        raise GraphError(f"{what} id must be a string or finite number, got {x!r}")
     return x
 
 

@@ -1,7 +1,10 @@
 """Core graph types: multigraphs, pinned graphs, contraction and composition.
 
-Vertex ids are opaque hashables (ints and strings in practice).  All graph
-values are immutable after construction; every operation returns a new graph.
+Vertex ids are opaque hashables (ints and strings in practice).  A graph
+value is its vertex set and its edge tuple, immutable after construction;
+every operation returns a new graph.  Adjacency is not stored: neighbours,
+degrees and the adjacency map are derived from the edge tuple by the query
+that needs them.
 
 A pinned graph G(I, P; E) keeps two disjoint vertex classes: inner vertices I
 and pinned (ground-fixed) vertices P.  Every edge must touch an inner vertex;
@@ -40,33 +43,14 @@ def norm_edge(u, v):
     return (u, v) if vkey(u) <= vkey(v) else (v, u)
 
 
-class Multigraph:
-    """Loop-free undirected graph, parallel edges allowed.
+class _Graph:
+    """The state both graph types share: a vertex set and an edge tuple.
 
-    The edge tuple preserves construction order and keeps parallel copies as
-    separate entries, so edges can be addressed by index (the pebble game and
-    pin contraction both rely on stable indices).
+    `_PARTS` names the vertex classes the constructor takes before the
+    edges, and `_collect` is the type `neighbors` returns.
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj")
-
-    def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable[tuple] = ()):
-        vs = set(vertices)
-        es = []
-        for u, v in edges:
-            e = norm_edge(u, v)
-            vs.add(e[0])
-            vs.add(e[1])
-            es.append(e)
-        self._vertices = frozenset(vs)
-        self._edges = tuple(es)
-        adj = {v: {} for v in self._vertices}
-        for u, v in es:
-            nbrs = adj[u]
-            nbrs[v] = nbrs.get(v, 0) + 1
-            nbrs = adj[v]
-            nbrs[u] = nbrs.get(u, 0) + 1
-        self._adj = adj
+    __slots__ = ("_vertices", "_edges")
 
     @property
     def vertices(self) -> frozenset:
@@ -84,47 +68,73 @@ class Multigraph:
     def m(self) -> int:
         return len(self._edges)
 
-    def edge_counter(self) -> Counter:
-        return Counter(self._edges)
-
     def degree(self, v) -> int:
-        return sum(self._adj[v].values())
+        """Edges at v, parallel copies counted; 0 for an absent vertex."""
+        return sum(v in e for e in self._edges)
 
-    def neighbors(self, v) -> Counter:
-        """Neighbor -> multiplicity for v (a copy)."""
-        return Counter(self._adj[v])
-
-    def adjacency(self) -> dict:
-        """Vertex -> {neighbor: multiplicity} for every vertex, as plain
-        dicts (copies) in the order `neighbors` gives."""
-        return {v: dict(nbrs) for v, nbrs in self._adj.items()}
+    def neighbors(self, v):
+        """The other end of each edge at v, in edge order."""
+        return self._collect(b if a == v else a for a, b in self._edges if v in (a, b))
 
     def has_edge(self, u, v) -> bool:
-        return self._adj.get(u, {}).get(v, 0) > 0
+        return (u, v) in self._edges or (v, u) in self._edges
 
     def support(self) -> frozenset:
         """Vertices with at least one incident edge."""
-        return frozenset(v for v in self._vertices if self._adj[v])
+        return frozenset(x for e in self._edges for x in e)
 
-    def without_vertex(self, v) -> "Multigraph":
+    def without_vertex(self, v):
         if v not in self._vertices:
             raise GraphError(f"vertex {v!r} not present")
-        keep = [e for e in self._edges if v not in e]
-        return Multigraph(self._vertices - {v}, keep)
+        return type(self)(*(getattr(self, part) - {v} for part in self._PARTS),
+                          [e for e in self._edges if v not in e])
 
-    def with_edge(self, u, v) -> "Multigraph":
-        return Multigraph(self._vertices, self._edges + (norm_edge(u, v),))
-
-    def relabeled(self, mapping: Mapping) -> "Multigraph":
+    def relabeled(self, mapping: Mapping):
         """Apply an injective vertex relabeling given as a full mapping."""
-        if set(mapping) != set(self._vertices):
+        if set(mapping) != self._vertices:
             raise GraphError("relabeling must cover every vertex")
         if len(set(mapping.values())) != len(mapping):
             raise GraphError("relabeling must be injective")
-        return Multigraph(
-            (mapping[v] for v in self._vertices),
-            ((mapping[u], mapping[v]) for u, v in self._edges),
-        )
+        return type(self)(*((mapping[v] for v in getattr(self, part)) for part in self._PARTS),
+                          ((mapping[u], mapping[v]) for u, v in self._edges))
+
+    def __repr__(self):
+        parts = "".join(f"{part}={sorted(getattr(self, part), key=vkey)!r}, "
+                        for part in self._PARTS)
+        return f"{type(self).__name__}({parts}edges={list(self._edges)!r})"
+
+
+class Multigraph(_Graph):
+    """Loop-free undirected graph, parallel edges allowed.
+
+    The edge tuple preserves construction order and keeps parallel copies as
+    separate entries, so edges can be addressed by index (the pebble game and
+    pin contraction both rely on stable indices).  `neighbors` gives a
+    Counter of multiplicities.
+    """
+
+    __slots__ = ()
+    _PARTS = ("vertices",)
+    _collect = Counter
+
+    def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable[tuple] = ()):
+        self._edges = tuple(norm_edge(u, v) for u, v in edges)
+        self._vertices = frozenset(vertices).union(*self._edges)
+
+    def edge_counter(self) -> Counter:
+        return Counter(self._edges)
+
+    def adjacency(self) -> dict:
+        """Vertex -> {neighbor: multiplicity} for every vertex, as plain
+        dicts in the order `neighbors` gives."""
+        adj = {v: {} for v in self._vertices}
+        for u, v in self._edges:
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+        return adj
+
+    def with_edge(self, u, v) -> "Multigraph":
+        return Multigraph(self._vertices, self._edges + (norm_edge(u, v),))
 
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
@@ -135,21 +145,20 @@ class Multigraph:
     def __hash__(self):
         return hash((self._vertices, frozenset(self.edge_counter().items())))
 
-    def __repr__(self):
-        vs = sorted(self._vertices, key=vkey)
-        return f"Multigraph(vertices={vs!r}, edges={list(self._edges)!r})"
 
-
-class PinnedGraph:
+class PinnedGraph(_Graph):
     """Pinned graph G(I, P; E): inner vertices, pinned vertices, simple edges.
 
     Invariants enforced here: I and P are disjoint, every edge touches an
     inner vertex, no loops, no parallel edges, no edges between two pins.
     Pins with no incident edges are permitted by the type (some operations
-    reject them separately).
+    reject them separately).  The edge tuple is sorted; `neighbors` gives a
+    frozenset.
     """
 
-    __slots__ = ("_inner", "_pins", "_edges", "_adj")
+    __slots__ = ("_pins",)
+    _PARTS = ("inner", "pins")
+    _collect = frozenset
 
     def __init__(self, inner: Iterable[Vertex], pins: Iterable[Vertex],
                  edges: Iterable[tuple] = ()):
@@ -159,77 +168,42 @@ class PinnedGraph:
         if clash:
             raise GraphError(f"vertices marked both inner and pinned: {sorted(clash, key=vkey)!r}")
         allv = inner_set | pin_set
-        seen = set()
-        norm = []
+        norm = set()
         for u, v in edges:
             e = norm_edge(u, v)
             if e[0] not in allv or e[1] not in allv:
                 raise GraphError(f"edge {e!r} references an undeclared vertex")
             if e[0] in pin_set and e[1] in pin_set:
                 raise GraphError(f"edge {e!r} joins two pinned vertices")
-            if e in seen:
+            if e in norm:
                 raise GraphError(f"parallel edge {e!r} in a pinned graph")
-            seen.add(e)
-            norm.append(e)
-        self._inner = inner_set
+            norm.add(e)
+        self._vertices = allv
         self._pins = pin_set
         self._edges = tuple(sorted(norm, key=ekey))
-        adj = {v: set() for v in allv}
-        for u, v in self._edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = adj
 
     @property
     def inner(self) -> frozenset:
-        return self._inner
+        return self._vertices - self._pins
 
     @property
     def pins(self) -> frozenset:
         return self._pins
 
-    @property
-    def vertices(self) -> frozenset:
-        return self._inner | self._pins
-
-    @property
-    def edges(self) -> tuple:
-        return self._edges
-
-    @property
-    def n(self) -> int:
-        return len(self._inner) + len(self._pins)
-
-    @property
-    def m(self) -> int:
-        return len(self._edges)
-
-    def degree(self, v) -> int:
-        return len(self._adj[v])
-
-    def neighbors(self, v) -> frozenset:
-        return frozenset(self._adj[v])
-
     def isolated_pins(self) -> frozenset:
-        return frozenset(p for p in self._pins if not self._adj[p])
+        return self._pins - self.support()
 
     def without_edge(self, u, v) -> "PinnedGraph":
         e = norm_edge(u, v)
         if e not in self._edges:
             raise GraphError(f"edge {e!r} not present")
-        return PinnedGraph(self._inner, self._pins,
+        return PinnedGraph(self.inner, self._pins,
                            (f for f in self._edges if f != e))
-
-    def without_vertex(self, v) -> "PinnedGraph":
-        if v not in self._adj:
-            raise GraphError(f"vertex {v!r} not present")
-        keep = [e for e in self._edges if v not in e]
-        return PinnedGraph(self._inner - {v}, self._pins - {v}, keep)
 
     def induced(self, inner_subset: Iterable, pin_subset: Iterable) -> "PinnedGraph":
         ins = frozenset(inner_subset)
         ps = frozenset(pin_subset)
-        if not ins <= self._inner or not ps <= self._pins:
+        if not ins <= self.inner or not ps <= self._pins:
             raise GraphError("induced subsets must come from the graph's own classes")
         keep_v = ins | ps
         keep_e = [e for e in self._edges
@@ -237,35 +211,14 @@ class PinnedGraph:
                   and (e[0] in ins or e[1] in ins)]
         return PinnedGraph(ins, ps, keep_e)
 
-    def relabeled(self, mapping: Mapping) -> "PinnedGraph":
-        allv = self.vertices
-        if set(mapping) != set(allv):
-            raise GraphError("relabeling must cover every vertex")
-        if len(set(mapping.values())) != len(mapping):
-            raise GraphError("relabeling must be injective")
-        return PinnedGraph(
-            (mapping[v] for v in self._inner),
-            (mapping[v] for v in self._pins),
-            ((mapping[u], mapping[v]) for u, v in self._edges),
-        )
-
-    def to_multigraph(self) -> Multigraph:
-        """Forget the inner/pin distinction."""
-        return Multigraph(self.vertices, self._edges)
-
     def __eq__(self, other):
         if not isinstance(other, PinnedGraph):
             return NotImplemented
-        return (self._inner == other._inner and self._pins == other._pins
+        return (self._vertices == other._vertices and self._pins == other._pins
                 and self._edges == other._edges)
 
     def __hash__(self):
-        return hash((self._inner, self._pins, self._edges))
-
-    def __repr__(self):
-        return (f"PinnedGraph(inner={sorted(self._inner, key=vkey)!r}, "
-                f"pins={sorted(self._pins, key=vkey)!r}, "
-                f"edges={list(self._edges)!r})")
+        return hash((self._vertices, self._pins, self._edges))
 
 
 def fresh_id(taken: Iterable, hint: str = "v"):

@@ -118,7 +118,7 @@ class RankReport:
     rejected index to the vertex set recorded at its rejection.
     """
 
-    graph: Multigraph
+    graph: Multigraph | PinnedGraph
     rank: int
     independent: tuple
     rejected: tuple
@@ -129,8 +129,9 @@ class RankReport:
         return tuple(self.graph.edges[i] for i in self.rejected)
 
 
-def pebble_rank(m: Multigraph, edge_order: Optional[Sequence[int]] = None) -> RankReport:
-    """Run the (2,3)-pebble game over all edges of `m`.
+def pebble_rank(m: Multigraph | PinnedGraph,
+                edge_order: Optional[Sequence[int]] = None) -> RankReport:
+    """Run the (2,3)-pebble game over all edges of `m`, read as a multigraph.
 
     `edge_order` is a permutation of edge indices; default is construction
     order.  The rank is order-independent; the accepted/rejected split is not.

@@ -284,6 +284,38 @@ class TestRecompose:
         with pytest.raises(GraphError, match="one-to-one"):
             scheme_from_dict(doc)
 
+    @staticmethod
+    def _dyad_doc(cid, level, inner, targets):
+        return {"id": cid, "level": level, "inner": [inner], "pins": ["p1", "p2"],
+                "edges": [[inner, "p1"], [inner, "p2"]],
+                "pin_map": [["p1", targets[0]], ["p2", targets[1]]]}
+
+    def test_inner_id_shared_by_two_components_rejected(self):
+        # covers would name the last owner of v, recompose the first
+        doc = {"ground": ["G1", "G2"],
+               "components": [self._dyad_doc("c1", 1, "v", ["G1", "G2"]),
+                              self._dyad_doc("c2", 1, "v", ["G1", "G2"]),
+                              self._dyad_doc("c3", 2, "w", ["v", "G1"])]}
+        with pytest.raises(GraphError, match="inner vertex 'v'"):
+            scheme_from_dict(doc)
+
+    def test_inner_id_that_is_a_ground_pin_rejected(self):
+        doc = {"ground": ["G1", "G2", "v"],
+               "components": [self._dyad_doc("c1", 1, "v", ["G1", "G2"]),
+                              self._dyad_doc("c2", 2, "w", ["v", "G1"])]}
+        with pytest.raises(GraphError, match="inner vertex 'v'"):
+            scheme_from_dict(doc)
+
+    def test_recompose_sends_pins_through_the_pin_map_without_renaming(self):
+        doc = {"ground": ["G1", "G2"],
+               "components": [self._dyad_doc("c2", 2, "w", ["v", "G1"]),
+                              self._dyad_doc("c1", 1, "v", ["G1", "G2"])]}
+        scheme = scheme_from_dict(doc)
+        assert scheme.covers == (("c1", "c2"),)
+        assert recompose(scheme) == PinnedGraph(
+            {"v", "w"}, {"G1", "G2"},
+            [("v", "G1"), ("v", "G2"), ("w", "v"), ("w", "G1")])
+
 
 def test_random_compositions_round_trip():
     rng = random.Random(2026)

@@ -528,6 +528,21 @@ class TestInputValidation:
         assert code == 2 and "vertex id" in err and "duplicate" not in err
         assert "Traceback" not in err
 
+    def test_nan_vertex_id_is_input_error(self, tmp_path, capsys):
+        doc = {"vertices": [{"id": math.nan}, {"id": "p1", "kind": "pinned"},
+                            {"id": "p2", "kind": "pinned"}],
+               "edges": [[math.nan, "p1"], [math.nan, "p2"]]}
+        code, out, err = run(capsys, "check", _write_json(tmp_path, "g.json", doc))
+        assert code == 2 and out == "" and "finite" in err
+        assert "Traceback" not in err
+
+    def test_infinite_link_id_is_input_error(self, tmp_path, capsys):
+        doc = {"links": ["ground", math.inf], "ground": "ground",
+               "joints": [{"incident": ["ground", math.inf]}]}
+        code, out, err = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
+        assert code == 2 and out == "" and "finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("doc", [
         {"links": 5, "ground": "g", "joints": []},
         {"links": ["g", "a"], "ground": "g", "joints": [{"incident": [["g"], "a"]}]},

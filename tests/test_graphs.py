@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -51,6 +52,56 @@ class TestConstruction:
         del adj[0][1]
         assert m.has_edge(0, 1) and not m.has_edge(1, 3) and m.neighbors(0) == {1: 2}
         assert not m.has_edge(3, 0) and not m.has_edge(9, 0)
+
+
+def _reference_neighbors(g):
+    """Vertex -> Counter of neighbours, filled in edge order, for every
+    vertex of `g`: the reading every derived query must agree with."""
+    ref = {v: Counter() for v in g.vertices}
+    for u, w in g.edges:
+        ref[u][w] += 1
+        ref[w][u] += 1
+    return ref
+
+
+def _random_graphs(rng):
+    """A multigraph with parallel edges and an isolated vertex, and a
+    pinned graph that may leave pins isolated."""
+    verts = list(range(rng.randint(2, 7)))
+    pairs = [(u, w) for u in verts for w in verts if u != w]
+    multi = Multigraph(verts + ["lone"], rng.choices(pairs, k=rng.randint(0, 14)))
+    inner = list(range(rng.randint(1, 5)))
+    pins = [f"p{i}" for i in range(rng.randint(1, 4))]
+    pairs = [(u, w) for u in inner for w in inner + pins if w in pins or u < w]
+    pinned = PinnedGraph(inner, pins, rng.sample(pairs, rng.randint(0, len(pairs))))
+    return multi, pinned
+
+
+def test_derived_reads_match_counters_over_the_edge_tuple():
+    rng = random.Random(30)
+    for _ in range(300):
+        multi, pinned = _random_graphs(rng)
+        for g, collect in ((multi, Counter), (pinned, frozenset)):
+            ref = _reference_neighbors(g)
+            for v in g.vertices:
+                nbrs = g.neighbors(v)
+                assert type(nbrs) is collect and nbrs == collect(ref[v])
+                if collect is Counter:
+                    assert list(nbrs.items()) == list(ref[v].items())
+                assert g.degree(v) == sum(ref[v].values())
+                assert not g.has_edge(v, v)
+                assert all(g.has_edge(v, w) == (ref[v][w] > 0) for w in g.vertices)
+            assert g.support() == {v for v, c in ref.items() if c}
+            # an absent vertex reads no neighbours and degree 0
+            assert not g.neighbors("absent") and g.degree("absent") == 0
+            assert not g.has_edge("absent", next(iter(g.vertices)))
+        assert not multi.neighbors("lone") and multi.degree("lone") == 0
+        adj = multi.adjacency()
+        assert list(adj) == list(multi.vertices)
+        assert all(list(adj[v].items()) == list(want.items())
+                   for v, want in _reference_neighbors(multi).items())
+        ref = _reference_neighbors(pinned)
+        assert pinned.isolated_pins() == {p for p in pinned.pins if not ref[p]}
 
 
 class TestContraction:

@@ -187,16 +187,14 @@ def _verdict(g, methods, seed, trials):
 class AssurComponent:
     """One Assur component of a decomposition.
 
-    `pin_map` sends each pin of the component graph to the vertex it attaches
-    to: a ground vertex or an inner vertex of a lower-level component.  For
-    schemes produced by `decompose` the map is the identity, since components
-    keep the original vertex ids.
+    The pins of `graph` are the vertices it attaches to, each a ground pin
+    or an inner vertex of a lower-level component, so a component keeps
+    the ids of the graph it came from.
     """
 
     cid: str
     graph: PinnedGraph
     level: int
-    pin_map: tuple  # ordered (pin, target) pairs
 
 
 @dataclass(frozen=True)
@@ -207,11 +205,9 @@ class AssurScheme:
     of"; `leq` answers the transitive closure.  Construction indexes each
     inner id under its one owner, refusing an inner id that two components
     share or that is a ground pin, then checks every component in one pass.
-    It refuses a repeated id, a level below 1, a pin map that is not
-    one-to-one (each pin of the component named exactly once, no two pins
-    sent to one target), and a target that is neither a ground pin nor an
-    inner vertex of a component of strictly lower level.
-    Each target of the last kind gives one cover pair.
+    It refuses a repeated id, a level below 1, and a pin that is neither a
+    ground pin nor an inner vertex of a component of strictly lower level.
+    Each pin of the last kind gives one cover pair.
     """
 
     components: tuple
@@ -232,22 +228,13 @@ class AssurScheme:
             ids.add(comp.cid)
             if comp.level < 1:
                 raise GraphError(f"component {comp.cid} has level {comp.level} < 1")
-            targets = dict(comp.pin_map)
-            if targets.keys() != comp.graph.pins:
-                raise GraphError(f"component {comp.cid}: pin map must cover its pins")
-            if len(set(targets.values())) != len(comp.pin_map):
-                raise GraphError(f"component {comp.cid}: pin map must be one-to-one")
-            for pin, target in comp.pin_map:
-                if target in self.ground:
-                    continue
-                below = owner.get(target)
+            for pin in sorted(comp.graph.pins - self.ground, key=vkey):
+                below = owner.get(pin)
                 if below is None:
-                    raise GraphError(
-                        f"component {comp.cid}: dangling pin identification "
-                        f"{pin!r} -> {target!r}")
+                    raise GraphError(f"component {comp.cid}: dangling pin {pin!r}")
                 if below.level >= comp.level:
                     raise GraphError(
-                        f"component {comp.cid}: pin {pin!r} targets level {below.level}, "
+                        f"component {comp.cid}: pin {pin!r} is at level {below.level}, "
                         f"not below its own level {comp.level}")
                 covers.add((below.cid, comp.cid))
         object.__setattr__(self, "covers", tuple(sorted(covers)))
@@ -352,23 +339,21 @@ def _decompose(g, out):
         level.update(dict.fromkeys(scc, lvl))
         parts.append((lvl, PinnedGraph(scc, pins, comp_edges)))
     parts.sort(key=lambda part: (part[0], _component_key(part[1])))
-    components = tuple(
-        AssurComponent(cid=f"c{i}", graph=graph, level=lvl,
-                       pin_map=tuple((p, p) for p in sorted(graph.pins, key=vkey)))
-        for i, (lvl, graph) in enumerate(parts, 1))
+    components = tuple(AssurComponent(cid=f"c{i}", graph=graph, level=lvl)
+                       for i, (lvl, graph) in enumerate(parts, 1))
     return AssurScheme(components=components, ground=frozenset(g.pins))
 
 
 def recompose(scheme: AssurScheme) -> PinnedGraph:
     """The pinned graph of `scheme`: every component's inner vertices and
-    edges, each pin sent through its pin map, on the ground pins.
+    edges on the ground pins.
 
     `AssurScheme` gives each inner id one owner, distinct from the ground
-    pins, so nothing is renamed and this inverts `decompose` exactly.
+    pins, and each pin names the vertex it attaches to, so nothing is
+    renamed and this inverts `decompose` exactly.
     """
     inner, edges = set(), []
     for comp in scheme.components:
-        send = dict(comp.pin_map)
         inner |= comp.graph.inner
-        edges += [(send.get(u, u), send.get(v, v)) for u, v in comp.graph.edges]
+        edges += comp.graph.edges
     return PinnedGraph(inner, scheme.ground, edges)

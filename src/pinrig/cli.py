@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import assur as assur_mod
 from . import counting, fileio, generate, numeric, pebble
@@ -166,11 +165,9 @@ def cmd_decompose(args):
 
 
 def scheme_report(scheme):
-    """The scheme document of `fileio.scheme_to_dict` without ground pins and
-    pin maps (identities here), with the component and level counts."""
+    """The scheme document of `fileio.scheme_to_dict` without ground pins,
+    with the component and level counts."""
     doc = fileio.scheme_to_dict(scheme)
-    for c in doc["components"]:
-        del c["pin_map"]
     return {"decomposable": True, "component_count": len(scheme.components),
             "levels": scheme.levels, "components": doc["components"],
             "covers": doc["covers"]}
@@ -228,21 +225,16 @@ def cmd_motion(args):
 
 
 def _velocity(xy, field):
-    """One vertex's entries of a basis vector as printed.  A float velocity
-    whose entries both lie within FLOAT_PIVOT_RTOL of zero prints as
-    [0.0, 0.0], the rule of `MotionBasis.moving`, so a fixed vertex shows
-    no velocity; no entry prints as -0.0."""
-    if field == "float" and max(map(abs, xy)) <= numeric.FLOAT_PIVOT_RTOL:
+    """One vertex's entries of a basis vector as printed: every exact entry
+    as a string.  A float velocity whose entries both lie within
+    FLOAT_PIVOT_RTOL of zero prints as [0.0, 0.0], the rule of
+    `MotionBasis.moving`, so a fixed vertex shows no velocity; every other
+    float entry is rounded to 12 places, and none prints as -0.0."""
+    if field != "float":
+        return [str(x) for x in xy]
+    if max(map(abs, xy)) <= numeric.FLOAT_PIVOT_RTOL:
         return [0.0, 0.0]
-    return [_pretty(x) for x in xy]
-
-
-def _pretty(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return round(x, 12) + 0.0  # + 0.0 turns -0.0 into 0.0
-    return x
+    return [round(x, 12) + 0.0 for x in xy]  # + 0.0 turns -0.0 into 0.0
 
 
 # -- generate --------------------------------------------------------------------

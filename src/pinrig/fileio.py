@@ -16,8 +16,10 @@ Linkage files::
      "joints": [{"incident": ["ground", "1"]}, ...]}
 
 Scheme and certificate documents round-trip the corresponding in-memory
-objects; vertex ids keep their JSON types (ints stay ints).  A certificate's
-``claimed`` is a graph document; a 2-sum operand has none.
+objects; vertex ids keep their JSON types (ints stay ints).  A scheme
+component's pins are the vertex ids it attaches to; the identity
+``pin_map`` that earlier scheme files carry is accepted and ignored.  A
+certificate's ``claimed`` is a graph document; a 2-sum operand has none.
 """
 
 from __future__ import annotations
@@ -213,24 +215,27 @@ def scheme_to_dict(s: AssurScheme) -> dict:
             "inner": sorted(c.graph.inner, key=vkey),
             "pins": sorted(c.graph.pins, key=vkey),
             "edges": _as_pairs(c.graph.edges),
-            "pin_map": [[p, t] for p, t in c.pin_map],
         })
     return {"ground": sorted(s.ground, key=vkey), "components": comps,
             "covers": [list(pair) for pair in s.covers]}
 
 
 def _component_from_dict(entry) -> AssurComponent:
-    keys = ("id", "level", "inner", "pins", "edges", "pin_map")
+    keys = ("id", "level", "inner", "pins", "edges")
     if not (isinstance(entry, dict) and all(k in entry for k in keys)):
         raise GraphError(f"component entry needs {', '.join(keys)}: {entry!r}")
-    level = entry["level"]
+    cid, level = _json_id(entry["id"], "component"), entry["level"]
     if not isinstance(level, int) or isinstance(level, bool):
         raise GraphError(f"component level must be an integer, got {level!r}")
     graph = PinnedGraph(_id_list(entry["inner"], "component inner"),
                         _id_list(entry["pins"], "component pins"),
                         _pairs(entry["edges"], "edge"))
-    return AssurComponent(cid=_json_id(entry["id"], "component"), graph=graph,
-                          level=level, pin_map=tuple(_pairs(entry["pin_map"], "pin_map")))
+    # files of earlier versions carry a pin map, always the identity
+    if "pin_map" in entry and set(_pairs(entry["pin_map"], "pin_map")) != {
+            (p, p) for p in graph.pins}:
+        raise GraphError(f"component {cid}: a pin map must send each pin to itself; "
+                         f"name each pin by the vertex it attaches to")
+    return AssurComponent(cid=cid, graph=graph, level=level)
 
 
 def scheme_from_dict(doc: dict) -> AssurScheme:
@@ -274,9 +279,9 @@ def _step_param(key, value):
     if key == "other":
         return certificate_from_dict(value)
     if key == "assignment":
-        return tuple((_json_id(a), _json_id(b)) for a, b in value)
+        return tuple(_pairs(value, "assignment"))
     if key == "moved":
-        return tuple(_json_id(x) for x in value)
+        return tuple(_id_list(value, "moved"))
     return _json_id(value)
 
 
@@ -317,7 +322,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
     try:
         base = doc["base"]
         return Certificate(base_kind=base["kind"],
-                           base_vertices=tuple(_json_id(v) for v in base["vertices"]),
+                           base_vertices=tuple(_id_list(base["vertices"], "base vertices")),
                            steps=tuple(_step_from_dict(s) for s in doc["steps"]),
                            claimed=_claim_from_dict(doc.get("claimed")))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:

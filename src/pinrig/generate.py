@@ -322,16 +322,13 @@ def circuit_classes(n_max: int) -> dict:
     _add_class(by_n[4], complete_graph(4))
     for n in range(5, n_max + 1):
         found = {}
-        for c in by_n.get(n - 1, {}).values():
+        for c in by_n[n - 1].values():
             for u, w in set(c.edges):
                 for x in sorted(c.vertices - {u, w}, key=vkey):
                     _add_class(found, edge_split(c, (u, w), x, new_vertex=n - 1))
-        for n1 in range(4, (n + 2) // 2 + 1):
-            n2 = n + 2 - n1
-            if n2 < n1 or n2 not in by_n:
-                continue
+        for n1 in range(4, (n + 2) // 2 + 1):  # n + 2 - n1 is in n1..n - 2
             for c1 in by_n[n1].values():
-                for c2 in by_n[n2].values():
+                for c2 in by_n[n + 2 - n1].values():
                     shifted = c2.relabeled({i: i + n1 for i in c2.vertices})
                     for e1 in set(c1.edges):
                         for e2 in set(shifted.edges):
@@ -368,8 +365,6 @@ def assur_classes(n_max: int) -> dict:
                 for v in sorted(c.vertices, key=vkey):
                     slots = sorted(c.neighbors(v).elements(), key=vkey)
                     max_pins = min(len(slots), n_max - (n_c - 1))
-                    if max_pins < 2:
-                        continue
                     for blocks in _set_partitions(slots):
                         k = len(blocks)
                         if not 2 <= k <= max_pins:

@@ -263,8 +263,8 @@ def split_contracted_vertex(m: Multigraph, v, assignment) -> PinnedGraph:
     `assignment` lists one ``(neighbor, pin_label)`` pair per edge copy
     incident to `v`; its neighbor multiset must match exactly.  At least two
     distinct labels are required and every label must receive an edge, so no
-    isolated pins are created.  A split that leaves parallel edges is
-    refused by `PinnedGraph`, since pinned graphs are simple.
+    isolated pins are created.  A split that leaves parallel edges, or
+    that names a pin by a remaining vertex, is refused by `PinnedGraph`.
     """
     if v not in m.vertices:
         raise GraphError(f"vertex {v!r} not present")
@@ -278,11 +278,7 @@ def split_contracted_vertex(m: Multigraph, v, assignment) -> PinnedGraph:
     labels = Counter(lab for _, lab in assignment)
     if len(labels) < 2:
         raise GraphError("splitting requires at least two distinct pin labels")
-    inner = m.vertices - {v}
-    bad = set(labels) & inner
-    if bad:
-        raise GraphError(f"pin labels collide with remaining vertices: {sorted(bad, key=vkey)!r}")
-    return PinnedGraph(inner, labels, [e for e in m.edges if v not in e] + assignment)
+    return PinnedGraph(m.vertices - {v}, labels, [e for e in m.edges if v not in e] + assignment)
 
 
 def compose(h: PinnedGraph, g: PinnedGraph, cmap: Mapping) -> PinnedGraph:

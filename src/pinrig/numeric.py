@@ -342,7 +342,12 @@ def matrix_kernel(mat: RigidityMatrix):
 def random_configuration(g, rng: random.Random) -> Configuration:
     """Uniform random coordinates over GF(p) for every vertex, resampled until
     no adjacent pair collides; two endpoints collide only in both
-    coordinates, so a resample has probability about |E|/p^2."""
+    coordinates, so a resample has probability about |E|/p^2.
+
+    The configuration does not carry its field: pass ``field="mod"`` to
+    whatever reads it, since ``"auto"`` reads its ints as rationals, whose
+    elimination is exact over Q and far slower.
+    """
     while True:
         config = {v: (rng.randrange(PRIME), rng.randrange(PRIME))
                   for v in g.vertices}
@@ -354,6 +359,8 @@ def motion_space(g: PinnedGraph, config: Configuration, field: str = "auto") -> 
     """Kernel basis of the pinned rigidity matrix at `config`.
 
     An empty basis means the framework is pinned-rigid at this configuration.
+    `field` ``"auto"`` reads int coordinates as rationals, so a sample of
+    `random_configuration` needs ``field="mod"``.
     """
     mat = build_rigidity_matrix(g, config, field=field)
     flat = matrix_kernel(mat)

@@ -208,15 +208,15 @@ class TestRecompose:
         assert back == stacked_dyads
         assert canonical_code(back) == canonical_code(stacked_dyads)
 
+    @staticmethod
+    def _dyad(inner, a, b):
+        """A dyad whose pins are named by the vertices they attach to."""
+        return PinnedGraph({inner}, {a, b}, [(inner, a), (inner, b)])
+
     def test_synthetic_three_component_scheme(self, dyad):
-        c1 = AssurComponent("c1", support.dyad(), 1,
-                            (("p1", "G1"), ("p2", "G2")))
-        c2 = AssurComponent("c2", PinnedGraph({"w"}, {"s1", "s2"},
-                                              [("w", "s1"), ("w", "s2")]),
-                            2, (("s1", "v"), ("s2", "G1")))
-        c3 = AssurComponent("c3", PinnedGraph({"u"}, {"t1", "t2"},
-                                              [("u", "t1"), ("u", "t2")]),
-                            3, (("t1", "w"), ("t2", "v")))
+        c1 = AssurComponent("c1", self._dyad("v", "G1", "G2"), 1)
+        c2 = AssurComponent("c2", self._dyad("w", "v", "G1"), 2)
+        c3 = AssurComponent("c3", self._dyad("u", "w", "v"), 3)
         scheme = AssurScheme(components=(c1, c2, c3),
                              ground=frozenset({"G1", "G2"}))
         out = recompose(scheme)
@@ -228,67 +228,42 @@ class TestRecompose:
         assert len(again.components) == 3
 
     def test_dangling_target_rejected(self):
-        c1 = AssurComponent("c1", support.dyad(), 1,
-                            (("p1", "G1"), ("p2", "nowhere")))
+        c1 = AssurComponent("c1", self._dyad("v", "G1", "nowhere"), 1)
         with pytest.raises(GraphError):
             AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
 
     def test_covers_are_computed_not_passed(self):
-        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"), ("p2", "G2")))
+        c1 = AssurComponent("c1", self._dyad("v", "G1", "G2"), 1)
         with pytest.raises(TypeError):
             AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}),
                         covers=(("c1", "c1"),))
 
     def test_level_ordering_validated(self):
-        c1 = AssurComponent("c1", support.dyad(), 2,
-                            (("p1", "G1"), ("p2", "G2")))
-        c2 = AssurComponent("c2", PinnedGraph({"w"}, {"s1", "s2"},
-                                              [("w", "s1"), ("w", "s2")]),
-                            1, (("s1", "v"), ("s2", "G1")))
+        c1 = AssurComponent("c1", self._dyad("v", "G1", "G2"), 2)
+        c2 = AssurComponent("c2", self._dyad("w", "v", "G1"), 1)
         with pytest.raises(GraphError):
             AssurScheme(components=(c1, c2), ground=frozenset({"G1", "G2"}))
 
     def test_duplicate_component_ids_rejected(self):
-        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"), ("p2", "G2")))
-        c2 = AssurComponent("c1", PinnedGraph({"w"}, {"s1", "s2"},
-                                              [("w", "s1"), ("w", "s2")]),
-                            2, (("s1", "v"), ("s2", "G1")))
+        c1 = AssurComponent("c1", self._dyad("v", "G1", "G2"), 1)
+        c2 = AssurComponent("c1", self._dyad("w", "v", "G1"), 2)
         with pytest.raises(GraphError, match="unique"):
             AssurScheme(components=(c1, c2), ground=frozenset({"G1", "G2"}))
 
     def test_level_below_one_rejected(self):
-        c1 = AssurComponent("c1", support.dyad(), 0, (("p1", "G1"), ("p2", "G2")))
+        c1 = AssurComponent("c1", self._dyad("v", "G1", "G2"), 0)
         with pytest.raises(GraphError, match="level 0 < 1"):
             AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
 
-    def test_pin_map_missing_a_pin_rejected(self):
-        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"),))
-        with pytest.raises(GraphError, match="cover its pins"):
-            AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
-
     def test_component_pinned_to_its_own_inner_vertex_rejected(self):
-        c1 = AssurComponent("c1", support.dyad(), 1, (("p1", "G1"), ("p2", "v")))
-        with pytest.raises(GraphError, match="not below its own level"):
-            AssurScheme(components=(c1,), ground=frozenset({"G1", "G2"}))
-
-    @pytest.mark.parametrize("pin_map", [
-        [["p1", "G1"], ["p1", "G3"], ["p2", "G2"]],  # a pin named twice
-        [["p1", "G1"], ["p2", "G1"]],                # two pins on one target
-    ])
-    def test_pin_map_must_be_one_to_one(self, pin_map):
-        doc = {"ground": ["G1", "G2", "G3"],
-               "components": [{"id": "c1", "level": 1, "inner": ["v"],
-                               "pins": ["p1", "p2"],
-                               "edges": [["v", "p1"], ["v", "p2"]],
-                               "pin_map": pin_map}]}
-        with pytest.raises(GraphError, match="one-to-one"):
-            scheme_from_dict(doc)
+        # a pin is named by its vertex, so the component graph itself refuses
+        with pytest.raises(GraphError, match="both inner and pinned"):
+            self._dyad("v", "G1", "v")
 
     @staticmethod
     def _dyad_doc(cid, level, inner, targets):
-        return {"id": cid, "level": level, "inner": [inner], "pins": ["p1", "p2"],
-                "edges": [[inner, "p1"], [inner, "p2"]],
-                "pin_map": [["p1", targets[0]], ["p2", targets[1]]]}
+        return {"id": cid, "level": level, "inner": [inner], "pins": targets,
+                "edges": [[inner, t] for t in targets]}
 
     def test_inner_id_shared_by_two_components_rejected(self):
         # covers would name the last owner of v, recompose the first
@@ -306,15 +281,24 @@ class TestRecompose:
         with pytest.raises(GraphError, match="inner vertex 'v'"):
             scheme_from_dict(doc)
 
-    def test_recompose_sends_pins_through_the_pin_map_without_renaming(self):
-        doc = {"ground": ["G1", "G2"],
-               "components": [self._dyad_doc("c2", 2, "w", ["v", "G1"]),
-                              self._dyad_doc("c1", 1, "v", ["G1", "G2"])]}
-        scheme = scheme_from_dict(doc)
-        assert scheme.covers == (("c1", "c2"),)
-        assert recompose(scheme) == PinnedGraph(
-            {"v", "w"}, {"G1", "G2"},
-            [("v", "G1"), ("v", "G2"), ("w", "v"), ("w", "G1")])
+    def test_scheme_file_with_identity_pin_maps_loads_to_an_equal_scheme(self, stacked_dyads):
+        # scheme files of earlier versions name each pin twice, as [pin, pin]
+        scheme = decompose(stacked_dyads)
+        doc = scheme_to_dict(scheme)
+        for entry in doc["components"]:
+            entry["pin_map"] = [[p, p] for p in entry["pins"]]
+        again = scheme_from_dict(doc)
+        assert again.components == scheme.components
+        assert again.ground == scheme.ground and again.covers == scheme.covers
+
+    @pytest.mark.parametrize("pin_map", [
+        [["G1", "G1"], ["G2", "G3"]],  # a pin renamed
+        [["G1", "G1"]],                # a pin left out
+    ])
+    def test_scheme_file_with_a_renaming_pin_map_refused(self, pin_map):
+        entry = dict(self._dyad_doc("c1", 1, "v", ["G1", "G2"]), pin_map=pin_map)
+        with pytest.raises(GraphError, match="pin map must send each pin to itself"):
+            scheme_from_dict({"ground": ["G1", "G2", "G3"], "components": [entry]})
 
 
 def test_random_compositions_round_trip():

@@ -2,6 +2,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -142,6 +145,14 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["pinned_dof"] == 1
 
+    def test_pinned_mode_with_one_pin_fails_with_a_reason(self, tmp_path, capsys):
+        g = PinnedGraph({"a", "b"}, {"p"}, [("a", "b"), ("a", "p"), ("b", "p")])
+        code, out, _ = run(capsys, "check", _write_json(tmp_path, "g.json", graph_to_dict(g)),
+                           "--mode", "pinned")
+        assert code == 1
+        assert json.loads(out) == {"mode": "pinned", "isostatic": False,
+                                   "reason": "fewer than two pins"}
+
     def test_malformed_graph_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"vertices": [{"id": "a"}],
@@ -239,6 +250,34 @@ class TestMotion:
         code, _, err = run(capsys, "motion", str(SAMPLES / "dyad.json"),
                            "--remove-edge", "v,zzz")
         assert code == 2 and err
+
+    def test_graph_without_inner_vertices_is_input_error(self, tmp_path, capsys):
+        path = _write_json(tmp_path, "g.json", graph_to_dict(PinnedGraph((), {"p", "q"}, [])))
+        code, out, err = run(capsys, "motion", path)
+        assert code == 2 and not out and "no inner vertices" in err
+
+    def test_remove_edge_without_a_comma_is_input_error(self, capsys):
+        code, out, err = run(capsys, "motion", str(SAMPLES / "dyad.json"),
+                             "--remove-edge", "v")
+        assert code == 2 and not out and "'u,w'" in err
+
+    def test_config_missing_a_vertex_is_input_error(self, tmp_path, capsys):
+        cfg = _write_json(tmp_path, "cfg.json", {"v": [1, 1], "p1": [0, 0]})
+        code, out, err = run(capsys, "motion", str(SAMPLES / "dyad.json"), "--config", cfg)
+        assert code == 2 and not out and "misses vertex 'p2'" in err
+
+    def test_rational_basis_prints_every_entry_as_a_fraction_string(self, tmp_path, capsys):
+        # the float four-bar on integer positions: one motion, over Q
+        g, _ = load_graph(SAMPLES / "float_four_bar.json")
+        config = {"a": (1, 2), "b": (3, 3), "c": (5, 1),
+                  "q1": (0, 0), "q2": (2, 0), "q3": (5, -1)}
+        code, out, _ = run(capsys, "motion", _write_json(tmp_path, "g.json",
+                                                         graph_to_dict(g, config)))
+        doc = json.loads(out)
+        assert code == 0 and doc["field"] == "rational" and doc["dim"] == 1
+        entries = [x for vec in doc["basis"] for xy in vec.values() for x in xy]
+        assert len(entries) == 6 and all(isinstance(x, str) for x in entries)
+        assert any([Fraction(x) for x in entries])  # each parses; the motion is not zero
 
     def test_config_key_naming_two_vertices_is_an_input_error(self, tmp_path, capsys):
         # vertices 1 and "1" print alike: the config key "1" names both, as
@@ -464,6 +503,45 @@ class TestCertifyVerify:
                                                      (2, "p"), (3, "q")]))}
         code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
         assert code == 1 and json.loads(out)["valid"] is False
+
+    # K4 with vertex a split (b shared, c moved to the new vertex e), then e
+    # split into the pins P and Q
+    _VERTEX_SPLIT = {"base": {"kind": "k4", "vertices": ["a", "b", "c", "d"]},
+                     "steps": [{"kind": "vertex-split", "v": "a", "shared": "b",
+                                "moved": ["c"], "v2": "e"},
+                               {"kind": "pin-split", "vertex": "e",
+                                "assignment": [["a", "P"], ["b", "Q"], ["c", "Q"]]}],
+                     "claimed": graph_to_dict(PinnedGraph(
+                         "abcd", "PQ", [("a", "b"), ("a", "d"), ("b", "c"), ("b", "d"),
+                                        ("c", "d"), ("a", "P"), ("b", "Q"), ("c", "Q")]))}
+
+    def test_vertex_split_certificate_round_trips_and_verifies(self, tmp_path, capsys):
+        doc = self._VERTEX_SPLIT
+        assert certificate_to_dict(certificate_from_dict(doc)) == doc
+        code, out, _ = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 0 and json.loads(out) == {"valid": True, "claimed": doc["claimed"]}
+
+    def test_moved_that_is_not_a_list_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(self._VERTEX_SPLIT))
+        doc["steps"][0]["moved"] = "c"
+        code, out, err = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 2 and not out and "moved must be a list" in err
+
+    def test_base_vertices_that_are_not_a_list_is_input_error(self, tmp_path, capsys):
+        doc = dict(self._VERTEX_SPLIT, base={"kind": "k4", "vertices": "abcd"})
+        code, out, err = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
+        assert code == 2 and not out and "base vertices must be a list" in err
+
+    def test_assignment_entry_that_is_not_a_pair_is_input_error(self, tmp_path, capsys):
+        # the triad's certificate with the pin q2 renamed Q and its entry
+        # ["b", "Q"] written as the string "bQ"
+        cert_path = tmp_path / "cert.json"
+        run(capsys, "certify", str(SAMPLES / "triad.json"), "--out", str(cert_path))
+        doc = json.loads(cert_path.read_text().replace('"q2"', '"Q"'))
+        (step,) = doc["steps"]
+        step["assignment"][step["assignment"].index(["b", "Q"])] = "bQ"
+        code, out, err = run(capsys, "verify", _write_json(tmp_path, "bad.json", doc))
+        assert code == 2 and not out and "bad assignment entry 'bQ'" in err
 
     def test_certify_and_verify_run_no_canonical_search(self, tmp_path, capsys,
                                                         monkeypatch):
@@ -739,6 +817,15 @@ class TestExitCodeContract:
             report = json.loads(out.getvalue())
             for level in (report, report["after_driver_removal"]):
                 assert isinstance(level["lower_bound_caveat"], bool)
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(SAMPLES.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "pinrig", "check",
+                               str(SAMPLES / "dyad.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and json.loads(proc.stdout)["assur"] is True
 
 
 class TestFileFormats:

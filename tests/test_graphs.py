@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import support
 from pinrig.canon import canonical_code
 from pinrig.counting import circuit_oracle
-from pinrig.errors import GraphError
+from pinrig.errors import CertificateError, GraphError
+from pinrig.fileio import certificate_from_dict
+from pinrig.generate import replay_certificate
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, compose,
                            contract_pins, split_contracted_vertex)
 from pinrig.pebble import fundamental_circuit, pebble_rank, pinned_isostatic
@@ -170,6 +172,18 @@ class TestSplit:
         m = Multigraph(edges=[(1, 2), (1, 2), (0, 1), (0, 2)])
         with pytest.raises(GraphError, match="parallel"):
             split_contracted_vertex(m, 0, [(1, "q"), (2, "r")])
+
+    def test_refuses_a_pin_named_by_a_remaining_vertex(self):
+        # pin 1 is also the inner vertex 1, in the library and in a replay
+        assignment = [(0, "q"), (1, "q"), (2, 1)]
+        with pytest.raises(GraphError, match="both inner and pinned"):
+            split_contracted_vertex(complete_graph(4), 3, assignment)
+        cert = certificate_from_dict(
+            {"base": {"kind": "k4", "vertices": [0, 1, 2, 3]},
+             "steps": [{"kind": "pin-split", "vertex": 3,
+                        "assignment": [list(pair) for pair in assignment]}]})
+        with pytest.raises(CertificateError, match="both inner and pinned"):
+            replay_certificate(cert)
 
     def test_vertex_must_exist(self):
         with pytest.raises(GraphError):

@@ -15,6 +15,8 @@ Linkage files::
      "ground": "ground",
      "joints": [{"incident": ["ground", "1"]}, ...]}
 
+A ``driver`` marker is ``true`` or ``false``.
+
 Scheme and certificate documents round-trip the corresponding in-memory
 objects; vertex ids keep their JSON types (ints stay ints).  A scheme
 component's pins are the vertex ids it attaches to; the identity
@@ -170,7 +172,11 @@ def linkage_from_dict(doc: dict) -> LinkageSchema:
             if "id" not in entry:
                 raise GraphError(f"bad link entry {entry!r}")
             lid = _json_id(entry["id"], "link")
-            if entry.get("driver"):
+            driver = entry.get("driver", False)
+            if not isinstance(driver, bool):
+                raise GraphError(f"link {lid!r}: driver must be true or false, "
+                                 f"got {driver!r}")
+            if driver:
                 drivers.append(lid)
         else:
             lid = _json_id(entry, "link")
@@ -323,7 +329,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
         base = doc["base"]
         return Certificate(base_kind=base["kind"],
                            base_vertices=tuple(_id_list(base["vertices"], "base vertices")),
-                           steps=tuple(_step_from_dict(s) for s in doc["steps"]),
+                           steps=tuple(map(_step_from_dict, _list(doc["steps"], "steps"))),
                            claimed=_claim_from_dict(doc.get("claimed")))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphError(f"bad certificate document: {exc}") from None

@@ -8,22 +8,22 @@ doubled edge, sits outside the K4 closure).  The enumerations below implement
 exactly those closures, deduplicating by canonical code, and the brute-force
 oracles in :mod:`pinrig.counting` cross-check them in the test suite.
 
-A certificate records a construction path from a base (dyad or K4) to a
-target graph.  `certify` reduces backwards with reverse edge-splits and
-reverse 2-sums, never backtracking, on one pebble state that holds the current
-circuit minus one rejected edge: the state of the game that found the
-circuit (`pebble.circuit_state`), one game per side of a reverse 2-sum.  A
-reverse 2-sum splits at the first separating pair {a, b}, found as the first
-cut vertex b of M - a with one depth-first search per vertex a.
+A certificate records a construction path to a target graph from one of two
+bases: K4, grown by circuit steps up to one pin-split, or the dyad.
+`certify` reduces backwards with reverse edge-splits and reverse 2-sums,
+never backtracking, on one pebble state that holds the current circuit
+minus one rejected edge: the state of the game that found the circuit
+(`pebble.circuit_state`), one game per side of a reverse 2-sum.  A reverse
+2-sum splits at the first separating pair {a, b}, found as the first cut
+vertex b of M - a with one depth-first search per vertex a.
 A certificate claims the labelled graph it was built for, so
 `verify_certificate` replays forward and compares the result with the claim
 as labelled graphs, with no canonical search.  It enforces a step grammar so
-that a passing certificate with a dyad/K4 base really does witness the Assur
-property; a 2-sum operand claims nothing, as the grammar alone makes it a
-circuit.  The replay edits one draft (vertex set, pins, edge multiset) in
-place with the same rule that each public operation runs on a copy, and
-builds a graph only where a step reads a whole graph, per 2-sum operand and
-at the end.
+that a passing certificate really does witness the Assur property; a 2-sum
+operand claims nothing, as the grammar alone makes it a circuit.  The
+replay edits one draft (vertex set, pins, edge multiset) in place with the
+same rule that each public operation runs on a copy, and builds a graph
+only where a step reads a whole graph, per 2-sum operand and at the end.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .pebble import circuit_state
 ENUM_MAX_VERTICES = 10
 
 
-# -- Henneberg and circuit operations ----------------------------------------
+# -- circuit and Assur operations --------------------------------------------
 
 class _Draft:
     """A graph under construction, edited in place by the step rules below.
@@ -135,26 +135,6 @@ def _multigraphs_only(name, *graphs):
     would forget which vertices are pins."""
     if any(isinstance(g, PinnedGraph) for g in graphs):
         raise GraphError(f"{name} takes a multigraph, not a pinned graph")
-
-
-def _add_vertex(d, u, w, v=None):
-    if u == w:
-        raise GraphError("attachment vertices must be distinct")
-    if u not in d.vertices or w not in d.vertices:
-        raise GraphError("attachment vertices must exist")
-    v = fresh_id(d.vertices, "v") if v is None else v
-    if v in d.vertices:
-        raise GraphError(f"new vertex {v!r} already present")
-    d.add_vertex(v)
-    d.add_edge(u, v)
-    d.add_edge(v, w)
-    return d
-
-
-def vertex_addition(g: Multigraph, u, w, new_vertex=None) -> Multigraph:
-    """Attach a new 2-valent vertex to u and w (preserves independence)."""
-    _multigraphs_only("vertex addition", g)
-    return _add_vertex(_Draft(g.vertices, g.edges), u, w, new_vertex).build()
 
 
 def _split_edge(d, u, w, x, v=None):
@@ -411,11 +391,11 @@ def step(kind: str, **params) -> ConstructionStep:
 class Certificate:
     """A base graph, a list of construction steps, and the claimed result.
 
-    Bases: ``dyad`` (inner, pin, pin), ``k4`` (four vertices), ``edge`` (two
-    vertices).  Replaying the steps from the base must land on the labelled
-    graph `claimed` itself: the same inner vertices, pins and edges.  A 2-sum
-    operand claims nothing (None).  Any other claim, such as a string, is
-    equal to no replay.
+    Bases: ``dyad`` (inner, pin, pin) and ``k4`` (four vertices).  Replaying
+    the steps from the base must land on the labelled graph `claimed`
+    itself: the same inner vertices, pins and edges.  A 2-sum operand claims
+    nothing (None).  Any other claim, such as a string, is equal to no
+    replay.
     """
 
     base_kind: str
@@ -424,8 +404,7 @@ class Certificate:
     claimed: object = None
 
 
-_MULTI_STEPS = {"edge": ("vertex-addition", "edge-split"),
-                "k4": ("edge-split", "two-sum", "vertex-split")}
+_MULTI_STEPS = ("edge-split", "two-sum", "vertex-split")
 _PINNED_STEPS = ("edge-split", "pin-rearrange")
 
 
@@ -435,10 +414,6 @@ def _base_graph(cert: Certificate) -> _Draft:
         if len(set(vs)) != 4:
             raise CertificateError("k4 base needs four distinct vertices")
         return _Draft(vs, combinations(vs, 2))
-    if cert.base_kind == "edge":
-        if len(set(vs)) != 2:
-            raise CertificateError("edge base needs two distinct vertices")
-        return _Draft(vs, [tuple(vs)])
     if cert.base_kind == "dyad":
         if len(set(vs)) != 3:
             raise CertificateError("dyad base needs three distinct vertices")
@@ -459,7 +434,6 @@ def _two_sum_step(d, a, b, operand):
 # step kind -> (parameter names, rule taking a draft and their values); a
 # rule returns the draft it edited, or the graph it built from it
 STEPS = {
-    "vertex-addition": (("u", "w", "v"), _add_vertex),
     "edge-split": (("u", "w", "x", "v"), _split_edge),
     "two-sum": (("a", "b", "other"), _two_sum_step),
     "vertex-split": (("v", "shared", "moved", "v2"), _split_vertex),
@@ -478,12 +452,11 @@ def _apply_step(g, st: ConstructionStep):
 def replay_certificate(cert: Certificate):
     """Rebuild the certified graph, enforcing the step grammar.
 
-    Multigraph-phase steps must be circuit-preserving for a ``k4`` base (or
-    independence-preserving for an ``edge`` base); a single ``pin-split``
-    from a ``k4`` base moves to the pinned phase (a split independent graph
-    need not be pinned isostatic), after which only Assur-preserving pinned
-    steps are allowed.  Each 2-sum operand must have a ``k4`` base and stay a
-    multigraph, so it is a circuit.
+    From a ``k4`` base the steps must be circuit-preserving until a single
+    ``pin-split`` moves to the pinned phase, in which a ``dyad`` base
+    starts; that phase allows only Assur-preserving pinned steps.  Each
+    2-sum operand must have a ``k4`` base and stay a multigraph, so it is a
+    circuit.
 
     The steps edit one draft in place.  A graph is built only by a step that
     reads a whole graph (``pin-split``, ``pin-rearrange``), by each 2-sum
@@ -496,9 +469,9 @@ def replay_certificate(cert: Certificate):
         if pinned:
             if st.kind not in _PINNED_STEPS:
                 raise CertificateError(f"step {st.kind!r} not allowed after pinning")
-        elif st.kind == "pin-split" and cert.base_kind == "k4":
+        elif st.kind == "pin-split":
             pinned = True
-        elif st.kind not in _MULTI_STEPS[cert.base_kind]:
+        elif st.kind not in _MULTI_STEPS:
             raise CertificateError(
                 f"step {st.kind!r} not allowed from base {cert.base_kind!r}")
         try:

@@ -32,7 +32,6 @@ the search took.  So the whole report depends only on the edge order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 from .errors import GraphError, NotIsostaticError
 from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
@@ -129,25 +128,16 @@ class RankReport:
         return tuple(self.graph.edges[i] for i in self.rejected)
 
 
-def pebble_rank(m: Multigraph | PinnedGraph,
-                edge_order: Optional[Sequence[int]] = None) -> RankReport:
-    """Run the (2,3)-pebble game over all edges of `m`, read as a multigraph.
-
-    `edge_order` is a permutation of edge indices; default is construction
-    order.  The rank is order-independent; the accepted/rejected split is not.
+def pebble_rank(m: Multigraph | PinnedGraph) -> RankReport:
+    """Run the (2,3)-pebble game over all edges of `m`, read as a multigraph,
+    in construction order.  The rank is order-independent; the
+    accepted/rejected split is not.
     """
-    if edge_order is None:
-        order = tuple(range(m.m))
-    else:
-        order = tuple(edge_order)
-        if sorted(order) != list(range(m.m)):
-            raise GraphError("edge_order must be a permutation of edge indices")
     state = _PebbleState(dict.fromkeys(m.vertices, 2))
     independent = []
     rejected = []
     reach = {}
-    for i in order:
-        u, v = m.edges[i]
+    for i, (u, v) in enumerate(m.edges):
         ok, r = state.try_insert(u, v)
         if ok:
             independent.append(i)

@@ -17,7 +17,7 @@ from operator import mul
 from pinrig import generate
 from pinrig.errors import CertificateError, ConditioningWarning, GraphError
 from pinrig.generate import (Certificate, edge_split, pin_rearrangement, step,
-                             two_sum, vertex_addition, vertex_split)
+                             two_sum, vertex_split)
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph, norm_edge,
                            split_contracted_vertex, vkey)
 from pinrig import numeric
@@ -270,10 +270,6 @@ def _reference_base(cert):
         if len(set(vs)) != 4:
             raise CertificateError("k4 base needs four distinct vertices")
         return complete_graph(vs)
-    if cert.base_kind == "edge":
-        if len(set(vs)) != 2:
-            raise CertificateError("edge base needs two distinct vertices")
-        return Multigraph(vs, [tuple(vs)])
     if cert.base_kind == "dyad":
         if len(set(vs)) != 3:
             raise CertificateError("dyad base needs three distinct vertices")
@@ -292,7 +288,6 @@ def _reference_two_sum(g, a, b, operand):
 
 # step kind -> immutable operation taking the graph and the step's parameters
 _REFERENCE_MOVES = {
-    "vertex-addition": vertex_addition,
     "edge-split": lambda g, u, w, x, v: edge_split(g, (u, w), x, new_vertex=v),
     "two-sum": _reference_two_sum,
     "vertex-split": vertex_split,
@@ -311,9 +306,9 @@ def replay_reference(cert):
         if pinned:
             if st.kind not in generate._PINNED_STEPS:
                 raise CertificateError(f"step {st.kind!r} not allowed after pinning")
-        elif st.kind == "pin-split" and cert.base_kind == "k4":
+        elif st.kind == "pin-split":
             pinned = True
-        elif st.kind not in generate._MULTI_STEPS[cert.base_kind]:
+        elif st.kind not in generate._MULTI_STEPS:
             raise CertificateError(
                 f"step {st.kind!r} not allowed from base {cert.base_kind!r}")
         build = _REFERENCE_MOVES[st.kind]

@@ -591,16 +591,19 @@ class TestCertifyVerify:
         assert err == f"error: {kind!r} step lacks {missing}\n"
         assert "Traceback" not in err
 
-    def test_vertex_addition_is_an_unknown_step_kind(self, tmp_path, capsys):
+    @pytest.mark.parametrize("params", [{"u": 0, "w": 1}, {"u": 0, "v": 1, "w": 4}],
+                             ids=["missing-v", "complete"])
+    def test_vertex_addition_is_an_unknown_step_kind(self, tmp_path, capsys, params):
         # not a step kind, so the reader asks for no parameters and the replay
         # refuses the kind, as it does any unknown one: exit 1, not 2
         doc = {"base": {"kind": "k4", "vertices": [0, 1, 2, 3]},
-               "steps": [{"kind": "vertex-addition", "u": 0, "w": 1}], "claimed": ""}
+               "steps": [dict(kind="vertex-addition", **params)], "claimed": ""}
         code, out, err = run(capsys, "verify", _write_json(tmp_path, "cert.json", doc))
         assert code == 1 and json.loads(out) == {"valid": False, "claimed": ""}
         assert err == ""
 
-    @pytest.mark.parametrize("steps", ["", {}], ids=["string", "object"])
+    @pytest.mark.parametrize("steps", ["", {}, 0, None],
+                             ids=["string", "object", "number", "null"])
     def test_steps_that_are_not_a_list_is_input_error(self, tmp_path, capsys, steps):
         # the dyad's certificate has no steps, and a 2-sum operand here none
         cert_path = tmp_path / "cert.json"
@@ -653,24 +656,32 @@ class TestInputValidation:
         assert code == 2 and err.startswith("error:")
         assert "Traceback" not in err
 
-    def test_driver_marker_must_be_a_boolean(self, tmp_path, capsys):
-        # a four-bar whose crank is marked a driver, or not, or neither
-        crank = {"id": "crank"}
-        doc = {"links": ["ground", crank, "coupler", "rocker"], "ground": "ground",
-               "joints": [{"incident": pair} for pair in (["ground", "crank"],
-                                                          ["crank", "coupler"],
-                                                          ["coupler", "rocker"],
-                                                          ["rocker", "ground"])]}
-        for marker in ("false", "true", 0, 1, None):
-            crank["driver"] = marker
-            code, out, err = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
-            assert code == 2 and not out
-            assert err == f"error: link 'crank': driver must be true or false, got {marker!r}\n"
-        for marker in (True, False):
-            crank["driver"] = marker
-            code, out, _ = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
-            assert code == 0
-            assert json.loads(out)["after_driver_removal"]["link_count"] == 4 - marker
+    @staticmethod
+    def _four_bar(marker):
+        """A four-bar whose crank carries the given driver marker."""
+        return {"links": ["ground", {"id": "crank", "driver": marker}, "coupler",
+                          "rocker"],
+                "ground": "ground",
+                "joints": [{"incident": pair} for pair in (["ground", "crank"],
+                                                           ["crank", "coupler"],
+                                                           ["coupler", "rocker"],
+                                                           ["rocker", "ground"])]}
+
+    @pytest.mark.parametrize("marker", ["false", "true", 0, 1, None],
+                             ids=["string-false", "string-true", "zero", "one",
+                                  "null"])
+    def test_driver_marker_must_be_a_boolean(self, tmp_path, capsys, marker):
+        doc = self._four_bar(marker)
+        code, out, err = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
+        assert code == 2 and not out
+        assert err == f"error: link 'crank': driver must be true or false, got {marker!r}\n"
+
+    @pytest.mark.parametrize("marker", [True, False], ids=["true", "false"])
+    def test_boolean_driver_marker_is_accepted(self, tmp_path, capsys, marker):
+        doc = self._four_bar(marker)
+        code, out, _ = run(capsys, "dof", _write_json(tmp_path, "l.json", doc))
+        assert code == 0
+        assert json.loads(out)["after_driver_removal"]["link_count"] == 4 - marker
 
     @pytest.mark.parametrize("value", [5, [1.0], [1.0, 2.0, 3.0], ["a", 1.0],
                                        [True, 0], {"x": 1}])

@@ -19,7 +19,9 @@ a pin.  The strongly connected components of the inner vertices under any
 such orientation are the Assur components (Shai, Sljoka & Whiteley,
 "Directed graphs, decompositions, and spatial linkages", Discrete Appl.
 Math. 161, 2013).  The graph is minimal exactly when there is one component
-and no pin is isolated.
+and no pin is isolated; `assur_gate` refuses isolated pins first, so the
+minimality check is the component count, and component c1 of a scheme with
+more is the proper isostatic subgraph that witnesses the failure.
 
 Graphs with an isolated pinned vertex fail every check: the contraction
 erases such pins, so the combinatorial and motion checks stop talking about
@@ -42,23 +44,6 @@ def check_minimality(g: PinnedGraph) -> bool:
     """No proper pinned subgraph is itself isostatic: the decomposition has
     one component and no pin is isolated."""
     return _check(g, "minimality")
-
-
-def minimality_violation(g: PinnedGraph, scheme: Optional["AssurScheme"] = None):
-    """A proper pinned subgraph with 2|I'| edges, as (inner, pins), or None.
-
-    With two or more Assur components the witness is component c1; with one
-    component and isolated pins it is the whole graph without them.
-    `scheme` is the decomposition of `g` when it is already at hand.
-    """
-    components = (decompose(g) if scheme is None else scheme).components
-    if len(components) > 1:
-        sub = components[0].graph
-    elif g.isolated_pins():
-        sub = g.induced(g.inner, g.pins - g.isolated_pins())
-    else:
-        return None
-    return tuple(sorted(sub.inner, key=vkey)), tuple(sorted(sub.pins, key=vkey))
 
 
 def check_circuit_condition(g: PinnedGraph) -> bool:
@@ -171,7 +156,7 @@ def _verdict(g, methods, seed, trials):
     conditions = {"circuit": held is not None}
     scheme = _decompose(g, out) if "minimality" in chosen or held is None else None
     if "minimality" in chosen:
-        conditions["minimality"] = minimality_violation(g, scheme) is None
+        conditions["minimality"] = len(scheme.components) == 1
     motion_checks = ("vertex_deletion", "edge_deletion")
     if chosen.intersection(motion_checks):
         verdicts = zip(motion_checks, deletion_verdicts(g, seed=seed, trials=trials))

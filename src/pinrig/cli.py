@@ -209,7 +209,7 @@ def cmd_motion(args):
         config = None
     if config is None:
         config = numeric.random_configuration(g, random.Random(args.seed))
-        basis = numeric.motion_space(g, config, field="mod")
+        basis = numeric.motion_space(g, config)
         doc.update({"source": "random generic configuration", "seed": args.seed,
                     "dim": basis.dim})
     else:

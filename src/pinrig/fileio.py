@@ -15,7 +15,8 @@ Linkage files::
      "ground": "ground",
      "joints": [{"incident": ["ground", "1"]}, ...]}
 
-A ``driver`` marker is ``true`` or ``false``.
+A ``driver`` marker is ``true`` or ``false``.  Linkage files are read
+only: `dof` reads them, and no command writes one.
 
 Scheme and certificate documents round-trip the corresponding in-memory
 objects; vertex ids keep their JSON types (ints stay ints).  A scheme
@@ -193,17 +194,6 @@ def linkage_from_dict(doc: dict) -> LinkageSchema:
     return LinkageSchema(links=frozenset(links), joints=tuple(joints),
                          ground=_json_id(doc["ground"], "link"),
                          drivers=frozenset(drivers))
-
-
-def linkage_to_dict(s: LinkageSchema) -> dict:
-    links = []
-    for lid in sorted(s.links, key=vkey):
-        if lid in s.drivers:
-            links.append({"id": lid, "driver": True})
-        else:
-            links.append(lid)
-    return {"links": links, "ground": s.ground,
-            "joints": [{"incident": sorted(j, key=vkey)} for j in s.joints]}
 
 
 def load_linkage(path) -> LinkageSchema:

@@ -411,11 +411,11 @@ _PINNED_STEPS = ("edge-split", "pin-rearrange")
 def _base_graph(cert: Certificate) -> _Draft:
     vs = cert.base_vertices
     if cert.base_kind == "k4":
-        if len(set(vs)) != 4:
+        if len(vs) != 4 or len(set(vs)) != 4:
             raise CertificateError("k4 base needs four distinct vertices")
         return _Draft(vs, combinations(vs, 2))
     if cert.base_kind == "dyad":
-        if len(set(vs)) != 3:
+        if len(vs) != 3 or len(set(vs)) != 3:
             raise CertificateError("dyad base needs three distinct vertices")
         inner, p1, p2 = vs
         return _Draft(vs, [(inner, p1), (inner, p2)], frozenset({p1, p2}))

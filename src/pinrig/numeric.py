@@ -68,7 +68,14 @@ FLOAT_PIVOT_RTOL = 1e-9
 FLOAT_WARN_RTOL = 1e-6
 DEFAULT_TRIALS = 8
 
-Configuration = dict
+
+class Configuration(dict):
+    """Coordinates {vertex: (x, y)} and `field`, the field they lie in, which
+    a ``field="auto"`` argument reads before the coordinate types.  It is
+    "auto", to be inferred from those types, unless set, as
+    `random_configuration` sets it to "mod"."""
+
+    field = "auto"
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,8 @@ class MotionBasis:
 
 
 def _field_of(config, field):
+    if field == "auto":
+        field = getattr(config, "field", field)
     if field != "auto":
         return field
     values = [c for xy in config.values() for c in xy]
@@ -342,16 +351,14 @@ def matrix_kernel(mat: RigidityMatrix):
 def random_configuration(g, rng: random.Random) -> Configuration:
     """Uniform random coordinates over GF(p) for every vertex, resampled until
     no adjacent pair collides; two endpoints collide only in both
-    coordinates, so a resample has probability about |E|/p^2.
-
-    The configuration does not carry its field: pass ``field="mod"`` to
-    whatever reads it, since ``"auto"`` reads its ints as rationals, whose
-    elimination is exact over Q and far slower.
+    coordinates, so a resample has probability about |E|/p^2.  The sample's
+    `field` is "mod", so ``field="auto"`` eliminates it over GF(p).
     """
     while True:
-        config = {v: (rng.randrange(PRIME), rng.randrange(PRIME))
-                  for v in g.vertices}
+        config = Configuration({v: (rng.randrange(PRIME), rng.randrange(PRIME))
+                                for v in g.vertices})
         if all(config[u] != config[v] for u, v in g.edges):
+            config.field = "mod"
             return config
 
 
@@ -359,8 +366,6 @@ def motion_space(g: PinnedGraph, config: Configuration, field: str = "auto") -> 
     """Kernel basis of the pinned rigidity matrix at `config`.
 
     An empty basis means the framework is pinned-rigid at this configuration.
-    `field` ``"auto"`` reads int coordinates as rationals, so a sample of
-    `random_configuration` needs ``field="mod"``.
     """
     mat = build_rigidity_matrix(g, config, field=field)
     flat = matrix_kernel(mat)

@@ -15,9 +15,11 @@ rank of the input, independent of insertion order.
 
 When an edge (u, v) is rejected, the set R of vertices reachable from {u, v}
 along the current orientation carries exactly three pebbles and spans exactly
-2|R| - 3 accepted edges; those edges plus the rejected one form the unique
-minimal dependent set (fundamental circuit) of the rejected edge.  Reach sets
-are recorded at rejection time so circuits can be recovered afterwards.
+2|R| - 3 accepted edges, so with the rejected edge it spans 2|R| - 2 and
+breaks the Laman count.  That reach set is the witness of the rejection:
+`RankReport.reach` records it for each rejected edge, `pinned_game` reports
+it for the first, and `circuit_state` accepts an edge set as a circuit when
+it is the whole support.
 
 Accepted edges are (2,3)-sparse, so no vertex pair is accepted twice.  The
 orientation is a plain dict per vertex, head -> 1, edited only by dict item
@@ -34,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GraphError, NotIsostaticError
-from .graphs import Multigraph, PinnedGraph, fresh_id, norm_edge, vkey
+from .graphs import Multigraph, PinnedGraph, fresh_id, vkey
 
 
 class _PebbleState:
@@ -147,40 +149,6 @@ def pebble_rank(m: Multigraph | PinnedGraph) -> RankReport:
     return RankReport(graph=m, rank=len(independent),
                       independent=tuple(independent), rejected=tuple(rejected),
                       reach=reach)
-
-
-def circuit_indices(report: RankReport, rejected_index: int) -> frozenset:
-    """Edge indices of the fundamental circuit of one rejected edge."""
-    if rejected_index not in report.reach:
-        raise GraphError(f"edge index {rejected_index} was not rejected")
-    r = report.reach[rejected_index]
-    g = report.graph
-    inside = {i for i in report.independent
-              if g.edges[i][0] in r and g.edges[i][1] in r}
-    inside.add(rejected_index)
-    return frozenset(inside)
-
-
-def fundamental_circuit(m: Multigraph, report: RankReport, e) -> Multigraph:
-    """The unique minimal dependent set containing a rejected edge.
-
-    `e` may be an edge index or an unordered vertex pair; with a pair, the
-    first rejected copy is used (parallel rejected copies have equal
-    circuits).  The result is returned as a multigraph on its support.
-    """
-    if report.graph is not m and report.graph != m:
-        raise GraphError("report does not belong to this graph")
-    if isinstance(e, int):
-        idx = e
-    else:
-        target = norm_edge(*e)
-        idx = next((i for i in report.rejected if m.edges[i] == target), None)
-        if idx is None:
-            raise GraphError(f"edge {target!r} was not rejected")
-    idxs = circuit_indices(report, idx)
-    edges = [m.edges[i] for i in sorted(idxs)]
-    verts = {x for e_ in edges for x in e_}
-    return Multigraph(verts, edges)
 
 
 def circuit_state(m: Multigraph):

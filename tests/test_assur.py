@@ -14,7 +14,7 @@ from pinrig import numeric
 from pinrig.assur import (ALL_METHODS, AssurComponent, AssurScheme, assur_gate,
                           check_circuit_condition, check_edge_deletion,
                           check_minimality, check_vertex_deletion, decompose,
-                          is_assur, minimality_violation, recompose)
+                          is_assur, recompose)
 from pinrig.canon import canonical_code
 from pinrig.errors import GraphError, NotIsostaticError
 from pinrig.fileio import scheme_from_dict, scheme_to_dict
@@ -44,8 +44,8 @@ class TestChecks:
         assert not check_edge_deletion(stacked_dyads, seed=1)
 
     def test_minimality_witness(self, stacked_dyads):
-        witness = minimality_violation(stacked_dyads)
-        assert witness == (("a",), ("p1", "p2"))
+        c1 = decompose(stacked_dyads).components[0].graph
+        assert (c1.inner, c1.pins) == ({"a"}, {"p1", "p2"})
 
     def test_checks_require_isostatic_input(self):
         pendulum = PinnedGraph({"v"}, {"p1", "p2"}, [("v", "p1")])
@@ -323,12 +323,11 @@ def test_random_compositions_round_trip():
 def _assert_minimality_matches_oracle(g):
     expected = support.minimality_oracle(g)
     assert check_minimality(g) == (expected is None)
-    witness = minimality_violation(g)
-    assert (witness is None) == (expected is None)
-    if witness is not None:
-        inner, pins = witness
-        assert len(inner) + len(pins) < g.n
-        assert g.induced(inner, pins).m >= max(1, 2 * len(inner))
+    components = decompose(g).components
+    if len(components) > 1:
+        c1 = components[0].graph
+        assert expected is not None and c1.n < g.n
+        assert g.induced(c1.inner, c1.pins).m >= max(1, 2 * len(c1.inner))
 
 
 def test_minimality_matches_oracle_on_all_small_pinned_graphs():
@@ -363,7 +362,6 @@ def test_minimality_violation_is_polynomial():
     g = support.edge_split_assur(random.Random(5), 21)
     assert g.n >= 24
     started = time.perf_counter()
-    assert minimality_violation(g) is None
     assert check_minimality(g)
     assert time.perf_counter() - started < 2.0
 
@@ -371,7 +369,7 @@ def test_minimality_violation_is_polynomial():
 def test_minimality_witness_for_isolated_pin():
     g = PinnedGraph({"v"}, {"p1", "p2", "p3"}, [("v", "p1"), ("v", "p2")])
     assert not check_minimality(g)
-    assert minimality_violation(g) == (("v",), ("p1", "p2"))
+    assert assur_gate(g)[0] == "isolated pinned vertices ['p3']"
 
 
 # -- decomposition of known stacks ------------------------------------------------

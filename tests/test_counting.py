@@ -13,7 +13,7 @@ from pinrig.counting import (LinkageSchema, circuit_oracle, grubler_dof,
 from pinrig.errors import GraphError, SizeLimitError
 from pinrig.fileio import load_linkage
 from pinrig.graphs import Multigraph, PinnedGraph, complete_graph
-from pinrig.pebble import fundamental_circuit, pebble_rank
+from pinrig.pebble import pebble_rank
 
 
 @pytest.fixture
@@ -158,11 +158,12 @@ class TestLamanOracle:
         assert not laman_independent_oracle(support.doubled_edge())
 
     def test_violation_witness(self):
-        # the fundamental circuit of a rejected edge is a smallest violating
+        # the reach set of a rejected edge spans a smallest violating
         # subset: all of K4, with 6 > 2 * 4 - 3 edges
         k4 = complete_graph(4)
         rep = pebble_rank(k4)
-        w = fundamental_circuit(k4, rep, rep.rejected[0])
+        reach = rep.reach[rep.rejected[0]]
+        w = Multigraph(reach, [e for e in k4.edges if set(e) <= reach])
         assert w.n == 4 and w.m > 2 * w.n - 3
         assert not laman_independent_oracle(w)
         assert not pebble_rank(Multigraph(edges=[(0, 1)])).rejected

@@ -305,6 +305,17 @@ def test_random_configuration_avoids_adjacent_collisions():
         assert all(config[u] != config[v] for u, v in g.edges)
 
 
+def test_random_configuration_carries_its_field(stacked_dyads):
+    # "auto" eliminates the sample over GF(p); the same ints in a plain dict
+    # are read as rationals
+    g = stacked_dyads.without_edge("a", "p1")
+    config = random_configuration(g, random.Random(3))
+    basis = motion_space(g, config)
+    assert basis.field == "mod" and basis.dim == 1
+    assert basis == motion_space(g, config, field="mod")
+    assert motion_space(g, dict(config)).field == "rational"
+
+
 def test_matrix_rank_and_kernel_are_consistent():
     rng = random.Random(8)
     for _ in range(20):

@@ -11,8 +11,7 @@ from pinrig.counting import circuit_oracle, laman_independent_oracle
 from pinrig.errors import GraphError
 from pinrig.graphs import (Multigraph, PinnedGraph, complete_graph,
                            contract_pins)
-from pinrig.pebble import (circuit_indices, fundamental_circuit, is_circuit,
-                           pebble_rank, pinned_game, pinned_isostatic)
+from pinrig.pebble import is_circuit, pebble_rank, pinned_game, pinned_isostatic
 
 
 def _reordered(g, order):
@@ -74,64 +73,6 @@ class TestRank:
             assert rep.rank <= 2 * g.n - 3
             basis = Multigraph(g.vertices, [g.edges[i] for i in rep.independent])
             assert laman_independent_oracle(basis)
-
-
-class TestFundamentalCircuit:
-    def test_k4_rejected_edge_gives_whole_k4(self):
-        g = complete_graph(4)
-        rep = pebble_rank(g)
-        circuit = fundamental_circuit(g, rep, rep.rejected[0])
-        assert circuit.edge_counter() == g.edge_counter()
-        assert circuit_oracle(circuit)
-
-    def test_parallel_pair(self, dyad):
-        m = contract_pins(dyad)
-        rep = pebble_rank(m)
-        circuit = fundamental_circuit(m, rep, rep.rejected[0])
-        assert circuit.m == 2 and circuit.n == 2
-
-    def test_k4_with_pendant_path(self):
-        g = Multigraph(range(6), [(3, 4), (4, 5)] + list(complete_graph(4).edges))
-        rep = pebble_rank(g)
-        assert len(rep.rejected) == 1
-        circuit = fundamental_circuit(g, rep, rep.rejected[0])
-        assert circuit.edge_counter() == complete_graph(4).edge_counter()
-        assert circuit_oracle(circuit)
-
-    def test_circuit_same_for_any_order(self):
-        g = Multigraph(range(6), [(3, 4), (4, 5)] + list(complete_graph(4).edges))
-        rng = random.Random(3)
-        want = complete_graph(4).edge_counter()
-        for _ in range(10):
-            order = list(range(g.m))
-            rng.shuffle(order)
-            h = _reordered(g, order)
-            rep = pebble_rank(h)
-            circuit = fundamental_circuit(h, rep, rep.rejected[0])
-            assert circuit.edge_counter() == want
-
-    def test_lookup_by_pair(self):
-        g = complete_graph(4)
-        rep = pebble_rank(g)
-        pair = rep.rejected_edges[0]
-        assert fundamental_circuit(g, rep, pair).m == 6
-
-    def test_non_rejected_edge_raises(self):
-        g = complete_graph(4)
-        rep = pebble_rank(g)
-        with pytest.raises(GraphError):
-            fundamental_circuit(g, rep, rep.independent[0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0))
-    def test_circuits_pass_the_oracle(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(3, 7)
-        g = support.random_multigraph(rng, n, rng.randint(3, 2 * n + 3),
-                                      allow_parallel=True)
-        rep = pebble_rank(g)
-        for idx in rep.rejected[:3]:
-            assert circuit_oracle(fundamental_circuit(g, rep, idx))
 
 
 class TestIsostatic:
@@ -227,10 +168,12 @@ class TestDof:
 
 def _contraction_circuits(g):
     """The pin contraction of `g` and its fundamental circuits, as sets of
-    edge indices."""
+    edge indices: each rejected edge and the accepted edges inside its
+    reach set."""
     m = contract_pins(g)
     rep = pebble_rank(m)
-    return m, [circuit_indices(rep, i) for i in rep.rejected]
+    return m, [frozenset(j for j in rep.independent if set(m.edges[j]) <= rep.reach[i])
+               | {i} for i in rep.rejected]
 
 
 def _pinned_bound(inner, pins):
@@ -335,7 +278,6 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 # public names with no caller that are kept on purpose
 UNCALLED_PUBLIC_API = {
     "fileio.scheme_from_dict",  # reads back the scheme files `decompose --json` writes
-    "fileio.linkage_to_dict",   # writes the linkage format that `load_linkage` reads
     "assur.AssurScheme.leq",    # the scheme's partial order, for queries on its components
 }
 

@@ -19,6 +19,15 @@ def _reordered(g, order):
     return Multigraph(g.vertices, [g.edges[i] for i in order])
 
 
+def _circuit(rep, i):
+    """The fundamental circuit of rejected edge `i`, read off its reach set:
+    edge `i` and the accepted edges inside the set, on their support."""
+    r = rep.reach[i]
+    edges = [e for j, e in enumerate(rep.graph.edges)
+             if j == i or (j in rep.independent and set(e) <= r)]
+    return Multigraph({x for e in edges for x in e}, edges)
+
+
 class TestRank:
     def test_k4(self):
         rep = pebble_rank(complete_graph(4))
@@ -73,6 +82,55 @@ class TestRank:
             assert rep.rank <= 2 * g.n - 3
             basis = Multigraph(g.vertices, [g.edges[i] for i in rep.independent])
             assert laman_independent_oracle(basis)
+
+
+class TestFundamentalCircuit:
+    def test_k4_rejected_edge_gives_whole_k4(self):
+        g = complete_graph(4)
+        rep = pebble_rank(g)
+        circuit = _circuit(rep, rep.rejected[0])
+        assert circuit.edge_counter() == g.edge_counter()
+        assert circuit_oracle(circuit)
+
+    def test_parallel_pair(self, dyad):
+        rep = pebble_rank(contract_pins(dyad))
+        circuit = _circuit(rep, rep.rejected[0])
+        assert circuit.m == 2 and circuit.n == 2
+
+    def test_k4_with_pendant_path(self):
+        g = Multigraph(range(6), [(3, 4), (4, 5)] + list(complete_graph(4).edges))
+        rep = pebble_rank(g)
+        assert len(rep.rejected) == 1
+        assert rep.reach[rep.rejected[0]] == set(range(4))
+        circuit = _circuit(rep, rep.rejected[0])
+        assert circuit.edge_counter() == complete_graph(4).edge_counter()
+        assert circuit_oracle(circuit)
+
+    def test_circuit_same_for_any_order(self):
+        g = Multigraph(range(6), [(3, 4), (4, 5)] + list(complete_graph(4).edges))
+        rng = random.Random(3)
+        want = complete_graph(4).edge_counter()
+        for _ in range(10):
+            order = list(range(g.m))
+            rng.shuffle(order)
+            rep = pebble_rank(_reordered(g, order))
+            assert _circuit(rep, rep.rejected[0]).edge_counter() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0))
+    def test_circuits_pass_the_oracle(self, seed):
+        # the reach set spans 2|R| - 3 accepted edges, and with the rejected
+        # edge they form a circuit
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        g = support.random_multigraph(rng, n, rng.randint(3, 2 * n + 3),
+                                      allow_parallel=True)
+        rep = pebble_rank(g)
+        for idx in rep.rejected[:3]:
+            circuit = _circuit(rep, idx)
+            assert circuit.n == len(rep.reach[idx])
+            assert circuit.m == 2 * circuit.n - 2
+            assert circuit_oracle(circuit)
 
 
 class TestIsostatic:

@@ -1,8 +1,12 @@
 """The (2,3)-pebble game: rank, independence, pinned isostatic tests, circuits.
 
-Every query plays one game on one `_PebbleState`: `pebble_rank`,
-`circuit_state` (whose live state `certify` goes on to edit) and
-`pinned_game` (the pin scaffold, then the graph, then one trial bar).
+Every query plays one game on one `_PebbleState`, and every game runs
+through the state's one insertion loop, `rejections`, which inserts edges
+in order and yields each rejected edge with its reach set as it is
+rejected: `pebble_rank` reads every rejection, `circuit_state` (whose live
+state `certify` goes on to edit) stops at its first rejection that rules
+out a circuit, and `pinned_game` plays the pin scaffold and the graph
+through it, then one trial bar.
 `pinned_gate` owns the pinned isostatic rule that every Assur test, the
 decomposition and `check --mode pinned` start with, and hands on the
 orientation of its game, from which `assur` reads the decomposition.
@@ -42,7 +46,8 @@ from .graphs import Multigraph, PinnedGraph, fresh_id, vkey
 class _PebbleState:
     """Mutable game state; `pebbles` maps each vertex to its starting
     pebbles and `out` each vertex to {head: 1} of its oriented edges.
-    Edges are inserted by `try_insert` and deleted by `remove_edge`."""
+    Edges are inserted by `rejections` or `try_insert` and deleted by
+    `remove_edge`."""
 
     def __init__(self, pebbles):
         self.pebbles = pebbles
@@ -97,6 +102,18 @@ class _PebbleState:
         self.out[u][v] = 1
         return True, None
 
+    def rejections(self, edges):
+        """Insert `edges` in order, yielding (index, reach) for each one
+        `try_insert` rejects, as it is rejected.
+
+        The loop is lazy: a caller that stops reading stops the insertion,
+        and the state holds the edges up to the last rejection read.
+        """
+        for i, (u, v) in enumerate(edges):
+            ok, reach = self.try_insert(u, v)
+            if not ok:
+                yield i, reach
+
     def remove_edge(self, u, v):
         """Delete accepted edge (u, v).
 
@@ -135,20 +152,10 @@ def pebble_rank(m: Multigraph | PinnedGraph) -> RankReport:
     in construction order.  The rank is order-independent; the
     accepted/rejected split is not.
     """
-    state = _PebbleState(dict.fromkeys(m.vertices, 2))
-    independent = []
-    rejected = []
-    reach = {}
-    for i, (u, v) in enumerate(m.edges):
-        ok, r = state.try_insert(u, v)
-        if ok:
-            independent.append(i)
-        else:
-            rejected.append(i)
-            reach[i] = r
-    return RankReport(graph=m, rank=len(independent),
-                      independent=tuple(independent), rejected=tuple(rejected),
-                      reach=reach)
+    reach = dict(_PebbleState(dict.fromkeys(m.vertices, 2)).rejections(m.edges))
+    return RankReport(graph=m, rank=m.m - len(reach),
+                      independent=tuple(i for i in range(m.m) if i not in reach),
+                      rejected=tuple(reach), reach=reach)
 
 
 def circuit_state(m: Multigraph):
@@ -158,7 +165,9 @@ def circuit_state(m: Multigraph):
     With |E| = 2|V(E)| - 2 and exactly one rejected edge r the edge set has
     nullity 1, so it holds a single circuit: the fundamental circuit of r,
     which spans r's reach set.  The edge set is a circuit exactly when that
-    reach set is all of V(E).  The state holds every edge but r and stays
+    reach set is all of V(E), so the game stops at the first rejection
+    that is a second one or whose reach set falls short.  On a circuit the
+    state holds every edge but r and stays
     live for a caller that goes on to delete edges (`remove_edge`) and
     insert them (`try_insert`), as `certify` does, editing the adjacency
     alongside.
@@ -168,12 +177,10 @@ def circuit_state(m: Multigraph):
         return None
     state = _PebbleState(dict.fromkeys(m.vertices, 2))
     held = None
-    for e in m.edges:
-        ok, reach = state.try_insert(*e)
-        if not ok:
-            if held is not None or len(reach) != len(support):
-                return None
-            held = state, e
+    for i, reach in state.rejections(m.edges):
+        if held is not None or len(reach) != len(support):
+            return None
+        held = state, m.edges[i]
     return held and (m.adjacency(), *held)
 
 
@@ -193,11 +200,12 @@ def pinned_game(g: PinnedGraph, edges=None):
     scaffold first, then `edges` (default the edges of `g`), then a trial
     bar from the scaffold's apex to a pin.
 
-    The scaffold is independent, so the pinned rank is the number of edges
-    of `g` accepted and the DOF is 2|I| minus it.  The witness is (inner,
-    pins) of the reach set, minus the apex, of the first rejected edge, or
-    None when no edge is rejected; its induced subgraph spans 2|R| - 2
-    scaffolded edges, which breaks the pinned counts.
+    The scaffold is independent, so every rejected edge is an edge of `g`,
+    the pinned rank is the number of edges of `g` accepted and the DOF is
+    2|I| minus it.  The witness is (inner, pins) of the reach set, minus
+    the apex, of the first rejected edge, or None when no edge is
+    rejected; its induced subgraph spans 2|R| - 2 scaffolded edges, which
+    breaks the pinned counts.
 
     The trial bar doubles a scaffold bar, so it is rejected, and its failed
     search leaves no free pebble in its reach set but on its two ends.  On
@@ -208,23 +216,16 @@ def pinned_game(g: PinnedGraph, edges=None):
     """
     apex = fresh_id(g.vertices, "p0")
     pins = sorted(g.pins, key=vkey)
+    edges = g.edges if edges is None else edges
     state = _PebbleState(dict.fromkeys(g.vertices | {apex}, 2))
-    for e in _scaffold(pins, apex):
-        state.try_insert(*e)
-    accepted, reach = 0, None
-    for e in g.edges if edges is None else edges:
-        ok, r = state.try_insert(*e)
-        if ok:
-            accepted += 1
-        elif reach is None:
-            reach = r
+    reach = [r for _, r in state.rejections([*_scaffold(pins, apex), *edges])]
     if pins:
         state.try_insert(apex, pins[0])
-    dof = 2 * len(g.inner) - accepted
-    if reach is None:
+    dof = 2 * len(g.inner) - len(edges) + len(reach)
+    if not reach:
         return dof, None, state.out
-    return dof, (tuple(sorted(reach & g.inner, key=vkey)),
-                 tuple(sorted(reach & g.pins, key=vkey))), state.out
+    return dof, (tuple(sorted(reach[0] & g.inner, key=vkey)),
+                 tuple(sorted(reach[0] & g.pins, key=vkey))), state.out
 
 
 def pinned_gate(g: PinnedGraph, edges=None):

@@ -408,6 +408,27 @@ def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
         assert check(state, edges) == 3
 
 
+
+def test_circuit_state_stops_at_its_first_disqualifying_rejection(monkeypatch):
+    from pinrig.pebble import _PebbleState, circuit_state
+    calls = []
+    try_insert = _PebbleState.try_insert
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return try_insert(self, u, v)
+
+    monkeypatch.setattr(_PebbleState, "try_insert", counted)
+    # the doubled edge 01 is rejected second with reach set {0, 1}, short of
+    # the support, so no further edge is offered
+    doubled = Multigraph(edges=[(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (1, 3)])
+    assert circuit_state(doubled) is None
+    assert len(calls) == 2
+    calls.clear()
+    assert circuit_state(complete_graph(4)) is not None
+    assert len(calls) == 6
+
+
 def _random_pinned_graph(rng):
     inner = list(range(rng.randint(1, 6)))
     pins = [f"p{i}" for i in range(rng.randint(2, 4))]

@@ -408,7 +408,6 @@ def test_edge_removal_returns_the_pebble_and_keeps_the_game_valid():
         assert check(state, edges) == 3
 
 
-
 def test_circuit_state_stops_at_its_first_disqualifying_rejection(monkeypatch):
     from pinrig.pebble import _PebbleState, circuit_state
     calls = []
